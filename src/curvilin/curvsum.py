@@ -19,9 +19,10 @@ values are not lost to the grid.  Recorded volumes are exact cell sums of
 the recorded heights.
 
 Exact realizations are kept alongside the grid path: interval unions in
-one dimension, explicit region boxes for box-union operands, and a swept
-max-envelope for staircase operands with one base axis (the workhorse of
-the surface-area quotients, where grid snapping would drown the signal).
+one dimension, explicit region boxes for box-union operands, and an exact
+max-envelope for staircase operands with one base axis, computed as an
+offline range-max over breakpoint indices (the workhorse of the
+surface-area quotients, where grid snapping would drown the signal).
 """
 
 from __future__ import annotations
@@ -590,10 +591,18 @@ def envelope_segments(z_lo, z_hi, v):
     """Max envelope of anchored rectangles as (breakpoints, values).
 
     Returns (bps, vals) with len(vals) = len(bps) - 1; the envelope is
-    vals[i] on [bps[i], bps[i+1]).  Linear sweep with a lazy-deletion heap.
-    """
-    import heapq
+    vals[i] on [bps[i], bps[i+1]), or 0 where no rectangle covers it.
+    Rectangles with z_hi <= z_lo or v <= 0 are dropped first.
 
+    Offline range-max over breakpoint indices: rectangle [l, r) is covered
+    by the two power-of-two blocks [l, l + 2^k) and [r - 2^k, r), with
+    k = floor(log2(r - l)).  Going from the widest level down, one
+    ``np.maximum.at`` per block end writes a level's block maxima, and each
+    level then passes its maxima into the two halves one level below
+    (a sparse table run backwards).  Only two level arrays are live at a
+    time.  A max selects and never rounds, so the values are exactly those
+    of a sweep over the breakpoints.
+    """
     z_lo = np.asarray(z_lo, dtype=float)
     z_hi = np.asarray(z_hi, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -601,22 +610,27 @@ def envelope_segments(z_lo, z_hi, v):
     z_lo, z_hi, v = z_lo[keep], z_hi[keep], v[keep]
     if z_lo.size == 0:
         return np.asarray([0.0]), np.asarray([])
-    bps = np.unique(np.concatenate([z_lo, z_hi]))
-    order = np.argsort(z_lo, kind="stable")
-    z_lo_s, z_hi_s, v_s = z_lo[order], z_hi[order], v[order]
-    heap: list[tuple[float, float]] = []
-    vals = np.zeros(len(bps) - 1)
-    ptr = 0
-    m = len(z_lo_s)
-    for i in range(len(bps) - 1):
-        z0 = bps[i]
-        while ptr < m and z_lo_s[ptr] <= z0:
-            heapq.heappush(heap, (-v_s[ptr], z_hi_s[ptr]))
-            ptr += 1
-        while heap and heap[0][1] <= z0:
-            heapq.heappop(heap)
-        vals[i] = -heap[0][0] if heap else 0.0
-    return bps, vals
+    bps, inv = np.unique(np.concatenate([z_lo, z_hi]), return_inverse=True)
+    lo, hi = inv[: z_lo.size], inv[z_lo.size :]
+    # exact floor(log2(hi - lo)); a float log2 can round up just below 2^k
+    level = np.frexp(hi - lo)[1] - 1
+    n_seg = bps.size - 1
+    above = None
+    for k in range(int(level.max()), -1, -1):
+        width = 1 << k
+        # block maxima of width 2^k, one per block start; block j of the
+        # level above halves into blocks j and j + 2^k here (cur starts at
+        # 0 and every value is positive, so the first half is a copy)
+        cur = np.zeros(n_seg - width + 1)
+        if above is not None:
+            cur[: above.size] = above
+            np.maximum(cur[width:], above, out=cur[width:])
+        at = np.flatnonzero(level == k)
+        v_at = v[at]
+        np.maximum.at(cur, lo[at], v_at)
+        np.maximum.at(cur, hi[at] - width, v_at)
+        above = cur
+    return bps, above
 
 
 def envelope_volume(z_lo, z_hi, v) -> float:

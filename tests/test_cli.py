@@ -306,6 +306,15 @@ def test_module_entry_point_runs(tmp_path):
     assert payload["kind"] == "sum"
 
 
+@pytest.mark.parametrize("module", ["curvilin", "curvilin.cli"])
+def test_module_help_without_runpy_warning(module):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: curvilin" in proc.stdout
+
+
 def test_main_rejects_bad_alphas_text():
     assert cli.main(["sum", "--a", "x", "--b", "y",
                      "--alphas", "one,two"]) == 2

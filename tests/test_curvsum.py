@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvilin import (
@@ -23,10 +23,12 @@ from curvilin.curvsum import (
     curvilinear_sum_boxes,
     curvilinear_sum_grid,
     derive_out_grid,
+    envelope_segments,
     envelope_volume,
     lp_minkowski_sum_base,
     quasi_sum_grid,
     scalar_dilate,
+    staircase_sum_regions,
     staircase_sum_volume_exact,
     sum_oracle,
 )
@@ -295,6 +297,122 @@ def test_envelope_volume_basic():
     vol = envelope_volume([0.0, 1.0], [2.0, 3.0], [2.0, 1.0])
     assert vol == pytest.approx(2 * 2 + 1 * 1, abs=1e-15)
     assert envelope_volume([], [], []) == 0.0
+
+
+def _envelope_heap(z_lo, z_hi, v):
+    """Oracle for ``envelope_segments``: a linear sweep with a lazy-deletion heap."""
+    import heapq
+
+    z_lo = np.asarray(z_lo, dtype=float)
+    z_hi = np.asarray(z_hi, dtype=float)
+    v = np.asarray(v, dtype=float)
+    keep = (z_hi > z_lo) & (v > 0)
+    z_lo, z_hi, v = z_lo[keep], z_hi[keep], v[keep]
+    if z_lo.size == 0:
+        return np.asarray([0.0]), np.asarray([])
+    bps = np.unique(np.concatenate([z_lo, z_hi]))
+    order = np.argsort(z_lo, kind="stable")
+    z_lo_s, z_hi_s, v_s = z_lo[order], z_hi[order], v[order]
+    heap: list[tuple[float, float]] = []
+    vals = np.zeros(len(bps) - 1)
+    ptr = 0
+    m = len(z_lo_s)
+    for i in range(len(bps) - 1):
+        z0 = bps[i]
+        while ptr < m and z_lo_s[ptr] <= z0:
+            heapq.heappush(heap, (-v_s[ptr], z_hi_s[ptr]))
+            ptr += 1
+        while heap and heap[0][1] <= z0:
+            heapq.heappop(heap)
+        vals[i] = -heap[0][0] if heap else 0.0
+    return bps, vals
+
+
+def _heap_volume(z_lo, z_hi, v):
+    bps, vals = _envelope_heap(z_lo, z_hi, v)
+    return float(np.sum(np.diff(bps) * vals)) if vals.size else 0.0
+
+
+def assert_matches_heap(z_lo, z_hi, v):
+    bps, vals = envelope_segments(z_lo, z_hi, v)
+    want_bps, want_vals = _envelope_heap(z_lo, z_hi, v)
+    assert np.array_equal(bps, want_bps)
+    assert np.array_equal(vals, want_vals)
+
+
+# integer endpoints on a short line: shared and duplicate endpoints, zero and
+# negative widths, and (over a ruler of unit rectangles, which makes every
+# integer a breakpoint) index ranges of exactly 2^k and 2^k - 1 segments
+_ENDS = 80
+_rect = st.tuples(
+    st.integers(0, _ENDS),
+    st.one_of(
+        st.integers(-3, _ENDS),
+        st.tuples(st.integers(0, 6), st.integers(0, 1)).map(lambda km: 2 ** km[0] - km[1]),
+    ),
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.25]),  # ties, v <= 0
+)
+
+
+@given(st.lists(_rect, max_size=40), st.sampled_from([None, -0.5, 0.0, 0.25]))
+@example(rects=[], ruler=None)
+@settings(max_examples=300, deadline=None)
+def test_envelope_segments_equals_heap_oracle(rects, ruler):
+    z_lo = [float(a) for a, _, _ in rects]
+    z_hi = [float(a + w) for a, w, _ in rects]
+    v = [h for _, _, h in rects]
+    if ruler is not None:
+        z_lo += [float(i) for i in range(_ENDS)]
+        z_hi += [float(i + 1) for i in range(_ENDS)]
+        v += [ruler] * _ENDS
+    assert_matches_heap(z_lo, z_hi, v)
+
+
+def test_envelope_segments_ranges_up_to_2_pow_20():
+    n_seg = (1 << 20) + 1
+    ruler = np.arange(n_seg + 1, dtype=float)
+    lengths = sorted({m for k in range(21) for m in (1 << k, (1 << k) - 1) if m})
+    # nests sharing a start and sharing an end, shorter rectangles higher, so
+    # a block that overshot either end of its range would change a value
+    height = np.arange(len(lengths), 0, -1, dtype=float)
+    m = np.asarray(lengths, dtype=float)
+    z_lo = np.concatenate([ruler[:-1], np.full(m.size, 1.0), n_seg - m])
+    z_hi = np.concatenate([ruler[1:], 1.0 + m, np.full(m.size, float(n_seg))])
+    v = np.concatenate([np.full(n_seg, 0.5), height, height])
+    assert_matches_heap(z_lo, z_hi, v)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_envelope_volume_equals_oracle_on_staircase_regions(seed, p):
+    from curvilin.curvsum import _lambda_values
+
+    rng = np.random.default_rng(seed)
+    a = rng_staircase(rng, cells=16, spacing=1 / 16)
+    b = rng_staircase(rng, cells=16, spacing=1 / 16)
+    spec = SumSpec(p=p, alphas=vec(1, 2), t=0.35, lambda_points=32)
+    regions = staircase_sum_regions(a, b, spec)
+    if p > 1.0:
+        # the per-pair maximizer adds one lam per cell pair
+        pairs = len(a.support_cells()[1]) * len(b.support_cells()[1])
+        n_lam = len(_lambda_values(spec, a.volume, b.volume))
+        assert regions[0].size == pairs * (n_lam + 1)
+    assert_matches_heap(*regions)
+    assert envelope_volume(*regions) == _heap_volume(*regions)
+    assert staircase_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
+
+
+def test_convex_quasi_volume_equals_oracle_on_regions():
+    from curvilin.curvsum import _MIXED, _regions, convex_quasi_sum_volume_exact
+
+    rng = np.random.default_rng(23)
+    a = rng_staircase(rng, cells=16, spacing=1 / 16)
+    b = rng_staircase(rng, cells=16, spacing=1 / 16)
+    spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=32, mode=QUASI)
+    regions = _regions(a, b, spec, _MIXED)
+    assert_matches_heap(*regions)
+    assert envelope_volume(*regions) == _heap_volume(*regions)
+    assert convex_quasi_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
 
 
 def test_surface_closed_form_square():
