@@ -16,7 +16,13 @@ dominated by true members of the sum.  The evaluation set is the uniform
 lam grid of the spec augmented with the closed-form maximizers for the
 volume pair and for each height pair, so suprema realized at isolated lam
 values are not lost to the grid.  Recorded volumes are exact cell sums of
-the recorded heights.
+the recorded heights.  Coordinate i of a combined point depends only on the
+coordinate pair on axis i, so at a scalar lam each axis is snapped once per
+pair of unique axis coordinates, into a small per-axis table of output
+indices; a cell pair's output cell is a sum of table lookups.  Only the
+per-pair maximizers, whose (C, D) differ from pair to pair, are snapped
+pair by pair.  At p = 1, (C, D) does not depend on lam and one lam is
+evaluated.
 
 Exact realizations are kept alongside the grid path: interval unions in
 one dimension, explicit region boxes for box-union operands, and an exact
@@ -293,6 +299,9 @@ def _support(s: StaircaseSet):
 
 def _lambda_values(spec: SumSpec, vol_a: float, vol_b: float) -> np.ndarray:
     lams = spec.lambda_grid()
+    if spec.p == 1.0:
+        # (C, D) does not depend on lam at p = 1: one lam stands for all
+        return lams[:1]
     extras = []
     a_last = spec.alphas.last
     if spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last):
@@ -306,12 +315,31 @@ def _lambda_values(spec: SumSpec, vol_a: float, vol_b: float) -> np.ndarray:
 
 
 def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
-    """Max-accumulate all (cell pair, lam) images into the output heights."""
+    """Accumulate all (cell pair, lam) images into the output heights.
+
+    For p >= 1 every image is max-accumulated into ``out`` (the union over
+    lam).  For 0 < p < 1 the images of each lam are max-accumulated into a
+    slice of their own and ``out`` receives the minimum over the slices
+    (the intersection over lam).
+
+    Coordinate i of a combined point depends on the coordinate pair on axis
+    i alone, so at a scalar lam the output index on an axis is a function
+    of the pair of unique axis coordinates.  Per row chunk and lam, each
+    axis gets one table over (unique a coordinate, unique b coordinate)
+    holding the snapped, clipped index times the row-major output stride;
+    a cell pair's flat output index is the sum over axes of
+    ``table[ia][:, ib]``, where ia and ib map cells to unique coordinates.
+    The injected per-pair maximizer gives every height pair its own
+    (C, D), so that pass snaps every cell pair directly.  The unique
+    coordinates and the powers u^alpha and v^alpha of the heights do not
+    depend on lam and are computed once.
+    """
     n = xa.shape[1]
     alphas = spec.alphas.alphas
     base_kernel = combine_quasi if kind == QUASI else combine
     vert_kernel = combine if kind == CURVILINEAR else combine_quasi
     shape = out.shape
+    strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
     flat = out.ravel()
     ma = xa.shape[0]
     mb = xb.shape[0]
@@ -319,31 +347,81 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
     a_last = alphas[-1]
     inject_pairs = spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last)
     h_out = out_grid.spacing
-    for start in range(0, ma, chunk):
-        stop = min(ma, start + chunk)
-        xs = xa[start:stop]
-        hs = ha[start:stop]
-        u = hs[:, None]
-        v = hb[None, :]
-        cd_list = [spec.coefficients(lam) for lam in lam_values]
-        if inject_pairs:
+    v = hb[None, :]
+
+    def snap(z, ax):
+        k = np.floor((z - out_grid.origin[ax]) / h_out + _SNAP).astype(np.int64)
+        np.clip(k, 0, shape[ax] - 1, out=k)
+        k *= strides[ax]
+        return k
+
+    b_axes = [np.unique(xb[:, ax], return_inverse=True) for ax in range(n)]
+    chunks = [
+        (start, min(ma, start + chunk),
+         [np.unique(xa[start : start + chunk, ax], return_inverse=True) for ax in range(n)])
+        for start in range(0, ma, chunk)
+    ]
+    powered = kind == CURVILINEAR and a_last not in (0.0, 1.0) and not math.isinf(a_last)
+    if powered:
+        # combine's general branch with the lam-free powers taken out
+        with np.errstate(divide="ignore", over="ignore"):
+            pow_a = ha[:, None] ** a_last
+            pow_b = v**a_last
+
+    # row-major index buffers reused for every lam and chunk: fresh
+    # pair-sized arrays per lam made the allocator return and refault pages,
+    # and the row-major order keeps ravel() a view
+    idx_buf = np.empty(min(chunk, ma) * mb, dtype=np.int64)
+    part_buf = np.empty(idx_buf.size if n > 1 else 0, dtype=np.int64)
+
+    def images(target, c, d):
+        for start, stop, a_axes in chunks:
+            size = (stop - start) * mb
+            flat_idx = idx_buf[:size].reshape(stop - start, mb)
+            part = part_buf[:size].reshape(stop - start, mb) if n > 1 else None
+            for ax in range(n):
+                (ua, ia), (ub, ib) = a_axes[ax], b_axes[ax]
+                table = snap(base_kernel(ua[:, None], ub[None, :], c, d, alphas[ax]), ax)
+                # ib is always in range; mode="clip" only skips an output copy
+                np.take(table[ia], ib, axis=1, out=flat_idx if ax == 0 else part, mode="clip")
+                if ax:
+                    flat_idx += part
+            if powered:
+                with np.errstate(divide="ignore", over="ignore"):
+                    vert = (c * pow_a[start:stop] + d * pow_b) ** (1.0 / a_last)
+            else:
+                vert = vert_kernel(ha[start:stop, None], v, c, d, a_last)
+            np.maximum.at(target, flat_idx.ravel(), vert.ravel())
+
+    cd_list = [spec.coefficients(lam) for lam in lam_values]
+    if spec.p < 1.0:
+        lam_slice = np.empty_like(flat)
+        for i, (c, d) in enumerate(cd_list):
+            lam_slice.fill(0.0)
+            images(lam_slice, c, d)
+            if i == 0:
+                flat[:] = lam_slice
+            else:
+                np.minimum(flat, lam_slice, out=flat)
+        return out
+    for c, d in cd_list:
+        images(flat, c, d)
+    if inject_pairs:
+        for start, stop, _ in chunks:
+            xs = xa[start:stop]
+            u = ha[start:stop, None]
             if kind == CURVILINEAR:
                 lam_star = spec.pair_lambda_star(u, v, a_last)
             else:
                 lam_star = spec.quasi_crossing_lambda(u, v, a_last)
-            cd_list.append(spec.coefficients(lam_star))
-        for c, d in cd_list:
+            c, d = spec.coefficients(lam_star)
+            flat_idx = snap(base_kernel(xs[:, 0][:, None], xb[None, :, 0], c, d, alphas[0]), 0)
+            for ax in range(1, n):
+                flat_idx += snap(
+                    base_kernel(xs[:, ax][:, None], xb[None, :, ax], c, d, alphas[ax]), ax
+                )
             vert = vert_kernel(u, v, c, d, a_last)
-            idx = np.empty((xs.shape[0], mb, n), dtype=np.int64)
-            for ax in range(n):
-                z = base_kernel(xs[:, ax][:, None], xb[:, ax][None, :], c, d, alphas[ax])
-                k = np.floor((z - out_grid.origin[ax]) / h_out + _SNAP).astype(np.int64)
-                np.clip(k, 0, shape[ax] - 1, out=k)
-                idx[:, :, ax] = k
-            flat_idx = np.ravel_multi_index(
-                tuple(idx[:, :, ax].ravel() for ax in range(n)), shape
-            )
-            np.maximum.at(flat, flat_idx, vert.ravel())
+            np.maximum.at(flat, flat_idx.ravel(), vert.ravel())
     return out
 
 
@@ -420,26 +498,14 @@ def _sum_grid(a, b, spec, out_grid, kind):
         out_grid = derive_out_grid(a, b, grid_spec)
     else:
         _check_out_grid(out_grid, a, b, grid_spec)
-    if spec.p >= 1.0:
-        out = np.zeros(out_grid.shape)
-        _accumulate(
-            out, out_grid, spec, xa, ha, xb, hb,
-            _lambda_values(spec, a.volume, b.volume), kind,
-        )
-        return StaircaseSet(out_grid, out)
-    # 0 < p < 1: intersection over the lam grid, computed slicewise
-    result = None
-    for lam in spec.lambda_grid():
-        slice_out = np.zeros(out_grid.shape)
-        _accumulate(
-            slice_out, out_grid, spec, xa, ha, xb, hb,
-            np.asarray([lam]), kind,
-        )
-        if result is None:
-            result = slice_out
-        else:
-            np.minimum(result, slice_out, out=result)
-    return StaircaseSet(out_grid, result)
+    out = np.zeros(out_grid.shape)
+    # for 0 < p < 1 the lam values are the spec's grid and the result is
+    # the intersection over them
+    _accumulate(
+        out, out_grid, spec, xa, ha, xb, hb,
+        _lambda_values(spec, a.volume, b.volume), kind,
+    )
+    return StaircaseSet(out_grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +789,14 @@ def lp_minkowski_sum_base(
     """Union over lam of {C u + D v} for grid cells u, v, snapped to the lattice.
 
     The lam evaluation set is the uniform grid plus lam = t (where
-    C + D = 1) and, in one dimension, the per-pair maximizers of C u + D v.
+    C + D = 1) and, in one dimension, the per-pair maximizers of C u + D v;
+    at p = 1 (C, D) is the same for every lam, so one lam is evaluated.
+    All scalar lam values are snapped in one broadcast pass (chunked to
+    ``_PAIR_CHUNK`` values), each snapped row is encoded as one int64
+    mixed-radix code over the box of reached lattice indices, and the
+    unique codes decode to the rows in lexicographic order.  Raises
+    BudgetError, before the snapping pass, when that box has too many cells
+    for int64 codes.
     """
     if p < 1.0:
         raise RegimeError("base-space sums cover p >= 1 only")
@@ -739,22 +812,49 @@ def lp_minkowski_sum_base(
         t=t,
         lambda_points=lambda_points,
     )
-    lams = list(spec.lambda_grid()) + [t]
+    lams = np.asarray([t]) if p == 1.0 else np.unique(np.append(spec.lambda_grid(), t))
+    # one scalar coefficients() per lam: array-valued powers may round differently
+    cd = np.asarray([spec.coefficients(lam) for lam in lams], dtype=float)
+    c, d = cd[:, :1], cd[:, 1:]
     h = x.spacing
     u = x.coords[:, None, :]
     v = y.coords[None, :, :]
-    cells = []
-    cd_list = [spec.coefficients(lam) for lam in np.unique(np.asarray(lams))]
+    # C, D > 0 and rounding is monotone, so on every axis the lowest and
+    # highest snapped index come from the per-axis minimum and maximum points
+    lo = np.floor((c * x.coords.min(axis=0) + d * y.coords.min(axis=0)).min(axis=0) / h + _SNAP)
+    hi = np.floor((c * x.coords.max(axis=0) + d * y.coords.max(axis=0)).max(axis=0) / h + _SNAP)
+    star = None
     if x.dim == 1 and p > 1.0:
-        lam_star = spec.pair_lambda_star(u[..., 0], v[..., 0], 1.0)
-        cd_list.append(spec.coefficients(lam_star))
-    for c, d in cd_list:
-        c = np.asarray(c)[..., None] if np.ndim(c) else c
-        d = np.asarray(d)[..., None] if np.ndim(d) else d
-        z = c * u + d * v
-        idx = np.floor(z / h + _SNAP).astype(np.int64)
-        cells.append(idx.reshape(-1, x.dim))
-    all_idx = np.unique(np.concatenate(cells, axis=0), axis=0)
+        c_star, d_star = spec.coefficients(spec.pair_lambda_star(u[..., 0], v[..., 0], 1.0))
+        star = np.floor((c_star[..., None] * u + d_star[..., None] * v) / h + _SNAP)
+        lo = np.minimum(lo, star.min(axis=(0, 1)))
+        hi = np.maximum(hi, star.max(axis=(0, 1)))
+    if not np.all((np.abs(lo) < 2.0**62) & (np.abs(hi) < 2.0**62)):
+        raise BudgetError("base-space sum reaches lattice indices beyond 2^62")
+    lo = [int(k) for k in lo]
+    radix = [int(k) - l + 1 for k, l in zip(hi, lo)]
+    if math.prod(radix) >= 2**63:
+        raise BudgetError(
+            f"base-space sum spans {math.prod(radix)} lattice cells, beyond int64 codes"
+        )
+    place = np.asarray([math.prod(radix[ax + 1 :]) for ax in range(x.dim)], dtype=np.int64)
+    lo = np.asarray(lo, dtype=np.int64)
+
+    def encode(snapped):
+        idx = snapped.astype(np.int64)
+        idx -= lo
+        return (idx @ place).ravel()
+
+    c, d = c[:, :, None, None], d[:, :, None, None]
+    step = max(1, _PAIR_CHUNK // (x.count * y.count * x.dim))
+    codes = [
+        encode(np.floor((c[i : i + step] * u + d[i : i + step] * v) / h + _SNAP))
+        for i in range(0, lams.size, step)
+    ]
+    if star is not None:
+        codes.append(encode(star))
+    uniq = np.unique(np.concatenate(codes))
+    all_idx = uniq[:, None] // place % np.asarray(radix, dtype=np.int64) + lo
     return GridPointSet(all_idx.astype(float) * h, h)
 
 

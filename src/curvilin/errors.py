@@ -30,7 +30,7 @@ class CoverageError(CurvilinError, ValueError):
 
 
 class BudgetError(CurvilinError, ValueError):
-    """An exhaustive oracle was asked to enumerate more than its budget."""
+    """A computation was asked to enumerate or encode more than its budget."""
 
 
 class RegimeError(CurvilinError, ValueError):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,18 @@ from curvilin import (
     RegimeError,
     ResolutionError,
 )
+from curvilin import curvsum
 from curvilin.curvsum import (
+    _MIXED,
+    _SNAP,
+    CURVILINEAR,
     QUASI,
     T_FREE,
+    WITH_T,
     SumSpec,
     combine,
+    combine_quasi,
+    convex_quasi_sum_grid,
     curvilinear_sum_1d,
     curvilinear_sum_boxes,
     curvilinear_sum_grid,
@@ -262,6 +270,153 @@ def test_quasi_p1_matches_brute_force():
             expect[k] = max(expect[k], v)
     assert fast.grid == grid
     assert np.allclose(fast.heights, expect, atol=1e-15)
+
+
+def _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
+    """Oracle for ``curvsum._accumulate``: snaps every cell pair on every axis."""
+    n = xa.shape[1]
+    alphas = spec.alphas.alphas
+    base_kernel = combine_quasi if kind == QUASI else combine
+    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    shape = out.shape
+    flat = out.ravel()
+    ma = xa.shape[0]
+    mb = xb.shape[0]
+    chunk = max(1, (1 << 22) // max(mb, 1))
+    a_last = alphas[-1]
+    inject_pairs = spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last)
+    h_out = out_grid.spacing
+    for start in range(0, ma, chunk):
+        stop = min(ma, start + chunk)
+        xs = xa[start:stop]
+        hs = ha[start:stop]
+        u = hs[:, None]
+        v = hb[None, :]
+        cd_list = [spec.coefficients(lam) for lam in lam_values]
+        if inject_pairs:
+            if kind == CURVILINEAR:
+                lam_star = spec.pair_lambda_star(u, v, a_last)
+            else:
+                lam_star = spec.quasi_crossing_lambda(u, v, a_last)
+            cd_list.append(spec.coefficients(lam_star))
+        for c, d in cd_list:
+            vert = vert_kernel(u, v, c, d, a_last)
+            idx = np.empty((xs.shape[0], mb, n), dtype=np.int64)
+            for ax in range(n):
+                z = base_kernel(xs[:, ax][:, None], xb[:, ax][None, :], c, d, alphas[ax])
+                k = np.floor((z - out_grid.origin[ax]) / h_out + _SNAP).astype(np.int64)
+                np.clip(k, 0, shape[ax] - 1, out=k)
+                idx[:, :, ax] = k
+            flat_idx = np.ravel_multi_index(
+                tuple(idx[:, :, ax].ravel() for ax in range(n)), shape
+            )
+            np.maximum.at(flat, flat_idx, vert.ravel())
+    return out
+
+
+def _pairwise_every_lam(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
+    # every lam of the spec at p = 1, where the fast path evaluates just one
+    if spec.p == 1.0:
+        lam_values = spec.lambda_grid()
+    if spec.p >= 1.0:
+        return _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind)
+    # 0 < p < 1: intersection of single-lam slices
+    for i, lam in enumerate(lam_values):
+        lam_slice = _accumulate_pairwise(
+            np.zeros(out.shape), out_grid, spec, xa, ha, xb, hb, [lam], kind
+        )
+        out[...] = lam_slice if i == 0 else np.minimum(out, lam_slice)
+    return out
+
+
+_GRID_SUMS = {
+    CURVILINEAR: curvilinear_sum_grid,
+    QUASI: quasi_sum_grid,
+    _MIXED: convex_quasi_sum_grid,
+}
+_POWERS = [1.0, -1.0, 0.5, 2.0, 0.0, math.inf, -math.inf]
+
+
+@st.composite
+def _grid_sum_case(draw):
+    kind = draw(st.sampled_from([CURVILINEAR, QUASI, _MIXED]))
+    ps = [1.0, 1.5, 2.0, 3.0] if kind == _MIXED else [0.6, 1.0, 1.5, 2.0, 3.0]
+    powers = _POWERS if kind == CURVILINEAR else [a for a in _POWERS if a != 0.0]
+    base_dim = draw(st.integers(1, 2))
+    if kind == _MIXED:
+        base = [1.0] * base_dim
+    else:
+        base = [draw(st.sampled_from(powers)) for _ in range(base_dim)]
+    form = draw(st.sampled_from([WITH_T, T_FREE]))
+    spec = SumSpec(
+        p=draw(st.sampled_from(ps)),
+        alphas=vec(*base, draw(st.sampled_from(powers))),
+        t=draw(st.sampled_from([0.2, 0.5, 0.7])) if form == WITH_T else None,
+        lambda_points=draw(st.integers(1, 9)),
+        mode=CURVILINEAR if kind == CURVILINEAR else QUASI,
+        coefficient_form=form,
+    )
+    sets = []
+    for _ in range(2):
+        cells = draw(st.integers(1, 4))
+        # zero heights drop cells from the support, so the unique axis
+        # coordinates of the two operands differ
+        heights = np.asarray(
+            draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]),
+                          min_size=cells**base_dim, max_size=cells**base_dim))
+        ).reshape((cells,) * base_dim)
+        if not heights.any():
+            heights.flat[-1] = 1.0
+        spacing = draw(st.sampled_from([0.25, 0.5]))
+        sets.append(StaircaseSet(Grid((0.0,) * base_dim, spacing, heights.shape), heights))
+    supplied = draw(st.booleans())
+    pair_chunk = draw(st.sampled_from([None, 1, 5, 40]))
+    return kind, spec, sets[0], sets[1], supplied, pair_chunk
+
+
+@given(_grid_sum_case())
+@settings(max_examples=250, deadline=None)
+def test_grid_kernel_equals_pairwise_oracle(case):
+    kind, spec, a, b, supplied, pair_chunk = case
+    sum_grid = _GRID_SUMS[kind]
+    out_grid = None
+    if supplied:
+        # a finer grid reaching past the derived one
+        reach = spec if kind != _MIXED else SumSpec(
+            spec.p, spec.alphas, spec.t, spec.lambda_points, CURVILINEAR,
+            spec.coefficient_form,
+        )
+        derived = derive_out_grid(a, b, reach)
+        out_grid = Grid(
+            derived.origin, derived.spacing / 2, tuple(2 * k + 3 for k in derived.shape)
+        )
+    with mock.patch.object(curvsum, "_accumulate", _pairwise_every_lam):
+        want = sum_grid(a, b, spec, out_grid)
+    if pair_chunk is None:
+        got = sum_grid(a, b, spec, out_grid)
+    else:
+        with mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk):
+            got = sum_grid(a, b, spec, out_grid)
+    assert got.grid == want.grid
+    assert np.array_equal(got.heights, want.heights)
+
+
+def test_p1_evaluates_one_lambda():
+    from curvilin.curvsum import _lambda_values
+
+    rng = np.random.default_rng(4)
+    a = rng_staircase(rng, cells=6)
+    b = rng_staircase(rng, cells=6)
+    spec = SumSpec(p=1.0, alphas=vec(2, -1), t=0.3, lambda_points=64)
+    assert _lambda_values(spec, a.volume, b.volume).size == 1
+    pairs = len(a.support_cells()[1]) * len(b.support_cells()[1])
+    regions = staircase_sum_regions(a, b, spec)
+    assert regions[0].size == pairs
+    with mock.patch.object(curvsum, "_lambda_values", lambda s, va, vb: s.lambda_grid()):
+        every = staircase_sum_regions(a, b, spec)
+    assert every[0].size == 64 * pairs
+    for got, want in zip(envelope_segments(*regions), envelope_segments(*every)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +664,72 @@ def test_lp_minkowski_base_contains_t_slice():
             z = (1 - t) * u + t * v
             cell = tuple(np.floor(z / 0.5 + 1e-9).astype(int))
             assert cell in got
+
+
+def _lp_minkowski_sum_base_loop(x, y, p, t, lambda_points=64):
+    """Oracle for ``lp_minkowski_sum_base``: one snapping pass per lam, row unique."""
+    spec = SumSpec(
+        p=p,
+        alphas=PowerVector((1.0,) * (x.dim + 1)),
+        t=t,
+        lambda_points=lambda_points,
+    )
+    lams = list(spec.lambda_grid()) + [t]
+    h = x.spacing
+    u = x.coords[:, None, :]
+    v = y.coords[None, :, :]
+    cells = []
+    cd_list = [spec.coefficients(lam) for lam in np.unique(np.asarray(lams))]
+    if x.dim == 1 and p > 1.0:
+        lam_star = spec.pair_lambda_star(u[..., 0], v[..., 0], 1.0)
+        cd_list.append(spec.coefficients(lam_star))
+    for c, d in cd_list:
+        c = np.asarray(c)[..., None] if np.ndim(c) else c
+        d = np.asarray(d)[..., None] if np.ndim(d) else d
+        z = c * u + d * v
+        idx = np.floor(z / h + _SNAP).astype(np.int64)
+        cells.append(idx.reshape(-1, x.dim))
+    all_idx = np.unique(np.concatenate(cells, axis=0), axis=0)
+    return GridPointSet(all_idx.astype(float) * h, h)
+
+
+@st.composite
+def _point_sets(draw):
+    dim = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([1.0, 0.5, 1 / 3]))
+    sets = []
+    for _ in range(2):
+        # one-point sets included; negative lattice indices too
+        rows = draw(st.lists(st.tuples(*[st.integers(-4, 9)] * dim), min_size=1, max_size=6,
+                             unique=True))
+        sets.append(GridPointSet(np.asarray(rows, dtype=float) * h, h))
+    return sets[0], sets[1]
+
+
+@given(
+    sets=_point_sets(),
+    p=st.sampled_from([1.0, 1.25, 2.0, 3.5]),
+    t=st.floats(0.05, 0.95),
+    lambda_points=st.integers(1, 70),
+)
+@settings(max_examples=300, deadline=None)
+def test_lp_minkowski_base_equals_loop_oracle(sets, p, t, lambda_points):
+    x, y = sets
+    got = lp_minkowski_sum_base(x, y, p, t, lambda_points)
+    want = _lp_minkowski_sum_base_loop(x, y, p, t, lambda_points)
+    assert got.spacing == want.spacing
+    assert np.array_equal(got.coords, want.coords)
+
+
+def test_lp_minkowski_base_refuses_code_box_overflow():
+    near = GridPointSet(np.asarray([[0.0, 0.0]]), 1.0)
+    far = GridPointSet(np.asarray([[1e12, 1e12]]), 1.0)
+    with pytest.raises(BudgetError):
+        lp_minkowski_sum_base(near, far, p=2.0, t=0.5)
+    # beyond int64 on a single axis
+    with pytest.raises(BudgetError):
+        lp_minkowski_sum_base(GridPointSet(np.asarray([[0.0]]), 1.0),
+                              GridPointSet(np.asarray([[1e300]]), 1.0), p=1.0, t=0.5)
 
 
 # ---------------------------------------------------------------------------
