@@ -331,8 +331,9 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
     ``table[ia][:, ib]``, where ia and ib map cells to unique coordinates.
     The injected per-pair maximizer gives every height pair its own
     (C, D), so that pass snaps every cell pair directly.  The unique
-    coordinates and the powers u^alpha and v^alpha of the heights do not
-    depend on lam and are computed once.
+    coordinates do not depend on lam and are computed once per call; the
+    heights enter the vertical kernel as a column and a row, so each lam
+    raises only rows + mb heights to the power alpha.
     """
     n = xa.shape[1]
     alphas = spec.alphas.alphas
@@ -361,13 +362,6 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
          [np.unique(xa[start : start + chunk, ax], return_inverse=True) for ax in range(n)])
         for start in range(0, ma, chunk)
     ]
-    powered = kind == CURVILINEAR and a_last not in (0.0, 1.0) and not math.isinf(a_last)
-    if powered:
-        # combine's general branch with the lam-free powers taken out
-        with np.errstate(divide="ignore", over="ignore"):
-            pow_a = ha[:, None] ** a_last
-            pow_b = v**a_last
-
     # row-major index buffers reused for every lam and chunk: fresh
     # pair-sized arrays per lam made the allocator return and refault pages,
     # and the row-major order keeps ravel() a view
@@ -386,11 +380,7 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
                 np.take(table[ia], ib, axis=1, out=flat_idx if ax == 0 else part, mode="clip")
                 if ax:
                     flat_idx += part
-            if powered:
-                with np.errstate(divide="ignore", over="ignore"):
-                    vert = (c * pow_a[start:stop] + d * pow_b) ** (1.0 / a_last)
-            else:
-                vert = vert_kernel(ha[start:stop, None], v, c, d, a_last)
+            vert = vert_kernel(ha[start:stop, None], v, c, d, a_last)
             np.maximum.at(target, flat_idx.ravel(), vert.ravel())
 
     cd_list = [spec.coefficients(lam) for lam in lam_values]
@@ -795,8 +785,11 @@ def lp_minkowski_sum_base(
     ``_PAIR_CHUNK`` values), each snapped row is encoded as one int64
     mixed-radix code over the box of reached lattice indices, and the
     unique codes decode to the rows in lexicographic order.  Raises
-    BudgetError, before the snapping pass, when that box has too many cells
-    for int64 codes.
+    BudgetError, before the broadcast snapping pass, when that box has too
+    many cells for int64 codes; the box grows with the spread of the points,
+    not their number, so far-apart points can be refused.  In one dimension
+    at p > 1 the per-pair maximizer slice (one point per pair) is snapped
+    first, because it widens the box.
     """
     if p < 1.0:
         raise RegimeError("base-space sums cover p >= 1 only")
@@ -871,16 +864,21 @@ def sum_oracle(
 ) -> StaircaseSet:
     """Brute-force reference sum: plain Python loops, scalar arithmetic.
 
-    Enumerates exactly the same (cell pair, lam) tuples as the fast path,
+    Enumerates the same (cell pair, lam) tuples as the fast path,
     including the injected maximizers, but shares none of its array
-    machinery.  Intended for tiny operands; raises BudgetError beyond the
+    machinery.  At p = 1 it keeps every lam of the grid, where the fast
+    path evaluates one.  Intended for tiny operands; raises BudgetError beyond the
     evaluation budget.
     """
     if spec.mode != CURVILINEAR or spec.p < 1.0:
         raise RegimeError("oracle covers the curvilinear p >= 1 regime")
     xa, ha = _support(a)
     xb, hb = _support(b)
-    lam_values = [float(l) for l in _lambda_values(spec, a.volume, b.volume)]
+    if spec.p == 1.0:
+        lams = np.unique(spec.lambda_grid())
+    else:
+        lams = _lambda_values(spec, a.volume, b.volume)
+    lam_values = [float(l) for l in lams]
     n = a.base_dim
     alphas = spec.alphas.alphas
     a_last = alphas[-1]

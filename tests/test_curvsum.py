@@ -252,6 +252,17 @@ def test_oracle_budget():
         sum_oracle(a, a, spec, budget=1000)
 
 
+def test_oracle_keeps_every_lambda_at_p1():
+    # the fast path evaluates one lam at p = 1; the oracle stays independent
+    a = cube_staircase(1.0, 1.0, cells=4)
+    spec = SumSpec(p=1.0, alphas=vec(1, 2), t=0.5, lambda_points=64)
+    tuples = 16 * spec.lambda_grid().size
+    with pytest.raises(BudgetError):
+        sum_oracle(a, a, spec, budget=tuples - 1)
+    slow = sum_oracle(a, a, spec, budget=tuples)
+    assert np.array_equal(curvilinear_sum_grid(a, a, spec).heights, slow.heights)
+
+
 def test_quasi_p1_matches_brute_force():
     rng = np.random.default_rng(23)
     a = rng_staircase(rng)
