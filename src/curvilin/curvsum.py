@@ -571,28 +571,15 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
         if va > 0 and vb > 0:
             lams.append(float(spec.pair_lambda_star(va, vb, a_last)))
     lam_arr = np.unique(np.asarray(lams))
-    c_arr, d_arr = spec.coefficients(lam_arr)
-    boxes = []
-    for alo, ahi in a.boxes:
-        for blo, bhi in b.boxes:
-            los = [
-                np.broadcast_to(
-                    combine(alo[ax], blo[ax], c_arr, d_arr, alphas[ax]), lam_arr.shape
-                )
-                for ax in range(dim)
-            ]
-            his = [
-                np.broadcast_to(
-                    combine(ahi[ax], bhi[ax], c_arr, d_arr, alphas[ax]), lam_arr.shape
-                )
-                for ax in range(dim)
-            ]
-            for i in range(len(lam_arr)):
-                lo = tuple(float(los[ax][i]) for ax in range(dim))
-                hi = tuple(float(his[ax][i]) for ax in range(dim))
-                if all(h > l for l, h in zip(lo, hi)):
-                    boxes.append((lo, hi))
-    return BoxUnion(dim, tuple(boxes))
+    c, d = spec.coefficients(lam_arr)
+    # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order
+    ab = a.as_array()[:, None, None]
+    bb = b.as_array()[None, :, None]
+    img = np.empty((len(a.boxes), len(b.boxes), lam_arr.size, 2, dim))
+    for ax in range(dim):
+        img[..., ax] = combine(ab[..., ax], bb[..., ax], c[:, None], d[:, None], alphas[ax])
+    img = img.reshape(-1, 2, dim)
+    return BoxUnion(dim, img[(img[:, 1] > img[:, 0]).all(axis=1)])
 
 
 # ---------------------------------------------------------------------------

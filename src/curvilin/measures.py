@@ -15,7 +15,7 @@ the inner approximation only ever loses mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -600,11 +600,7 @@ def minkowski_first_check(
     )
     if gate.verdict != "pass":
         # hypothesis unverified: the instance is inconclusive either way
-        return InequalityReport(
-            report.check_id, report.instance_seed, report.lhs, report.rhs,
-            report.slack, report.grid_h, report.lambda_points,
-            "refine", report.params,
-        )
+        return replace(report, verdict="refine")
     return report
 
 

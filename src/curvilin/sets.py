@@ -127,22 +127,37 @@ def normalize(u: IntervalUnion) -> IntervalUnion:
 
 @dataclass(frozen=True)
 class BoxUnion:
-    """Finite union of axis-aligned boxes in the nonnegative orthant."""
+    """Finite union of axis-aligned boxes in the nonnegative orthant.
+
+    ``boxes`` may be given as any (m, 2, dim) nested sequence or array of
+    (lo, hi) corners; it is stored as a tuple of (lo, hi) tuples of floats.
+    """
 
     dim: int
     boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        clean = []
-        for lo, hi in self.boxes:
-            lo = tuple(float(x) for x in lo)
-            hi = tuple(float(x) for x in hi)
-            if len(lo) != self.dim or len(hi) != self.dim:
-                raise DomainError("box dimension mismatch")
-            if any(l < 0 for l in lo) or any(h < l for l, h in zip(lo, hi)):
-                raise DomainError(f"bad box {lo}..{hi}")
-            clean.append((lo, hi))
-        object.__setattr__(self, "boxes", tuple(clean))
+        shape = (len(self.boxes), 2, self.dim)
+        try:
+            arr = np.asarray(self.boxes, dtype=float)
+        except ValueError:
+            if any(len(lo) != self.dim or len(hi) != self.dim for lo, hi in self.boxes):
+                raise DomainError("box dimension mismatch") from None
+            raise
+        if shape[0] and arr.shape != shape:
+            raise DomainError("box dimension mismatch")
+        arr = arr.reshape(shape)
+        lo, hi = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero((lo < 0).any(axis=1) | (hi < lo).any(axis=1))
+        if bad.size:
+            blo, bhi = arr[bad[0]].tolist()
+            raise DomainError(f"bad box {tuple(blo)}..{tuple(bhi)}")
+        boxes = tuple((tuple(blo), tuple(bhi)) for blo, bhi in arr.tolist())
+        object.__setattr__(self, "boxes", boxes)
+
+    def as_array(self) -> np.ndarray:
+        """The boxes as one (m, 2, dim) float array of (lo, hi) rows."""
+        return np.asarray(self.boxes, dtype=float).reshape(len(self.boxes), 2, self.dim)
 
     @property
     def volume(self) -> float:
@@ -167,25 +182,23 @@ def box_union_volume(u: BoxUnion) -> float:
     cell range with a corner delta of alternating sign, and a prefix sum
     recovers per-cell cover counts.
     """
-    boxes = [b for b in u.boxes if all(h > l for l, h in zip(*b))]
-    if not boxes:
+    boxes = u.as_array()
+    boxes = boxes[(boxes[:, 1] > boxes[:, 0]).all(axis=1)]
+    if not len(boxes):
         return 0.0
     d = u.dim
-    edges = []
-    for ax in range(d):
-        vals = sorted({b[0][ax] for b in boxes} | {b[1][ax] for b in boxes})
-        edges.append(np.asarray(vals))
+    edges = [np.unique(boxes[:, :, ax]) for ax in range(d)]
+    # column 0 indexes the lo edge of each box, column 1 the hi edge
+    ends = [np.searchsorted(edges[ax], boxes[:, :, ax]) for ax in range(d)]
     counts_shape = tuple(len(e) - 1 + 1 for e in edges)  # +1 slot absorbs hi deltas
     delta = np.zeros(counts_shape, dtype=np.int32)
-    for lo, hi in boxes:
-        ilo = [int(np.searchsorted(edges[ax], lo[ax])) for ax in range(d)]
-        ihi = [int(np.searchsorted(edges[ax], hi[ax])) for ax in range(d)]
-        for corner in range(1 << d):
-            idx = tuple(
-                ihi[ax] if corner >> ax & 1 else ilo[ax] for ax in range(d)
-            )
-            sign = -1 if bin(corner).count("1") % 2 else 1
-            delta[idx] += sign
+    # bit ax of corner k picks the hi end on axis ax; odd corners subtract
+    bits = np.arange(1 << d)[:, None] >> np.arange(d) & 1
+    sign = np.where(bits.sum(axis=1) % 2, -1, 1).astype(np.int32)
+    # flat indices with one value each: numpy 2.4's add.at misreads values
+    # broadcast against a 2-D index on a 1-D target
+    idx = tuple(ends[ax][:, bits[:, ax]].ravel() for ax in range(d))
+    np.add.at(delta, idx, np.tile(sign, len(boxes)))
     occ = delta
     for ax in range(d):
         occ = np.cumsum(occ, axis=ax)
@@ -399,11 +412,6 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
     return StaircaseSet(grid, heights)
 
 
-def is_compressed(s: StaircaseSet) -> bool:
-    """Staircases are compressed by construction; kept for API symmetry."""
-    return True
-
-
 # ---------------------------------------------------------------------------
 # volumes and sections
 
@@ -456,8 +464,8 @@ def section_profile(a: StaircaseSet, k: int) -> SectionProfile:
     return SectionProfile(k, sub, np.asarray(vals, dtype=float), h)
 
 
-def superlevel(profile: SectionProfile, r: float) -> GridPointSet:
-    """Cells where the profile reaches the fraction r of its sup."""
+def superlevel_mask(profile: SectionProfile, r: float) -> np.ndarray:
+    """Flat mask of the cells where the profile reaches the fraction r of its sup."""
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
     sup = profile.sup_norm
@@ -466,8 +474,12 @@ def superlevel(profile: SectionProfile, r: float) -> GridPointSet:
     if profile.grid is None:
         raise DomainError("superlevel needs a positive-dimension profile")
     thresh = r * sup
-    mask = profile.values.ravel() >= thresh - 1e-12 * sup
-    corners = profile.grid.cell_lower_corners()[mask]
+    return profile.values.ravel() >= thresh - 1e-12 * sup
+
+
+def superlevel(profile: SectionProfile, r: float) -> GridPointSet:
+    """Cells where the profile reaches the fraction r of its sup."""
+    corners = profile.grid.cell_lower_corners()[superlevel_mask(profile, r)]
     return GridPointSet(corners, profile.grid.spacing)
 
 

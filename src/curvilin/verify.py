@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .sets import (
     normalized_compression,
     section_profile,
     superlevel,
+    superlevel_mask,
 )
 
 INTERVAL_UNIONS = "interval_unions"
@@ -281,12 +282,17 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POIN
     integral and the bound direction stays sound.
     """
     acc = 0.0
+    prev = None
     for j in range(1, r_points + 1):
         r = j / r_points
-        s = lp_minkowski_sum_base(
-            superlevel(prof_a, r), superlevel(prof_b, r), p, t, lambda_points
-        )
-        acc += s.volume / r_points
+        masks = (superlevel_mask(prof_a, r), superlevel_mask(prof_b, r))
+        # adjacent r levels often cut the same cells; their base sum is the same
+        if prev is None or not all(map(np.array_equal, masks, prev)):
+            vol = lp_minkowski_sum_base(
+                superlevel(prof_a, r), superlevel(prof_b, r), p, t, lambda_points
+            ).volume
+            prev = masks
+        acc += vol / r_points
     return acc
 
 
@@ -371,11 +377,7 @@ def check_compression_monotone(instance, params):
     )
     if drift > 1e-12 * scale and report.verdict != FAIL:
         # the exact side condition broke; no refinement can recover that
-        return InequalityReport(
-            report.check_id, report.instance_seed, report.lhs, report.rhs,
-            report.slack, report.grid_h, report.lambda_points, FAIL,
-            report.params,
-        )
+        return replace(report, verdict=FAIL)
     return report
 
 
@@ -687,11 +689,7 @@ def check_minkowski_first(instance, params):
                                       t_samples=(0.25, t, 0.75), **kwargs)
     info = dict(params)
     info.update(route_id=inner.check_id, **inner.params)
-    return InequalityReport(
-        "minkowski_first", inner.instance_seed, inner.lhs, inner.rhs,
-        inner.slack, inner.grid_h, inner.lambda_points, inner.verdict,
-        _clean(info),
-    )
+    return replace(inner, check_id="minkowski_first", params=_clean(info))
 
 
 def check_power_monotonicity(instance, params):
@@ -1178,10 +1176,7 @@ def shrink(report: InequalityReport) -> InequalityReport:
                 break
     final = dict(best.params)
     final["shrunk_size"] = _instance_size(tuple(current))
-    return InequalityReport(
-        best.check_id, best.instance_seed, best.lhs, best.rhs, best.slack,
-        best.grid_h, best.lambda_points, best.verdict, final,
-    )
+    return replace(best, params=final)
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,77 @@ def test_box_path_agrees_with_envelope_path():
     assert staircase_sum_volume_exact(a, b, spec2) >= lower - 1e-12
 
 
+def _curvilinear_sum_boxes_loop(a, b, spec):
+    """Oracle for ``curvilinear_sum_boxes``: one (box pair, lam) image at a time."""
+    dim = a.dim
+    alphas = spec.alphas.alphas
+    lams = list(spec.lambda_grid())
+    a_last = alphas[-1]
+    if spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last):
+        va, vb = a.volume, b.volume
+        if va > 0 and vb > 0:
+            lams.append(float(spec.pair_lambda_star(va, vb, a_last)))
+    lam_arr = np.unique(np.asarray(lams))
+    c_arr, d_arr = spec.coefficients(lam_arr)
+    boxes = []
+    for alo, ahi in a.boxes:
+        for blo, bhi in b.boxes:
+            los = [
+                np.broadcast_to(
+                    combine(alo[ax], blo[ax], c_arr, d_arr, alphas[ax]), lam_arr.shape
+                )
+                for ax in range(dim)
+            ]
+            his = [
+                np.broadcast_to(
+                    combine(ahi[ax], bhi[ax], c_arr, d_arr, alphas[ax]), lam_arr.shape
+                )
+                for ax in range(dim)
+            ]
+            for i in range(len(lam_arr)):
+                lo = tuple(float(los[ax][i]) for ax in range(dim))
+                hi = tuple(float(his[ax][i]) for ax in range(dim))
+                if all(h > l for l, h in zip(lo, hi)):
+                    boxes.append((lo, hi))
+    return BoxUnion(dim, tuple(boxes))
+
+
+_POWERS = [1.0, -1.0, 0.5, 2.0, 0.0, math.inf, -math.inf]
+
+
+@st.composite
+def _box_pair(draw):
+    dim = draw(st.integers(1, 3))
+    unions = []
+    for _ in range(2):
+        boxes = []
+        # empty operands and zero-width boxes included
+        for _ in range(draw(st.integers(0, 4))):
+            lo = [draw(st.integers(0, 8)) / 4 for _ in range(dim)]
+            hi = [l + draw(st.integers(0, 4)) / 4 for l in lo]
+            boxes.append((tuple(lo), tuple(hi)))
+        unions.append(BoxUnion(dim, tuple(boxes)))
+    alphas = PowerVector(tuple(draw(st.sampled_from(_POWERS)) for _ in range(dim)))
+    return unions[0], unions[1], alphas
+
+
+@given(
+    pair=_box_pair(),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    t=st.floats(0.05, 0.95),
+    form=st.sampled_from([WITH_T, T_FREE]),
+    lambda_points=st.integers(1, 20),
+)
+@settings(max_examples=300, deadline=None)
+def test_box_sum_equals_loop_oracle(pair, p, t, form, lambda_points):
+    a, b, alphas = pair
+    spec = SumSpec(p, alphas, t, lambda_points, coefficient_form=form)
+    got = curvilinear_sum_boxes(a, b, spec)
+    want = _curvilinear_sum_boxes_loop(a, b, spec)
+    assert got == want
+    assert got.volume == want.volume
+
+
 def test_envelope_volume_basic():
     vol = envelope_volume([0.0, 1.0], [2.0, 3.0], [2.0, 1.0])
     assert vol == pytest.approx(2 * 2 + 1 * 1, abs=1e-15)

@@ -17,6 +17,7 @@ from curvilin.sets import (
     GridPointSet,
     IntervalUnion,
     StaircaseSet,
+    box_union_volume,
     box_union_volume_ie,
     compress,
     normalize,
@@ -63,6 +64,83 @@ def test_box_union_volume_matches_inclusion_exclusion(nboxes, data):
         boxes.append((tuple(lo), tuple(hi)))
     u = BoxUnion(dim, tuple(boxes))
     assert u.volume == pytest.approx(box_union_volume_ie(u), abs=1e-12)
+
+
+def _box_union_volume_loop(u: BoxUnion) -> float:
+    """Oracle for ``box_union_volume``: per-box corner marking on the dense grid."""
+    boxes = [b for b in u.boxes if all(h > l for l, h in zip(*b))]
+    if not boxes:
+        return 0.0
+    d = u.dim
+    edges = []
+    for ax in range(d):
+        vals = sorted({b[0][ax] for b in boxes} | {b[1][ax] for b in boxes})
+        edges.append(np.asarray(vals))
+    counts_shape = tuple(len(e) - 1 + 1 for e in edges)  # +1 slot absorbs hi deltas
+    delta = np.zeros(counts_shape, dtype=np.int32)
+    for lo, hi in boxes:
+        ilo = [int(np.searchsorted(edges[ax], lo[ax])) for ax in range(d)]
+        ihi = [int(np.searchsorted(edges[ax], hi[ax])) for ax in range(d)]
+        for corner in range(1 << d):
+            idx = tuple(
+                ihi[ax] if corner >> ax & 1 else ilo[ax] for ax in range(d)
+            )
+            sign = -1 if bin(corner).count("1") % 2 else 1
+            delta[idx] += sign
+    occ = delta
+    for ax in range(d):
+        occ = np.cumsum(occ, axis=ax)
+    occ = occ[tuple(slice(0, len(e) - 1) for e in edges)]
+    widths = [np.diff(e) for e in edges]
+    cellvol = widths[0]
+    for w in widths[1:]:
+        cellvol = np.multiply.outer(cellvol, w)
+    return float(np.sum(cellvol, where=occ > 0))
+
+
+_COORDS = st.one_of(
+    st.integers(0, 12).map(lambda k: k / 4),
+    st.sampled_from([-0.0, 0.1, 1 / 3, 2.7, 1e-9]),
+)
+
+
+@st.composite
+def _box_unions(draw):
+    """Box unions on a coarse lattice plus stray floats; zero widths included."""
+    dim = draw(st.integers(1, 3))
+    boxes = []
+    for _ in range(draw(st.integers(0, 12))):
+        lo = [draw(_COORDS) for _ in range(dim)]
+        hi = [l + draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3])) for l in lo]
+        boxes.append((tuple(lo), tuple(hi)))
+    return BoxUnion(dim, tuple(boxes))
+
+
+@given(_box_unions())
+@settings(max_examples=300, deadline=None)
+def test_box_union_volume_equals_loop_oracle(u):
+    assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+def test_box_union_validation():
+    u = BoxUnion(2, (((0, 1), (2, 3)), ((-0.0, 0.5), (0.0, 0.5))))
+    assert u.boxes == (((0.0, 1.0), (2.0, 3.0)), ((0.0, 0.5), (0.0, 0.5)))
+    for lo, hi in u.boxes:
+        assert type(lo) is tuple and type(hi) is tuple
+        assert all(type(x) is float for x in lo + hi)
+    assert math.copysign(1.0, u.boxes[1][0][0]) == -1.0
+    assert BoxUnion(3, ()).boxes == ()
+    assert BoxUnion(1, np.asarray([[[0.5], [1.0]]])).boxes == (((0.5,), (1.0,)),)
+    with pytest.raises(DomainError, match="^box dimension mismatch$"):
+        BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0))))
+    with pytest.raises(DomainError, match="^box dimension mismatch$"):
+        BoxUnion(2, (((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),))
+    with pytest.raises(DomainError) as neg:
+        BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)), ((0, -1), (1, 1)), ((-2.0, 0.0), (1.0, 1.0))))
+    assert str(neg.value) == "bad box (0.0, -1.0)..(1.0, 1.0)"
+    with pytest.raises(DomainError) as flipped:
+        BoxUnion(1, (((0.5,), (0.25,)),))
+    assert str(flipped.value) == "bad box (0.5,)..(0.25,)"
 
 
 def test_box_union_volume_monte_carlo():

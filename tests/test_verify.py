@@ -5,10 +5,18 @@ import pytest
 
 from curvilin import PowerVector
 from curvilin import verify
-from curvilin.curvsum import SumSpec, staircase_sum_volume_exact
+from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
 from curvilin.reports import FAIL, PASS, REFINE
-from curvilin.sets import IntervalUnion, StaircaseSet, normalized_compression
+from curvilin.sets import (
+    Grid,
+    IntervalUnion,
+    SectionProfile,
+    StaircaseSet,
+    normalized_compression,
+    superlevel,
+    superlevel_mask,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +83,65 @@ def test_classical_reduction_keeps_verdicts():
     r2 = verify.run_check("lemma_1d", seed=3, index=4)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
         r2.to_json(), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# layered base integral
+
+
+def _layered_base_integral_loop(prof_a, prof_b, p, t, lambda_points, r_points=64):
+    """Oracle for ``_layered_base_integral``: one base sum at every r level."""
+    acc = 0.0
+    for j in range(1, r_points + 1):
+        r = j / r_points
+        s = lp_minkowski_sum_base(
+            superlevel(prof_a, r), superlevel(prof_b, r), p, t, lambda_points
+        )
+        acc += s.volume / r_points
+    return acc
+
+
+def _profile(values, spacing=0.5):
+    values = np.asarray(values, dtype=float)
+    grid = Grid((0.0,) * values.ndim, spacing, values.shape)
+    return SectionProfile(0, grid, values, spacing)
+
+
+@pytest.mark.parametrize("plateaus", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_layered_base_integral_equals_every_level_loop(monkeypatch, plateaus, dim):
+    rng = np.random.default_rng(31 + dim)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lp_minkowski_sum_base(*args)
+
+    monkeypatch.setattr(verify, "lp_minkowski_sum_base", counted)
+    for case in range(6):
+        shape = (int(rng.integers(2, 6)),) * dim
+        profs = []
+        for _ in range(2):
+            if plateaus:
+                # few distinct levels, zero cells included: many r share a mask
+                vals = rng.integers(0, 4, size=shape) * 0.25
+                vals.flat[0] = 1.0
+            else:
+                vals = rng.permutation(np.arange(1, np.prod(shape) + 1)).reshape(shape)
+                vals = vals + rng.uniform(0.0, 0.5, size=shape)
+            profs.append(_profile(vals))
+        p = float(rng.choice([1.0, 1.5, 2.0]))
+        t = float(rng.uniform(0.2, 0.8))
+        lp = int(rng.integers(2, 12))
+        calls.clear()
+        got = verify._layered_base_integral(profs[0], profs[1], p, t, lp)
+        assert got == _layered_base_integral_loop(profs[0], profs[1], p, t, lp)
+        levels = [
+            tuple(superlevel_mask(prof, j / 64).tobytes() for prof in profs)
+            for j in range(1, 65)
+        ]
+        distinct = 1 + sum(x != y for x, y in zip(levels, levels[1:]))
+        assert len(calls) == distinct < 64
 
 
 # ---------------------------------------------------------------------------
