@@ -597,6 +597,15 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
 
 
 def _regions(a, b, spec, kind):
+    """Region arrays for ``staircase_sum_regions`` and the mixed kernel.
+
+    Rows come in (lam, a-cell, b-cell) order, then one row per cell pair
+    at its own maximizer.  (C, D) is computed per lam as scalars.  Where C
+    and D only scale (``combine`` at alpha != 0) one broadcast over
+    (lam, a-cell, b-cell) covers every lam; a power of C or D
+    (``combine_quasi``, or ``combine`` at alpha = 0) stays one scalar
+    call per lam, because array powers can round differently.
+    """
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
     if spec.alphas.n != 1:
@@ -613,21 +622,34 @@ def _regions(a, b, spec, kind):
     u = ha[:, None]
     v = hb[None, :]
     cd_list = [spec.coefficients(lam) for lam in lam_values]
+    c_col = np.asarray([c for c, _ in cd_list])[:, None, None]
+    d_col = np.asarray([d for _, d in cd_list])[:, None, None]
+    star = None
     if spec.p > 1.0 and alpha1 != 0.0 and not math.isinf(alpha1):
         if kind == CURVILINEAR:
-            cd_list.append(spec.coefficients(spec.pair_lambda_star(u, v, alpha1)))
+            star = spec.coefficients(spec.pair_lambda_star(u, v, alpha1))
         else:
-            cd_list.append(spec.coefficients(spec.quasi_crossing_lambda(u, v, alpha1)))
+            star = spec.coefficients(spec.quasi_crossing_lambda(u, v, alpha1))
     xlo_a = xa[:, 0][:, None]
     xhi_a = xlo_a + a.grid.spacing
     xlo_b = xb[:, 0][None, :]
     xhi_b = xlo_b + b.grid.spacing
-    z_lo, z_hi, vert = [], [], []
-    for c, d in cd_list:
-        z_lo.append(base_kernel(xlo_a, xlo_b, c, d, alpha0).ravel())
-        z_hi.append(base_kernel(xhi_a, xhi_b, c, d, alpha0).ravel())
-        vert.append(vert_kernel(u, v, c, d, alpha1).ravel())
-    return np.concatenate(z_lo), np.concatenate(z_hi), np.concatenate(vert)
+    n_lam = len(cd_list)
+    out = np.empty((3, n_lam + (star is not None), len(ha), len(hb)))
+    terms = (
+        (base_kernel, xlo_a, xlo_b, alpha0),
+        (base_kernel, xhi_a, xhi_b, alpha0),
+        (vert_kernel, u, v, alpha1),
+    )
+    for rows, (kernel, x, y, alpha) in zip(out, terms):
+        if kernel is combine and alpha != 0.0:
+            rows[:n_lam] = combine(x, y, c_col, d_col, alpha)
+        else:
+            for row, (c, d) in zip(rows, cd_list):
+                row[...] = kernel(x, y, c, d, alpha)
+        if star is not None:
+            rows[n_lam] = kernel(x, y, *star, alpha)
+    return out[0].ravel(), out[1].ravel(), out[2].ravel()
 
 
 def envelope_segments(z_lo, z_hi, v):

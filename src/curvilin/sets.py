@@ -180,7 +180,9 @@ def box_union_volume(u: BoxUnion) -> float:
 
     Edge coordinates are compressed per axis, each box marks its covered
     cell range with a corner delta of alternating sign, and a prefix sum
-    recovers per-cell cover counts.
+    per axis, run in place on the int32 delta grid, recovers per-cell
+    cover counts.  Beyond that grid, memory is one float64 cell volume
+    and one bool per cell.
     """
     boxes = u.as_array()
     boxes = boxes[(boxes[:, 1] > boxes[:, 0]).all(axis=1)]
@@ -199,10 +201,9 @@ def box_union_volume(u: BoxUnion) -> float:
     # broadcast against a 2-D index on a 1-D target
     idx = tuple(ends[ax][:, bits[:, ax]].ravel() for ax in range(d))
     np.add.at(delta, idx, np.tile(sign, len(boxes)))
-    occ = delta
     for ax in range(d):
-        occ = np.cumsum(occ, axis=ax)
-    occ = occ[tuple(slice(0, len(e) - 1) for e in edges)]
+        np.cumsum(delta, axis=ax, out=delta)
+    occ = delta[tuple(slice(0, len(e) - 1) for e in edges)]
     widths = [np.diff(e) for e in edges]
     cellvol = widths[0]
     for w in widths[1:]:

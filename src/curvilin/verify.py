@@ -189,19 +189,6 @@ def _pair_at_level(instance, level: int):
     return a.refined(1 << level), b.refined(1 << level)
 
 
-def _function_at_level(f: GridFunction, level: int) -> GridFunction:
-    if level <= 0:
-        return f
-    k = 1 << level
-    vals = f.values
-    for ax in range(vals.ndim):
-        vals = np.repeat(vals, k, axis=ax)
-    g = f.grid
-    return GridFunction(
-        Grid(g.origin, g.spacing / k, tuple(s * k for s in g.shape)), vals
-    )
-
-
 def _clean(value):
     """JSON-safe copy: non-finite floats to strings, arrays to lists."""
     if isinstance(value, dict):
@@ -300,6 +287,8 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POIN
 # calibration
 
 _CAL_CACHE: dict[int, float] = {}
+# what the recipe gives at seed 0, the seed every check run uses
+_CAL_SEED0 = 2.652446547886875
 
 
 def calibrate_grid_constant(seed: int = 0) -> float:
@@ -309,9 +298,19 @@ def calibrate_grid_constant(seed: int = 0) -> float:
     copies of tiny operands with a denser nested lam grid; the worst
     deviation per unit cell width, doubled and floored at one, becomes
     the constant in tol = c * h.
+
+    Seed 0, the seed of every check run, returns the committed value of
+    that recipe, so no process reruns the oracle; the tests recompute it.
+    Any other seed runs the recipe once per process.
     """
-    if seed in _CAL_CACHE:
-        return _CAL_CACHE[seed]
+    if seed == 0:
+        return _CAL_SEED0
+    if seed not in _CAL_CACHE:
+        _CAL_CACHE[seed] = _calibrate(seed)
+    return _CAL_CACHE[seed]
+
+
+def _calibrate(seed: int) -> float:
     gen = InstanceGen(STAIRCASES, seed=seed, dim=1, cells=3, zero_frac=0.0)
     worst = 0.0
     for index in range(4):
@@ -326,9 +325,7 @@ def calibrate_grid_constant(seed: int = 0) -> float:
             a.refined(4), b.refined(4), spec.with_lambda_points(79)
         ).volume
         worst = max(worst, abs(fine - coarse) / a.grid.spacing)
-    c = max(1.0, 2.0 * worst)
-    _CAL_CACHE[seed] = c
-    return c
+    return max(1.0, 2.0 * worst)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +539,7 @@ def check_bbl(instance, params):
     pointwise smallest function satisfying the hypothesis on the
     evaluated lam set, so its integral is the sharpest testable left side.
     """
-    f = _function_at_level(instance[0], params["level"])
-    g = _function_at_level(instance[1], params["level"])
+    f, g = _pair_at_level(instance, params["level"])
     p, t, alpha = params["p"], params["t"], params["alpha"]
     level = params["level"]
     n = f.ndim
@@ -580,8 +576,7 @@ def check_marginal_bbl(instance, params):
     closed-form mean (or min form) of the normalized integrals with the
     sup norm of the functions themselves.
     """
-    f = _function_at_level(instance[0], params["level"])
-    g = _function_at_level(instance[1], params["level"])
+    f, g = _pair_at_level(instance, params["level"])
     p, t = params["p"], params["t"]
     alpha, beta, k = params["alpha"], params["beta"], params["k"]
     level = params["level"]

@@ -652,6 +652,80 @@ def test_convex_quasi_volume_equals_oracle_on_regions():
     assert convex_quasi_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
 
 
+def _regions_loop(a, b, spec, kind):
+    """Oracle for ``curvsum._regions``: one scalar (C, D) per kernel call."""
+    if a.base_dim != 1 or b.base_dim != 1:
+        raise DomainError("region path needs one base axis")
+    if spec.alphas.n != 1:
+        raise DomainError("power vector must have one base entry")
+    if spec.p < 1.0:
+        raise RegimeError("region path supports p >= 1 only")
+    xa, ha = curvsum._support(a)
+    xb, hb = curvsum._support(b)
+    alpha0 = spec.alphas.alphas[0]
+    alpha1 = spec.alphas.last
+    base_kernel = combine_quasi if kind == QUASI else combine
+    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    lam_values = curvsum._lambda_values(spec, a.volume, b.volume)
+    u = ha[:, None]
+    v = hb[None, :]
+    cd_list = [spec.coefficients(lam) for lam in lam_values]
+    if spec.p > 1.0 and alpha1 != 0.0 and not math.isinf(alpha1):
+        if kind == CURVILINEAR:
+            cd_list.append(spec.coefficients(spec.pair_lambda_star(u, v, alpha1)))
+        else:
+            cd_list.append(spec.coefficients(spec.quasi_crossing_lambda(u, v, alpha1)))
+    xlo_a = xa[:, 0][:, None]
+    xhi_a = xlo_a + a.grid.spacing
+    xlo_b = xb[:, 0][None, :]
+    xhi_b = xlo_b + b.grid.spacing
+    z_lo, z_hi, vert = [], [], []
+    for c, d in cd_list:
+        z_lo.append(base_kernel(xlo_a, xlo_b, c, d, alpha0).ravel())
+        z_hi.append(base_kernel(xhi_a, xhi_b, c, d, alpha0).ravel())
+        vert.append(vert_kernel(u, v, c, d, alpha1).ravel())
+    return np.concatenate(z_lo), np.concatenate(z_hi), np.concatenate(vert)
+
+
+@st.composite
+def _region_case(draw):
+    kind = draw(st.sampled_from([CURVILINEAR, QUASI, _MIXED]))
+    powers = _POWERS if kind == CURVILINEAR else [a for a in _POWERS if a != 0.0]
+    base = 1.0 if kind == _MIXED else draw(st.sampled_from(powers))
+    form = draw(st.sampled_from([WITH_T, T_FREE]))
+    spec = SumSpec(
+        p=draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0])),
+        alphas=vec(base, draw(st.sampled_from(powers))),
+        t=draw(st.floats(0.05, 0.95)) if form == WITH_T else None,
+        lambda_points=draw(st.integers(1, 40)),
+        mode=CURVILINEAR if kind == CURVILINEAR else QUASI,
+        coefficient_form=form,
+        extra_lambdas=tuple(draw(st.lists(st.floats(0.01, 0.99), max_size=3))),
+    )
+    sets = []
+    for _ in range(2):
+        # one-cell operands included; zero heights drop cells from the support
+        cells = draw(st.integers(1, 12))
+        heights = np.asarray(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+            min_size=cells, max_size=cells)))
+        if not heights.any():
+            heights[-1] = 1.0
+        spacing = draw(st.sampled_from([0.1, 0.25, 1 / 3]))
+        sets.append(StaircaseSet(Grid((0.0,), spacing, heights.shape), heights))
+    return kind, spec, sets[0], sets[1]
+
+
+@given(_region_case())
+@settings(max_examples=300, deadline=None)
+def test_regions_equal_loop_oracle(case):
+    kind, spec, a, b = case
+    got = curvsum._regions(a, b, spec, kind)
+    want = _regions_loop(a, b, spec, kind)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 def test_surface_closed_form_square():
     # [0,1]^2 plus its eps-dilation: exact volume (1 + eps)^(2/p)
     for p in (1.0, 2.0, 3.0):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def _box_unions(draw):
 @settings(max_examples=300, deadline=None)
 def test_box_union_volume_equals_loop_oracle(u):
     assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+def test_box_union_volume_prefix_sums_stay_in_place():
+    # 50 boxes in general position: 99^3, about 10^6 occupancy cells
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 1.0, size=(50, 3))
+    hi = lo + rng.uniform(0.05, 0.5, size=(50, 3))
+    u = BoxUnion(3, tuple((tuple(l), tuple(h)) for l, h in zip(lo, hi)))
+    edges = [np.unique(np.concatenate([lo[:, ax], hi[:, ax]])).size for ax in range(3)]
+    cells = math.prod(e - 1 for e in edges)
+    assert cells > 900_000
+    # a first call imports what np.unique loads lazily (about 1 MB)
+    box_union_volume(BoxUnion(3, (((0.0,) * 3, (1.0,) * 3),)))
+    tracemalloc.start()
+    try:
+        got = box_union_volume(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int32 delta grid (one spare slot per axis), a float64 volume and
+    # a bool mask per cell; an int64 copy of the grid would add 8 B per cell
+    assert peak < 1.1 * (4 * math.prod(edges) + 8 * cells + cells)
+    assert got == _box_union_volume_loop(u)
 
 
 def test_box_union_validation():

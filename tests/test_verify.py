@@ -45,10 +45,19 @@ def test_instance_kinds_cover_every_check():
 
 
 def test_calibration_constant_is_stable():
-    # frozen against the dense-lambda interval oracle at seed 0
-    c = verify.calibrate_grid_constant()
+    # the recipe rerun against the dense-lambda interval oracle at seed 0;
+    # a kernel change that moves c fails here
+    c = verify._calibrate(0)
     assert c == pytest.approx(2.652446547886875, rel=1e-12)
     assert c >= 1.0
+    assert verify.calibrate_grid_constant() == 2.652446547886875
+
+
+def test_other_calibration_seeds_run_the_recipe_once(monkeypatch):
+    monkeypatch.setattr(verify, "_CAL_CACHE", {})
+    c = verify.calibrate_grid_constant(3)
+    assert c == verify._calibrate(3)
+    assert verify._CAL_CACHE == {3: c}
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +255,19 @@ def test_suite_results_are_order_insensitive(tmp_path):
     verify.write_summary_csv(s1, serial.summary)
     verify.write_summary_csv(s2, parallel.summary)
     assert s1.read_bytes() == s2.read_bytes()
+
+
+def test_check_runs_never_rerun_the_calibration_oracle(monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("sum_oracle called")
+
+    monkeypatch.setattr(verify, "sum_oracle", no_oracle)
+    monkeypatch.setattr(verify, "_CAL_CACHE", {})
+    rep = verify.run_check("bm_curvilinear", seed=7, index=2)
+    assert rep.params["c"] == 2.652446547886875
+    # forked pool workers inherit the patch
+    for workers in (1, 2):
+        assert verify.run_suite(small_manifest(), workers=workers).failures == 0
 
 
 def test_suite_reruns_are_byte_identical(tmp_path):
