@@ -12,12 +12,13 @@ suite check reports a fail verdict, 2 on malformed input files or flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .curvsum import (
     curvilinear_sum_grid,
 )
 from .errors import CurvilinError, DomainError, RangeError
-from .funcs import GridFunction, load_function, sup_convolve
+from .funcs import load_function, sup_convolve
 from .means import PowerVector
 from .measures import lebesgue, surface_area_sets
 from .sets import (
@@ -74,21 +75,7 @@ class RunConfig:
             raise RangeError(f"unknown format {self.format!r}")
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "a": self.a,
-            "b": self.b,
-            "suite": self.suite,
-            "seed": self.seed,
-            "workers": self.workers,
-            "grid": self.grid,
-            "lambda_points": self.lambda_points,
-            "p": self.p,
-            "t": self.t,
-            "alphas": None if self.alphas is None else list(self.alphas),
-            "out": self.out,
-            "format": self.format,
-        }
+        return {**asdict(self), "alphas": None if self.alphas is None else list(self.alphas)}
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -160,33 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv) -> RunConfig:
     ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        a=getattr(ns, "a", None),
-        b=getattr(ns, "b", None),
-        suite=getattr(ns, "suite", None),
-        seed=ns.seed,
-        workers=ns.workers,
-        grid=ns.grid,
-        lambda_points=ns.lambda_points,
-        p=ns.p,
-        t=ns.t,
-        alphas=ns.alphas,
-        out=ns.out,
-        format=ns.format,
-    )
+    # verify has no --a / --b, the operator commands no --suite
+    return RunConfig(**{f.name: getattr(ns, f.name, None) for f in fields(RunConfig)})
 
 
 def _resolve_workers(config: RunConfig) -> int:
-    if config.workers is not None:
-        return max(1, config.workers)
-    env = os.environ.get("CURVILIN_WORKERS")
-    if env is not None:
+    """--workers, else CURVILIN_WORKERS, else the CPU count; below 1 is refused."""
+    workers, source = config.workers, "--workers"
+    if workers is None:
+        env = os.environ.get("CURVILIN_WORKERS")
+        if env is None:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            workers, source = int(env), "CURVILIN_WORKERS"
         except ValueError as exc:
             raise RangeError(f"bad CURVILIN_WORKERS value {env!r}") from exc
-    return os.cpu_count() or 1
+    if workers < 1:
+        raise RangeError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +206,18 @@ def _payload_rows(payload: dict) -> tuple[list[str], list[list]]:
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
-    fmt = config.format or "json"
     if config.out:
-        with open(config.out, "w", encoding="ascii", newline="") as fh:
-            if fmt == "json":
-                _dump_json(payload, fh)
-            else:
-                header, rows = _payload_rows(payload)
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        return
-    if fmt == "json":
-        _dump_json(payload, sys.stdout)
+        target = open(config.out, "w", encoding="ascii", newline="")
     else:
-        header, rows = _payload_rows(payload)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        target = contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        if (config.format or "json") == "json":
+            _dump_json(payload, fh)
+        else:
+            header, rows = _payload_rows(payload)
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +324,13 @@ def _run_surface(config: RunConfig) -> int:
     level = _refine_level(config)
     if level:
         a, b = a.refined(1 << level), b.refined(1 << level)
-    alphas = config.alphas or (1.0,) * (a.base_dim + 1)
-    if len(alphas) != a.base_dim + 1:
-        raise RangeError(
-            f"need {a.base_dim + 1} powers, got {len(alphas)}")
-    lam = config.lambda_points if config.lambda_points is not None else 64
-    est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)),
-                            config.p, PowerVector(alphas),
-                            lambda_points=lam)
+    spec = _spec_for(config, a.base_dim + 1)
+    est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)), spec.p, spec.alphas,
+                            lambda_points=spec.lambda_points)
     payload = {
         "kind": "surface",
         "p": config.p,
-        "alphas": list(alphas),
+        "alphas": list(spec.alphas.alphas),
         "estimate": est.estimate,
         "trend": est.trend,
         "unsettled": est.unsettled,

@@ -21,8 +21,11 @@ coordinate pair on axis i, so at a scalar lam each axis is snapped once per
 pair of unique axis coordinates, into a small per-axis table of output
 indices; a cell pair's output cell is a sum of table lookups.  Only the
 per-pair maximizers, whose (C, D) differ from pair to pair, are snapped
-pair by pair.  At p = 1, (C, D) does not depend on lam and one lam is
-evaluated.
+pair by pair.
+
+Every fast path (grid, interval, box and envelope) takes its lam set from
+one rule, ``_lambda_values``.  At p = 1, (C, D) does not depend on lam and
+one lam is evaluated.
 
 Exact realizations are kept alongside the grid path: interval unions in
 one dimension, explicit region boxes for box-union operands, and an exact
@@ -34,7 +37,7 @@ surface-area quotients, where grid snapping would drown the signal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,17 +105,11 @@ class SumSpec:
         return grid
 
     def with_lambda_points(self, n: int) -> "SumSpec":
-        return SumSpec(
-            self.p, self.alphas, self.t, n, self.mode, self.coefficient_form,
-            self.extra_lambdas,
-        )
+        return replace(self, lambda_points=n)
 
     def with_extra_lambdas(self, extras: tuple[float, ...]) -> "SumSpec":
         merged = tuple(sorted(set(self.extra_lambdas) | set(extras)))
-        return SumSpec(
-            self.p, self.alphas, self.t, self.lambda_points, self.mode,
-            self.coefficient_form, merged,
-        )
+        return replace(self, extra_lambdas=merged)
 
     def coefficients(self, lam):
         """(C, D) for scalar or array lam."""
@@ -245,17 +242,15 @@ def _axis_extent(spec: SumSpec, amax: float, bmax: float, alpha: float) -> float
         return float(combine_quasi(amax, bmax, c, d, alpha))
     if alpha == _INF:
         return max(amax, bmax)
+    if alpha == 0.0:
+        return max(amax, 1.0) * max(bmax, 1.0)
     if spec.coefficient_form == WITH_T:
-        if alpha == 0.0:
-            return max(amax, 1.0) * max(bmax, 1.0)
         if alpha > 0:
             return mean_alpha(amax, bmax, spec.t, spec.p * alpha)
         return max(
             (1.0 - spec.t) ** (1.0 / (spec.p * alpha)) * amax,
             spec.t ** (1.0 / (spec.p * alpha)) * bmax,
         )
-    if alpha == 0.0:
-        return max(amax, 1.0) * max(bmax, 1.0)
     if alpha > 0:
         return (amax ** (spec.p * alpha) + bmax ** (spec.p * alpha)) ** (
             1.0 / (spec.p * alpha)
@@ -263,27 +258,22 @@ def _axis_extent(spec: SumSpec, amax: float, bmax: float, alpha: float) -> float
     return max(amax, bmax)
 
 
+def _extents(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> list[float]:
+    ua, ub = a.grid.upper(), b.grid.upper()
+    return [_axis_extent(spec, ua[ax], ub[ax], spec.alphas.alphas[ax]) for ax in range(a.base_dim)]
+
+
 def derive_out_grid(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> Grid:
     """Output grid from the origin covering every reachable coordinate."""
-    n = a.base_dim
     h = min(a.grid.spacing, b.grid.spacing)
-    shape = []
-    for ax in range(n):
-        ext = _axis_extent(
-            spec, a.grid.upper()[ax], b.grid.upper()[ax], spec.alphas.alphas[ax]
-        )
-        shape.append(max(1, int(math.ceil(ext / h + _SNAP))))
-    return Grid((0.0,) * n, h, tuple(shape))
+    shape = tuple(max(1, int(math.ceil(ext / h + _SNAP))) for ext in _extents(a, b, spec))
+    return Grid((0.0,) * a.base_dim, h, shape)
 
 
 def _check_out_grid(grid: Grid, a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> None:
-    n = a.base_dim
-    if grid.ndim != n:
+    if grid.ndim != a.base_dim:
         raise ResolutionError("output grid dimension mismatch")
-    for ax in range(n):
-        ext = _axis_extent(
-            spec, a.grid.upper()[ax], b.grid.upper()[ax], spec.alphas.alphas[ax]
-        )
+    for ax, ext in enumerate(_extents(a, b, spec)):
         if grid.origin[ax] > 0.0 or grid.upper()[ax] < ext - 1e-9:
             raise ResolutionError(
                 f"output grid does not cover [0, {ext:.6g}] on axis {ax}"
@@ -297,21 +287,53 @@ def _support(s: StaircaseSet):
     return corners, heights
 
 
-def _lambda_values(spec: SumSpec, vol_a: float, vol_b: float) -> np.ndarray:
+def _injects(spec: SumSpec) -> bool:
+    """Whether the fast paths inject closed-form lam maximizers.
+
+    Only for p > 1 and a finite nonzero vertical power; elsewhere (C, D)
+    does not depend on lam, or the vertical kernel has no interior
+    maximizer to find.
+    """
+    alpha = spec.alphas.last
+    return spec.p > 1.0 and alpha != 0.0 and not math.isinf(alpha)
+
+
+def _lambda_star(spec: SumSpec, u, v):
+    """Maximizer over lam of the vertical combination of (u, v).
+
+    The mean's closed-form maximizer for curvilinear sums, the crossing
+    of the min for quasi sums (and the mixed kernel, whose spec is quasi).
+    """
+    if spec.mode == CURVILINEAR:
+        return spec.pair_lambda_star(u, v, spec.alphas.last)
+    return spec.quasi_crossing_lambda(u, v, spec.alphas.last)
+
+
+def _lambda_values(spec: SumSpec, a, b, pairs=()) -> np.ndarray:
+    """The evaluation set of every fast sum path, for operands a and b.
+
+    At p = 1 (C, D) does not depend on lam, so one lam stands for all.
+    Otherwise the spec's lam grid plus, when injecting, the maximizer for
+    the volume pair and for each positive scalar pair of ``pairs``.  The
+    volumes are only computed when injecting; a box union's costs a
+    union-volume pass.
+    """
     lams = spec.lambda_grid()
     if spec.p == 1.0:
-        # (C, D) does not depend on lam at p = 1: one lam stands for all
         return lams[:1]
-    extras = []
-    a_last = spec.alphas.last
-    if spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last):
-        if spec.mode == CURVILINEAR:
-            extras.append(float(spec.pair_lambda_star(vol_a, vol_b, a_last)))
-        else:
-            extras.append(float(spec.quasi_crossing_lambda(vol_a, vol_b, a_last)))
-    if extras:
-        lams = np.concatenate([lams, np.asarray(extras)])
+    if _injects(spec):
+        stars = [float(_lambda_star(spec, u, v))
+                 for u, v in ((a.volume, b.volume), *pairs) if u > 0 and v > 0]
+        lams = np.concatenate([lams, stars])
     return np.unique(lams)
+
+
+def _coefficient_list(spec: SumSpec, lams) -> list:
+    """(C, D) per lam as 0-d arrays, one scalar call each.
+
+    Array powers, and powers of float64 scalars, can round differently.
+    """
+    return [spec.coefficients(lam) for lam in lams]
 
 
 def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
@@ -346,7 +368,6 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
     mb = xb.shape[0]
     chunk = max(1, _PAIR_CHUNK // max(mb, 1))
     a_last = alphas[-1]
-    inject_pairs = spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last)
     h_out = out_grid.spacing
     v = hb[None, :]
 
@@ -383,7 +404,7 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
             vert = vert_kernel(ha[start:stop, None], v, c, d, a_last)
             np.maximum.at(target, flat_idx.ravel(), vert.ravel())
 
-    cd_list = [spec.coefficients(lam) for lam in lam_values]
+    cd_list = _coefficient_list(spec, lam_values)
     if spec.p < 1.0:
         lam_slice = np.empty_like(flat)
         for i, (c, d) in enumerate(cd_list):
@@ -396,15 +417,11 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
         return out
     for c, d in cd_list:
         images(flat, c, d)
-    if inject_pairs:
+    if _injects(spec):
         for start, stop, _ in chunks:
             xs = xa[start:stop]
             u = ha[start:stop, None]
-            if kind == CURVILINEAR:
-                lam_star = spec.pair_lambda_star(u, v, a_last)
-            else:
-                lam_star = spec.quasi_crossing_lambda(u, v, a_last)
-            c, d = spec.coefficients(lam_star)
+            c, d = spec.coefficients(_lambda_star(spec, u, v))
             flat_idx = snap(base_kernel(xs[:, 0][:, None], xb[None, :, 0], c, d, alphas[0]), 0)
             for ax in range(1, n):
                 flat_idx += snap(
@@ -476,14 +493,7 @@ def _sum_grid(a, b, spec, out_grid, kind):
     xa, ha = _support(a)
     xb, hb = _support(b)
     # mixed form reaches affine base extents regardless of spec.mode
-    grid_spec = (
-        SumSpec(
-            spec.p, spec.alphas, spec.t, spec.lambda_points, CURVILINEAR,
-            spec.coefficient_form, spec.extra_lambdas,
-        )
-        if kind == _MIXED
-        else spec
-    )
+    grid_spec = replace(spec, mode=CURVILINEAR) if kind == _MIXED else spec
     if out_grid is None:
         out_grid = derive_out_grid(a, b, grid_spec)
     else:
@@ -493,7 +503,7 @@ def _sum_grid(a, b, spec, out_grid, kind):
     # the intersection over them
     _accumulate(
         out, out_grid, spec, xa, ha, xb, hb,
-        _lambda_values(spec, a.volume, b.volume), kind,
+        _lambda_values(spec, a, b), kind,
     )
     return StaircaseSet(out_grid, out)
 
@@ -509,7 +519,7 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     combined mean is the interval [m(a,c), m(b,d)] (monotone continuous
     map); the result is the normalized union over the lam evaluation set,
     including the closed-form maximizers for the volume pair, each length
-    pair, and each right-endpoint pair.
+    pair, and each right-endpoint pair.  At p = 1 one lam is evaluated.
     """
     if spec.alphas.n != 0:
         raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
@@ -523,16 +533,8 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     if not ka or not la:
         raise DegenerateInputError("summand has empty support")
 
-    lams = list(spec.lambda_grid())
-    if spec.p > 1.0 and alpha != 0.0 and not math.isinf(alpha):
-        lams.append(float(spec.pair_lambda_star(k.volume, l.volume, alpha)))
-        for a, b in ka:
-            for c, d in la:
-                if b > a and d > c:
-                    lams.append(float(spec.pair_lambda_star(b - a, d - c, alpha)))
-                if b > 0 and d > 0:
-                    lams.append(float(spec.pair_lambda_star(b, d, alpha)))
-    lam_arr = np.unique(np.asarray(lams))
+    pairs = [q for a, b in ka for c, d in la for q in ((b - a, d - c), (b, d))]
+    lam_arr = _lambda_values(spec, k, l, pairs)
     c_arr, d_arr = spec.coefficients(lam_arr)
 
     pieces = []
@@ -555,6 +557,7 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
     Every (box pair, lam) contributes the product of per-axis image
     intervals; the union of these boxes is exactly the sum restricted to
     the evaluated lam values, so its volume lower-bounds the full sum.
+    At p = 1 one lam is evaluated, so each box pair gives at most one box.
     """
     if spec.mode != CURVILINEAR:
         raise RegimeError("box path supports curvilinear mode only")
@@ -564,13 +567,7 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
         raise DomainError("box dimensions do not match the power vector")
     dim = a.dim
     alphas = spec.alphas.alphas
-    lams = list(spec.lambda_grid())
-    a_last = alphas[-1]
-    if spec.p > 1.0 and a_last != 0.0 and not math.isinf(a_last):
-        va, vb = a.volume, b.volume
-        if va > 0 and vb > 0:
-            lams.append(float(spec.pair_lambda_star(va, vb, a_last)))
-    lam_arr = np.unique(np.asarray(lams))
+    lam_arr = _lambda_values(spec, a, b)
     c, d = spec.coefficients(lam_arr)
     # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order
     ab = a.as_array()[:, None, None]
@@ -618,18 +615,11 @@ def _regions(a, b, spec, kind):
     alpha1 = spec.alphas.last
     base_kernel = combine_quasi if kind == QUASI else combine
     vert_kernel = combine if kind == CURVILINEAR else combine_quasi
-    lam_values = _lambda_values(spec, a.volume, b.volume)
     u = ha[:, None]
     v = hb[None, :]
-    cd_list = [spec.coefficients(lam) for lam in lam_values]
-    c_col = np.asarray([c for c, _ in cd_list])[:, None, None]
-    d_col = np.asarray([d for _, d in cd_list])[:, None, None]
-    star = None
-    if spec.p > 1.0 and alpha1 != 0.0 and not math.isinf(alpha1):
-        if kind == CURVILINEAR:
-            star = spec.coefficients(spec.pair_lambda_star(u, v, alpha1))
-        else:
-            star = spec.coefficients(spec.quasi_crossing_lambda(u, v, alpha1))
+    cd_list = _coefficient_list(spec, _lambda_values(spec, a, b))
+    c_col, d_col = np.asarray(cd_list).T[..., None, None]
+    star = spec.coefficients(_lambda_star(spec, u, v)) if _injects(spec) else None
     xlo_a = xa[:, 0][:, None]
     xhi_a = xlo_a + a.grid.spacing
     xlo_b = xb[:, 0][None, :]
@@ -815,8 +805,7 @@ def lp_minkowski_sum_base(
         lambda_points=lambda_points,
     )
     lams = np.asarray([t]) if p == 1.0 else np.unique(np.append(spec.lambda_grid(), t))
-    # one scalar coefficients() per lam: array-valued powers may round differently
-    cd = np.asarray([spec.coefficients(lam) for lam in lams], dtype=float)
+    cd = np.asarray(_coefficient_list(spec, lams))
     c, d = cd[:, :1], cd[:, 1:]
     h = x.spacing
     u = x.coords[:, None, :]
@@ -886,7 +875,7 @@ def sum_oracle(
     if spec.p == 1.0:
         lams = np.unique(spec.lambda_grid())
     else:
-        lams = _lambda_values(spec, a.volume, b.volume)
+        lams = _lambda_values(spec, a, b)
     lam_values = [float(l) for l in lams]
     n = a.base_dim
     alphas = spec.alphas.alphas

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvsum import CURVILINEAR, SumSpec, curvilinear_sum_grid
-from .errors import DomainError, RangeError, RegimeError
-from .sets import Grid, StaircaseSet
+from .errors import DomainError, RegimeError
+from .sets import Grid, StaircaseSet, _cell_values, _integrate_leading, _split_cells
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.shape:
-            raise DomainError(
-                f"values shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise DomainError("values must be finite and nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _cell_values(self.grid, self.values, "values"))
 
     @property
     def ndim(self) -> int:
@@ -60,10 +51,7 @@ class GridFunction:
 
     def refined(self, factor: int = 2) -> "GridFunction":
         """Same function on a grid with cells split by ``factor`` per axis."""
-        v = self.values
-        for ax in range(v.ndim):
-            v = np.repeat(v, factor, axis=ax)
-        return GridFunction(self.grid.refined(factor), v)
+        return GridFunction(self.grid.refined(factor), _split_cells(self.values, factor))
 
     def to_json(self) -> dict:
         return {
@@ -78,10 +66,6 @@ class GridFunction:
         grid = Grid(tuple(data["origin"]), float(data["spacing"]), tuple(data["shape"]))
         values = np.asarray(data["values"], dtype=float).reshape(grid.shape)
         return cls(grid, values)
-
-
-def hypograph(f: GridFunction) -> StaircaseSet:
-    return f.hypograph()
 
 
 def sup_convolve(
@@ -116,17 +100,13 @@ def marginal(f: GridFunction, k: int) -> tuple[GridFunction | float, float]:
     and norm is the sup of I.  k = 0 returns f itself with its sup norm;
     k = n collapses to the total integral in both slots.
     """
-    n = f.ndim
-    if not 0 <= k <= n:
-        raise RangeError(f"marginal order must lie in [0, {n}], got {k}")
+    prof = _integrate_leading(f.values, f.grid, k)
     if k == 0:
         return f, f.sup_norm
-    summed = f.values.sum(axis=tuple(range(k))) * f.grid.spacing**k
-    if k == n:
-        total = float(summed)
+    if prof.grid is None:
+        total = float(prof.values)
         return total, total
-    rest = Grid(f.grid.origin[k:], f.grid.spacing, f.grid.shape[k:])
-    out = GridFunction(rest, summed)
+    out = GridFunction(prof.grid, prof.values)
     return out, out.sup_norm
 
 

@@ -76,12 +76,6 @@ class MeanParams:
         return lp_coefficients(self.p, self.lam, self.t)
 
     @property
-    def m_lambda(self) -> float:
-        """Total coefficient mass C + D (at most 1 when p >= 1)."""
-        c, d = self.coefficients()
-        return c + d
-
-    @property
     def theta_lambda(self) -> float:
         """Normalized weight D / (C + D) of the second argument."""
         c, d = self.coefficients()
@@ -371,8 +365,3 @@ class PowerVector:
     def omega(self, beta: float) -> float:
         """delta(beta, n): the fully integrated combination exponent."""
         return self.delta(beta, self.n)
-
-
-def uniform(n_plus_1: int, alpha: float = 1.0) -> PowerVector:
-    """PowerVector with all entries equal; gamma = alpha / (n+1)."""
-    return PowerVector((float(alpha),) * n_plus_1)

@@ -38,7 +38,14 @@ from .errors import (
 from .funcs import GridFunction, sup_convolve
 from .means import PowerVector, mean_alpha
 from .reports import InequalityReport
-from .sets import Grid, GridPointSet, SectionProfile, StaircaseSet, superlevel
+from .sets import (
+    Grid,
+    GridPointSet,
+    SectionProfile,
+    StaircaseSet,
+    _integrate_leading,
+    superlevel,
+)
 
 EPS_SCHEDULE = tuple(2.0**-j for j in range(4, 11))
 
@@ -74,9 +81,6 @@ class DensityMeasure:
     @property
     def is_lebesgue(self) -> bool:
         return bool(np.all(self.density.values == 1.0))
-
-    def total_mass(self) -> float:
-        return self.density.integral
 
     def _spot_verify(self) -> None:
         alpha = float(self.alpha_concavity)
@@ -239,19 +243,7 @@ def mu_section_quantities(
     reaches r*m.  With a constant density this is sets.section_profile and
     sets.superlevel on the same staircase.
     """
-    nb = a.base_dim
-    if not 0 <= k <= nb:
-        raise RangeError(f"k must lie in [0, {nb}], got {k}")
-    col = _column_masses(a, mu)
-    h = a.grid.spacing
-    vals = col
-    for _ in range(k):
-        vals = vals.sum(axis=0) * h
-    if k == nb:
-        profile = SectionProfile(k, None, np.asarray(vals, dtype=float).reshape(()), h)
-    else:
-        sub = Grid(a.grid.origin[k:], h, a.grid.shape[k:])
-        profile = SectionProfile(k, sub, np.asarray(vals, dtype=float), h)
+    profile = _integrate_leading(_column_masses(a, mu), a.grid, k)
     m = profile.sup_norm
     if m <= 0.0:
         raise DegenerateInputError("all fibers have zero mass")

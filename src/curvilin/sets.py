@@ -65,10 +65,6 @@ class Grid:
     def upper(self) -> tuple[float, ...]:
         return tuple(o + s * self.spacing for o, s in zip(self.origin, self.shape))
 
-    def axis_edges(self, axis: int) -> np.ndarray:
-        n = self.shape[axis]
-        return self.origin[axis] + self.spacing * np.arange(n + 1)
-
     def cell_lower_corners(self) -> np.ndarray:
         """(N, ndim) array of cell lower corners in row-major cell order."""
         axes = [self.origin[i] + self.spacing * np.arange(self.shape[i]) for i in range(self.ndim)]
@@ -233,6 +229,29 @@ def box_union_volume_ie(u: BoxUnion) -> float:
 
 
 # ---------------------------------------------------------------------------
+# per-cell values (staircase heights, grid function values)
+
+
+def _cell_values(grid: Grid, values, name: str) -> np.ndarray:
+    """Read-only float copy of one finite nonnegative value per grid cell."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.shape:
+        raise DomainError(f"{name} shape {v.shape} does not match grid shape {grid.shape}")
+    if np.any(v < 0) or not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} must be finite and nonnegative")
+    v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
+def _split_cells(values: np.ndarray, factor: int) -> np.ndarray:
+    """Per-cell values after splitting every cell by ``factor`` per axis."""
+    for ax in range(values.ndim):
+        values = np.repeat(values, factor, axis=ax)
+    return values
+
+
+# ---------------------------------------------------------------------------
 # staircase sets
 
 
@@ -249,16 +268,7 @@ class StaircaseSet:
     heights: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.heights, dtype=float)
-        if h.shape != self.grid.shape:
-            raise DomainError(
-                f"heights shape {h.shape} does not match grid shape {self.grid.shape}"
-            )
-        if np.any(h < 0) or not np.all(np.isfinite(h)):
-            raise DomainError("heights must be finite and nonnegative")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "heights", h)
+        object.__setattr__(self, "heights", _cell_values(self.grid, self.heights, "heights"))
 
     @property
     def base_dim(self) -> int:
@@ -280,10 +290,7 @@ class StaircaseSet:
 
     def refined(self, factor: int = 2) -> "StaircaseSet":
         """Same set on a grid with cells split by ``factor`` per axis."""
-        h = self.heights
-        for ax in range(h.ndim):
-            h = np.repeat(h, factor, axis=ax)
-        return StaircaseSet(self.grid.refined(factor), h)
+        return StaircaseSet(self.grid.refined(factor), _split_cells(self.heights, factor))
 
     def boxes(self) -> BoxUnion:
         """The staircase as an explicit box union in R^(n+1)."""
@@ -446,23 +453,31 @@ class SectionProfile:
         return float(np.sum(self.values)) * self.spacing**d
 
 
+def _integrate_leading(values: np.ndarray, grid: Grid, k: int) -> SectionProfile:
+    """Integrate per-cell values over the first k axes of ``grid``.
+
+    The profile lives on the grid of the remaining axes; k = 0 keeps the
+    values, k = ndim collapses them to one number (grid None).
+    """
+    n = grid.ndim
+    if not 0 <= k <= n:
+        raise RangeError(f"k must lie in [0, {n}], got {k}")
+    h = grid.spacing
+    for _ in range(k):
+        values = values.sum(axis=0) * h
+    values = np.asarray(values, dtype=float)
+    if k == n:
+        return SectionProfile(k, None, values.reshape(()), h)
+    return SectionProfile(k, Grid(grid.origin[k:], h, grid.shape[k:]), values, h)
+
+
 def section_profile(a: StaircaseSet, k: int) -> SectionProfile:
     """Integrate the fiber heights over the first k base axes.
 
     k = 0 returns the heights themselves; k = n collapses to a single
     number, the total volume.
     """
-    n = a.base_dim
-    if not 0 <= k <= n:
-        raise RangeError(f"k must lie in [0, {n}], got {k}")
-    h = a.grid.spacing
-    vals = a.heights
-    for _ in range(k):
-        vals = vals.sum(axis=0) * h
-    if k == n:
-        return SectionProfile(k, None, np.asarray(vals, dtype=float).reshape(()), h)
-    sub = Grid(a.grid.origin[k:], h, a.grid.shape[k:])
-    return SectionProfile(k, sub, np.asarray(vals, dtype=float), h)
+    return _integrate_leading(a.heights, a.grid, k)
 
 
 def superlevel_mask(profile: SectionProfile, r: float) -> np.ndarray:

@@ -204,38 +204,30 @@ def _clean(value):
 
 def _report(check_id, params, lhs, rhs, tol, *, slack=None, grid_h=None,
             lambda_points=None, can_refine=True, extra=None):
-    info = dict(params)
-    info["tol"] = tol
-    if extra:
-        info.update(extra)
-    lhs, rhs = float(lhs), float(rhs)
-    slack = lhs - rhs if slack is None else float(slack)
-    return InequalityReport(
-        check_id=check_id,
-        instance_seed=int(params["run_seed"]),
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        grid_h=grid_h,
-        lambda_points=lambda_points,
-        verdict=verdict_for(slack, tol, can_refine),
-        params=_clean(info),
+    report = InequalityReport.from_values(
+        check_id, int(params["run_seed"]), float(lhs), float(rhs), tol, grid_h,
+        lambda_points, can_refine, _clean({**params, "tol": tol, **(extra or {})}),
     )
+    if slack is None:
+        return report
+    slack = float(slack)
+    return replace(report, slack=slack, verdict=verdict_for(slack, tol, can_refine))
 
 
 def _delta_exponent(alpha: float, beta: float, k: int) -> float:
     return PowerVector((1.0, alpha)).delta(beta, k)
 
 
-def _quasi_pair(rng, k: int, alpha_lo=0.3, alpha_hi=1.0):
+def _quasi_pair(rng, k: int, fixed_alpha: float | None = None):
     """Draw (alpha, beta) with alpha+beta >= 0 on the min-branch side.
 
-    The region below the -1/k threshold with a nonnegative sum is thin;
-    after a bounded number of tries the caller falls back to the mean
-    branch, which is reported, not failed.
+    alpha is drawn per try unless fixed.  The region below the -1/k
+    threshold with a nonnegative sum is thin; after a bounded number of
+    tries the caller falls back to the mean branch, which is reported,
+    not failed.
     """
     for _ in range(40):
-        alpha = float(rng.uniform(alpha_lo, alpha_hi))
+        alpha = float(rng.uniform(0.3, 1.0)) if fixed_alpha is None else fixed_alpha
         beta = -alpha + float(rng.uniform(0.02, 0.3))
         if alpha + beta < 0.02:
             continue
@@ -281,6 +273,44 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POIN
             prev = masks
         acc += vol / r_points
     return acc
+
+
+def _branch_bound(spec: SumSpec, va: float, vb: float):
+    """(rhs, spec, extra): the mean or min branch bound from two volumes.
+
+    On the min branch at p > 1 the closed-form crossing lam joins the
+    spec, so the evaluated lam set contains the slice attaining the bound.
+    """
+    p, t, gamma = spec.p, spec.t, spec.alphas.gamma
+    if spec.alphas.uses_min_branch():
+        rhs = sup_lambda_min_form(va, vb, p, t, gamma)
+        if p > 1.0:
+            spec = spec.with_extra_lambdas((float(spec.quasi_crossing_lambda(va, vb, gamma)),))
+        return rhs, spec, {"branch": "min", "gamma": gamma}
+    return mean_alpha(va, vb, t, p * gamma), spec, {"branch": "mean", "gamma": gamma}
+
+
+def _sum_volume(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
+    """Sum volume and grid spacing; exact envelope (spacing None) on one base axis."""
+    if a.base_dim == 1:
+        return staircase_sum_volume_exact(a, b, spec), None
+    out = curvilinear_sum_grid(a, b, spec)
+    return out.volume, out.grid.spacing
+
+
+def _hypograph_sum(prof_a, prof_b, params, lp: int, delta: float) -> float:
+    """Volume of the sum of two profiles' hypographs, each scaled to sup 1.
+
+    delta is the vertical power; the quasi branch takes the convex quasi
+    kernel, the mean branch the mean kernel.
+    """
+    a = StaircaseSet(prof_a.grid, prof_a.values / prof_a.sup_norm)
+    b = StaircaseSet(prof_b.grid, prof_b.values / prof_b.sup_norm)
+    p, t = params["p"], params["t"]
+    alphas = PowerVector((1.0,) * a.base_dim + (delta,))
+    if params["branch"] == "quasi":
+        return convex_quasi_sum_volume_exact(a, b, SumSpec(p, alphas, t, lp, QUASI))
+    return _sum_volume(a, b, SumSpec(p, alphas, t, lp))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +417,18 @@ def check_bm_curvilinear(instance, params):
     contains the slice attaining the bound.
     """
     a, b = _pair_at_level(instance, params["level"])
-    p, t = params["p"], params["t"]
     level = params["level"]
-    alphas = PowerVector(tuple(params["alphas"]))
     lp = _lam_points(params["lambda_points"], level)
-    spec = SumSpec(p, alphas, t, lp)
-    va, vb = a.volume, b.volume
-    gamma = alphas.gamma
-    if alphas.uses_min_branch():
-        rhs = sup_lambda_min_form(va, vb, p, t, gamma)
-        if p > 1.0:
-            lam0 = float(spec.quasi_crossing_lambda(va, vb, gamma))
-            spec = spec.with_extra_lambdas((lam0,))
-        branch = "min"
+    spec = SumSpec(params["p"], PowerVector(tuple(params["alphas"])), params["t"], lp)
+    rhs, spec, extra = _branch_bound(spec, a.volume, b.volume)
+    lhs, grid_h = _sum_volume(a, b, spec)
+    if grid_h is None:
+        tol, can_refine = _EXACT_TOL, False
     else:
-        rhs = mean_alpha(va, vb, t, p * gamma)
-        branch = "mean"
-    if a.base_dim == 1:
-        lhs = staircase_sum_volume_exact(a, b, spec)
-        tol, grid_h = _EXACT_TOL, None
-        can_refine = False
-    else:
-        out = curvilinear_sum_grid(a, b, spec)
-        lhs, grid_h = out.volume, out.grid.spacing
-        tol = params["c"] * grid_h
-        can_refine = level < REFINE_BUDGET
+        tol, can_refine = params["c"] * grid_h, level < REFINE_BUDGET
     return _report(
         "bm_curvilinear", params, lhs, rhs, tol,
-        grid_h=grid_h, lambda_points=lp, can_refine=can_refine,
-        extra={"branch": branch, "gamma": gamma},
+        grid_h=grid_h, lambda_points=lp, can_refine=can_refine, extra=extra,
     )
 
 
@@ -475,10 +488,7 @@ def check_normalized_bm(instance, params):
     spec = spec.with_extra_lambdas(_base_reach_extras(a, b, spec))
     sa, sb = a.sup_height, b.sup_height
     factor = mean_alpha(1.0 / sa, 1.0 / sb, t, -(p * alpha))
-    if n == 1:
-        vol = staircase_sum_volume_exact(a, b, spec)
-    else:
-        vol = curvilinear_sum_grid(a, b, spec).volume
+    vol, _ = _sum_volume(a, b, spec)
     lhs = vol * factor
     rhs = _layered_base_integral(
         section_profile(a, 0), section_profile(b, 0), p, t, lp
@@ -508,22 +518,10 @@ def check_sectional(instance, params):
     spec = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     spec = spec.with_extra_lambdas((t,))
     out = curvilinear_sum_grid(a, b, spec)
-    na = section_profile(a, k).sup_norm
-    nb = section_profile(b, k).sup_norm
-    lhs = out.volume * mean_alpha(1.0 / na, 1.0 / nb, t, p * beta)
-    a_h = normalized_compression(a, k)
-    b_h = normalized_compression(b, k)
+    prof_a, prof_b = section_profile(a, k), section_profile(b, k)
+    lhs = out.volume * mean_alpha(1.0 / prof_a.sup_norm, 1.0 / prof_b.sup_norm, t, p * beta)
     delta = _delta_exponent(alpha, beta, k)
-    rest = n - k
-    if params["branch"] == "quasi":
-        spec_h = SumSpec(p, PowerVector((1.0,) * rest + (delta,)), t, lp, QUASI)
-        rhs = convex_quasi_sum_volume_exact(a_h, b_h, spec_h)
-    else:
-        spec_h = SumSpec(p, PowerVector((1.0,) * rest + (delta,)), t, lp)
-        if rest == 1:
-            rhs = staircase_sum_volume_exact(a_h, b_h, spec_h)
-        else:
-            rhs = curvilinear_sum_grid(a_h, b_h, spec_h).volume
+    rhs = _hypograph_sum(prof_a, prof_b, params, lp, delta)
     tol = params["c"] * out.grid.spacing
     return _report(
         "sectional", params, lhs, rhs, tol,
@@ -542,29 +540,16 @@ def check_bbl(instance, params):
     f, g = _pair_at_level(instance, params["level"])
     p, t, alpha = params["p"], params["t"], params["alpha"]
     level = params["level"]
-    n = f.ndim
-    alphas = PowerVector((1.0,) * n + (alpha,))
     lp = _lam_points(params["lambda_points"], level)
-    spec = SumSpec(p, alphas, t, lp)
-    fi, gi = f.integral, g.integral
-    gamma = alphas.gamma
-    if alphas.uses_min_branch():
-        rhs = sup_lambda_min_form(fi, gi, p, t, gamma)
-        if p > 1.0:
-            lam0 = float(spec.quasi_crossing_lambda(fi, gi, gamma))
-            spec = spec.with_extra_lambdas((lam0,))
-        branch = "min"
-    else:
-        rhs = mean_alpha(fi, gi, t, p * gamma)
-        branch = "mean"
+    spec = SumSpec(p, PowerVector((1.0,) * f.ndim + (alpha,)), t, lp)
+    rhs, spec, extra = _branch_bound(spec, f.integral, g.integral)
     witness = bbl_min_witness(f, g, spec)
     lhs = witness.integral
     tol = params["c"] * witness.grid.spacing
     return _report(
         "bbl", params, lhs, rhs, tol,
         grid_h=witness.grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET,
-        extra={"branch": branch, "gamma": gamma},
+        can_refine=level < REFINE_BUDGET, extra=extra,
     )
 
 
@@ -597,20 +582,8 @@ def check_marginal_bbl(instance, params):
     else:
         mf, nf = marginal(f, k)
         mg, ng = marginal(g, k)
-        hyp_f = StaircaseSet(mf.grid, mf.values / nf)
-        hyp_g = StaircaseSet(mg.grid, mg.values / ng)
-        delta = _delta_exponent(alpha, beta, k)
-        rest = n - k
-        if params["branch"] == "quasi":
-            spec_h = SumSpec(p, PowerVector((1.0,) * rest + (delta,)), t, lp, QUASI)
-            rhs = convex_quasi_sum_volume_exact(hyp_f, hyp_g, spec_h)
-        else:
-            spec_h = SumSpec(p, PowerVector((1.0,) * rest + (delta,)), t, lp)
-            if rest == 1:
-                rhs = staircase_sum_volume_exact(hyp_f, hyp_g, spec_h)
-            else:
-                rhs = curvilinear_sum_grid(hyp_f, hyp_g, spec_h).volume
-        exponent = delta
+        exponent = _delta_exponent(alpha, beta, k)
+        rhs = _hypograph_sum(mf, mg, params, lp, exponent)
     lhs = witness.integral * mean_alpha(1.0 / nf, 1.0 / ng, t, p * beta)
     tol = params["c"] * witness.grid.spacing
     return _report(
@@ -643,11 +616,7 @@ def check_measure_bm(instance, params):
     prof_b, mb, _ = mu_section_quantities(b, mu, 0)
     lhs = measure_of(out, mu) * mean_alpha(1.0 / ma, 1.0 / mb, t, p * beta)
     if params["branch"] == "quasi":
-        delta = _delta_exponent(alpha, beta, k)
-        hyp_a = StaircaseSet(prof_a.grid, prof_a.values / ma)
-        hyp_b = StaircaseSet(prof_b.grid, prof_b.values / mb)
-        spec_h = SumSpec(p, PowerVector((1.0, delta)), t, lp, QUASI)
-        rhs = convex_quasi_sum_volume_exact(hyp_a, hyp_b, spec_h)
+        rhs = _hypograph_sum(prof_a, prof_b, params, lp, _delta_exponent(alpha, beta, k))
     else:
         rhs = _layered_base_integral(prof_a, prof_b, p, t, lp)
     tol = params["c"] * out.grid.spacing
@@ -819,20 +788,22 @@ def _mean_pair(rng, k):
     return alpha, beta
 
 
-def _params_sectional(rng, instance):
-    k = 1 if rng.random() < 0.75 else 0
-    branch = "mean"
-    pair = None
-    if k >= 1 and rng.random() < 0.35:
-        pair = _quasi_pair(rng, k)
-        if pair is not None:
-            branch = "quasi"
-    if pair is None:
-        pair = _mean_pair(rng, k)
-    alpha, beta = pair
+def _pair_params(rng, k, alpha, beta, branch):
     return {"p": _draw_p(rng), "t": float(rng.uniform(0.25, 0.75)),
             "alpha": alpha, "beta": beta, "k": k, "branch": branch,
             "lambda_points": 16}
+
+
+def _branch_params(rng, k):
+    """Section-sum params: the quasi branch for about a third of k >= 1 draws."""
+    pair = _quasi_pair(rng, k) if k >= 1 and rng.random() < 0.35 else None
+    if pair is None:
+        return _pair_params(rng, k, *_mean_pair(rng, k), "mean")
+    return _pair_params(rng, k, *pair, "quasi")
+
+
+def _params_sectional(rng, instance):
+    return _branch_params(rng, 1 if rng.random() < 0.75 else 0)
 
 
 def _params_bbl(rng, instance):
@@ -851,53 +822,24 @@ def _params_bbl(rng, instance):
 
 
 def _params_marginal_bbl(rng, instance):
-    n = instance[0].ndim
-    k = n if rng.random() < 0.25 else 1
-    branch = "mean"
-    pair = None
-    if rng.random() < 0.35:
-        pair = _quasi_pair(rng, k)
-        if pair is not None:
-            branch = "quasi"
-    if pair is None:
-        pair = _mean_pair(rng, k)
-    alpha, beta = pair
-    return {"p": _draw_p(rng), "t": float(rng.uniform(0.25, 0.75)),
-            "alpha": alpha, "beta": beta, "k": k, "branch": branch,
-            "lambda_points": 16}
+    return _branch_params(rng, instance[0].ndim if rng.random() < 0.25 else 1)
 
 
 def _params_measure_bm(rng, instance):
     mu = instance[2]
     cap = mu.alpha_concavity if mu.alpha_concavity is not None else math.inf
-    k = 1
     if cap <= 0.0:
         alpha = -float(rng.uniform(0.05, 0.6))
     else:
         alpha = float(rng.uniform(0.2, min(1.0, cap)))
-    branch = "mean"
-    if rng.random() < 0.35:
-        # thin quasi region for this fixed alpha: beta just above -alpha
-        for _ in range(40):
-            beta = -alpha + float(rng.uniform(0.02, 0.3))
-            if alpha + beta < 0.02:
-                continue
-            if (1.0 + k * alpha) * (1.0 + k * beta) < 0.92:
-                delta = _delta_exponent(alpha, beta, k)
-                if 0.0 < delta < 20.0:
-                    branch = "quasi"
-                    break
-        else:
-            beta = None
-    else:
-        beta = None
-    if branch == "mean":
-        beta = float(rng.uniform(0.25, 1.2))
-        if beta + alpha < 0.15:
-            beta = -alpha + 0.15
-    return {"p": _draw_p(rng), "t": float(rng.uniform(0.25, 0.75)),
-            "alpha": alpha, "beta": beta, "k": k, "branch": branch,
-            "lambda_points": 16}
+    # thin quasi region for this fixed alpha: beta just above -alpha
+    pair = _quasi_pair(rng, 1, alpha) if rng.random() < 0.35 else None
+    if pair is not None:
+        return _pair_params(rng, 1, *pair, "quasi")
+    beta = float(rng.uniform(0.25, 1.2))
+    if beta + alpha < 0.15:
+        beta = -alpha + 0.15
+    return _pair_params(rng, 1, alpha, beta, "mean")
 
 
 def _params_minkowski(rng, instance):
@@ -954,20 +896,6 @@ def _params_power_mono(rng, instance):
 # dispatch
 
 
-CHECK_IDS = (
-    "lemma_1d",
-    "compression_monotone",
-    "bm_curvilinear",
-    "refinement",
-    "normalized_bm",
-    "sectional",
-    "bbl",
-    "marginal_bbl",
-    "measure_bm",
-    "minkowski_first",
-    "power_monotonicity",
-)
-
 _CHECK_FNS = {
     "lemma_1d": check_lemma_1d,
     "compression_monotone": check_compression_monotone,
@@ -981,6 +909,7 @@ _CHECK_FNS = {
     "minkowski_first": check_minkowski_first,
     "power_monotonicity": check_power_monotonicity,
 }
+CHECK_IDS = tuple(_CHECK_FNS)
 
 _PARAM_DRAWS = {
     "lemma_1d": _params_lemma_1d,
@@ -1061,16 +990,21 @@ def make_params(check_id: str, seed: int, index: int, instance) -> dict:
     return params
 
 
-def run_check(check_id: str, seed: int, index: int, level: int = 0,
-              lambda_points: int | None = None) -> InequalityReport:
-    """One check run at a fixed refinement level."""
+def _setup(check_id: str, seed: int, index: int, level: int, lambda_points):
+    """Instance and params of one check run at a refinement level."""
     instance = make_instance(check_id, seed, index)
     params = make_params(check_id, seed, index, instance)
     params["level"] = int(level)
     if lambda_points is not None:
         params["lambda_points"] = int(lambda_points)
     params["c"] = calibrate_grid_constant()
-    return _CHECK_FNS[check_id](instance, params)
+    return instance, params
+
+
+def run_check(check_id: str, seed: int, index: int, level: int = 0,
+              lambda_points: int | None = None) -> InequalityReport:
+    """One check run at a fixed refinement level."""
+    return _CHECK_FNS[check_id](*_setup(check_id, seed, index, level, lambda_points))
 
 
 def run_check_refined(check_id: str, seed: int, index: int,
@@ -1091,23 +1025,15 @@ def run_check_refined(check_id: str, seed: int, index: int,
 
 
 def _mutants(obj):
-    if isinstance(obj, StaircaseSet):
-        corners, _ = obj.support_cells()
-        if corners.shape[0] > 1:
-            idx = np.argwhere(obj.heights > 0.0)
-            for cell in idx:
-                h2 = obj.heights.copy()
-                h2[tuple(cell)] = 0.0
-                yield StaircaseSet(obj.grid, h2)
-        yield StaircaseSet(obj.grid, obj.heights / 2.0)
-    elif isinstance(obj, GridFunction):
-        idx = np.argwhere(obj.values > 0.0)
+    if isinstance(obj, (StaircaseSet, GridFunction)):
+        vals = obj.heights if isinstance(obj, StaircaseSet) else obj.values
+        idx = np.argwhere(vals > 0.0)
         if idx.shape[0] > 1:
             for cell in idx:
-                v2 = obj.values.copy()
+                v2 = vals.copy()
                 v2[tuple(cell)] = 0.0
-                yield GridFunction(obj.grid, v2)
-        yield GridFunction(obj.grid, obj.values / 2.0)
+                yield type(obj)(obj.grid, v2)
+        yield type(obj)(obj.grid, vals / 2.0)
     elif isinstance(obj, BoxUnion):
         if len(obj.boxes) > 1:
             for i in range(len(obj.boxes)):
@@ -1142,14 +1068,10 @@ def shrink(report: InequalityReport) -> InequalityReport:
     if report.verdict != FAIL:
         return report
     check_id = report.check_id
-    seed = int(report.params["seed"])
-    index = int(report.params["index"])
-    instance = make_instance(check_id, seed, index)
-    params = make_params(check_id, seed, index, instance)
-    params["level"] = int(report.params.get("level", 0))
-    if "lambda_points" in report.params:
-        params["lambda_points"] = int(report.params["lambda_points"])
-    params["c"] = calibrate_grid_constant()
+    instance, params = _setup(
+        check_id, int(report.params["seed"]), int(report.params["index"]),
+        report.params.get("level", 0), report.params.get("lambda_points"),
+    )
     fn = _CHECK_FNS[check_id]
     current = list(instance)
     best = report

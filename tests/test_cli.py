@@ -93,6 +93,20 @@ def test_workers_fallback_order(monkeypatch):
     assert cli._resolve_workers(RunConfig(command="verify")) >= 1
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_workers_below_one_are_refused(monkeypatch, capsys, bad):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suite must not start")
+
+    monkeypatch.setattr(cli.verify, "run_suite", no_suite)
+    monkeypatch.delenv("CURVILIN_WORKERS", raising=False)
+    assert cli.main(["verify", "--workers", str(bad)]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    monkeypatch.setenv("CURVILIN_WORKERS", str(bad))
+    assert cli.main(["verify"]) == 2
+    assert "CURVILIN_WORKERS must be at least 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # operator commands
 

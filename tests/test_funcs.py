@@ -11,7 +11,6 @@ from curvilin import (
     bbl_min_witness,
     curvilinear_sum_grid,
     function_from_json,
-    hypograph,
     lp_minkowski_sum_base,
     marginal,
     sup_convolve,
@@ -40,7 +39,7 @@ def test_grid_function_basics():
     f = gf([1.0] * 8)
     assert f.integral == 1.0
     assert f.sup_norm == 1.0
-    hyp = hypograph(f)
+    hyp = f.hypograph()
     assert isinstance(hyp, StaircaseSet)
     assert hyp.volume == f.integral
     with pytest.raises(DomainError):
@@ -51,9 +50,9 @@ def test_grid_function_basics():
 
 def test_hypograph_volume_matches_integral_exactly():
     f = rng_gf(11, cells=13, spacing=0.25)
-    assert hypograph(f).volume == f.integral
+    assert f.hypograph().volume == f.integral
     g = GridFunction(Grid((0.0, 0.0), 0.5, (3, 5)), np.arange(15.0).reshape(3, 5))
-    assert hypograph(g).volume == g.integral
+    assert g.hypograph().volume == g.integral
 
 
 def test_json_roundtrip():

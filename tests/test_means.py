@@ -21,7 +21,7 @@ from curvilin import (
     sup_lambda_min_form,
     sup_mean_over_lambda,
 )
-from curvilin.means import MIXED_SIGN, SUM_NONNEG, uniform
+from curvilin.means import MIXED_SIGN, SUM_NONNEG
 
 INF = math.inf
 
@@ -229,7 +229,7 @@ def test_sup_lambda_min_form_dominates_grid(a, b, p, t, gamma):
 
 
 def test_power_vector():
-    v = uniform(3)
+    v = PowerVector((1.0,) * 3)
     assert v.n == 2
     assert v.gamma == pytest.approx(1.0 / 3.0)
     assert v.base_gamma == pytest.approx(0.5)
