@@ -1,9 +1,18 @@
 """Command line front end: run suites, apply operators to files, emit reports.
 
-Every command is a thin wrapper over one library entry point.  Outputs are
-deterministic for a fixed config: JSON is dumped with sorted keys, suites
-order their reports by check id and seed, and nothing here stamps times
-or hostnames into artifacts.
+Every command is a thin wrapper over one library entry point and takes
+only the flags it reads:
+
+* ``verify``   --suite --seed --workers --grid --lambda-points --out --format
+* ``sum``      --a --b --grid --lambda-points --p --t --alphas --out --format
+* ``conv``     --a --b --grid --lambda-points --p --t --alphas --out --format
+* ``compress`` --a --out --format
+* ``surface``  --a --b --grid --lambda-points --p --alphas --out --format
+
+Any other flag is a usage error.  Outputs are deterministic for a fixed
+config: JSON is dumped with sorted keys, suites order their reports by
+check id and seed, and nothing here stamps times or hostnames into
+artifacts.
 
 Exit codes: 0 when no check failed (refine verdicts allowed), 1 when any
 suite check reports a fail verdict, 2 on malformed input files or flags.
@@ -18,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +51,6 @@ from .sets import (
 )
 from . import verify
 
-COMMANDS = ("verify", "sum", "conv", "compress", "surface")
 FORMATS = ("json", "csv")
 
 
@@ -108,47 +116,51 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return vals
 
 
+# flag -> argparse keywords; defaults live in RunConfig
+_FLAGS = {
+    "a": dict(required=True, help="first input file"),
+    "b": dict(required=True, help="second input file"),
+    "suite": dict(help="'default' (the default) or a manifest JSON path"),
+    "seed": dict(type=int, help="suite seed, default 0"),
+    "workers": dict(type=int, help="default CURVILIN_WORKERS, else the CPU count"),
+    "grid": dict(type=int, help="refinement level; each level doubles the density"),
+    "lambda_points": dict(type=int, help="lam grid size; operators default to 64"),
+    "p": dict(type=float, help="exponent p, default 1"),
+    "t": dict(type=float, help="weight t in (0, 1), default 0.5"),
+    "alphas": dict(type=_parse_alphas, help="comma separated powers, default all 1"),
+    "out": dict(help="output file; for verify, the artifact directory"),
+    "format": dict(choices=FORMATS, help="default csv for verify, json otherwise"),
+}
+_OPERANDS = "a b grid lambda_points p t alphas out format"
+_COMMANDS = {
+    "verify": ("run an inequality suite",
+               "suite seed workers grid lambda_points out format"),
+    "sum": ("curvilinear sum of two set files", _OPERANDS),
+    "conv": ("supremal convolution of two function files", _OPERANDS),
+    "compress": ("compress a set file", "a out format"),
+    "surface": ("surface quotient of two staircase files",
+                "a b grid lambda_points p alphas out format"),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvilin",
         description="curvilinear summation operators and inequality suites")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, files):
-        if files:
-            sp.add_argument("--a", required=True, help="first input file")
-            if files > 1:
-                sp.add_argument("--b", required=True, help="second input file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--grid", type=int, default=None,
-                        help="refinement level (each level doubles density)")
-        sp.add_argument("--lambda-points", type=int, default=None,
-                        dest="lambda_points")
-        sp.add_argument("--p", type=float, default=1.0)
-        sp.add_argument("--t", type=float, default=0.5)
-        sp.add_argument("--alphas", type=_parse_alphas, default=None,
-                        help="comma separated power list")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=FORMATS, default=None)
-
-    sp = sub.add_parser("verify", help="run an inequality suite")
-    sp.add_argument("--suite", default="default",
-                    help="'default' or a manifest JSON path")
-    common(sp, files=0)
-    common(sub.add_parser("sum", help="curvilinear sum of two set files"), 2)
-    common(sub.add_parser("conv", help="supremal convolution of two "
-                                       "function files"), 2)
-    common(sub.add_parser("compress", help="compress a set file"), 1)
-    common(sub.add_parser("surface", help="surface quotient of two "
-                                          "staircase files"), 2)
+    for command, (text, flags) in _COMMANDS.items():
+        # an absent flag stays out of the namespace, so RunConfig fills it in
+        sp = sub.add_parser(command, help=text,
+                            argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            **_FLAGS[flag])
     return parser
 
 
 def config_from_args(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    # verify has no --a / --b, the operator commands no --suite
-    return RunConfig(**{f.name: getattr(ns, f.name, None) for f in fields(RunConfig)})
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def _resolve_workers(config: RunConfig) -> int:
@@ -247,6 +259,8 @@ def _run_sum(config: RunConfig) -> int:
     a = load_set(config.a)
     b = load_set(config.b)
     level = _refine_level(config)
+    if level and not isinstance(a, StaircaseSet):
+        raise RangeError("--grid refines staircase operands only")
     if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
         spec = _spec_for(config, 1)
         out = curvilinear_sum_1d(a, b, spec)
@@ -373,12 +387,7 @@ def _run_verify(config: RunConfig) -> int:
         _dump_json({"kind": "summary", "failures": result.failures,
                     "summary": list(result.summary)}, sys.stdout)
     else:
-        writer = csv.DictWriter(
-            sys.stdout,
-            fieldnames=("check_id", "runs", "passes", "refines", "min_slack"))
-        writer.writeheader()
-        for row in result.summary:
-            writer.writerow(row)
+        verify._write_summary(sys.stdout, result.summary)
     return 1 if result.failures else 0
 
 

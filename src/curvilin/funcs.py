@@ -110,12 +110,7 @@ def marginal(f: GridFunction, k: int) -> tuple[GridFunction | float, float]:
     return out, out.sup_norm
 
 
-def bbl_min_witness(
-    f: GridFunction,
-    g: GridFunction,
-    spec: SumSpec,
-    out_grid: Grid | None = None,
-) -> GridFunction:
+def bbl_min_witness(f: GridFunction, g: GridFunction, spec: SumSpec) -> GridFunction:
     """Smallest sampled function dominating the vertical mean of f and g.
 
     A function h is admissible for the inequality hypothesis when
@@ -125,7 +120,7 @@ def bbl_min_witness(
     this alias exists so checks can cite the hypothesis rather than the
     operator that happens to realize it.
     """
-    return sup_convolve(f, g, spec, out_grid=out_grid)
+    return sup_convolve(f, g, spec)
 
 
 def load_function(path: str) -> GridFunction:

@@ -75,12 +75,6 @@ class MeanParams:
     def coefficients(self) -> tuple[float, float]:
         return lp_coefficients(self.p, self.lam, self.t)
 
-    @property
-    def theta_lambda(self) -> float:
-        """Normalized weight D / (C + D) of the second argument."""
-        c, d = self.coefficients()
-        return d / (c + d)
-
 
 def lp_coefficients(p: float, lam: float, t: float) -> tuple[float, float]:
     """The coefficient pair (C, D) for given (p, lam, t).
@@ -361,7 +355,3 @@ class PowerVector:
         if s == 0.0:
             return _INF
         return 1.0 / s
-
-    def omega(self, beta: float) -> float:
-        """delta(beta, n): the fully integrated combination exponent."""
-        return self.delta(beta, self.n)

@@ -131,16 +131,6 @@ def lebesgue(grid: Grid) -> DensityMeasure:
     return DensityMeasure(GridFunction(grid, np.ones(grid.shape)), math.inf)
 
 
-def indicator_density(grid: Grid, lo: tuple[int, ...], hi: tuple[int, ...]) -> DensityMeasure:
-    """Indicator of the inclusive cell-index box [lo, hi]; +inf-concave."""
-    if len(lo) != grid.ndim or len(hi) != grid.ndim:
-        raise RangeError("index corners must match grid dimension")
-    vals = np.zeros(grid.shape)
-    sel = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
-    vals[sel] = 1.0
-    return DensityMeasure(GridFunction(grid, vals), math.inf)
-
-
 def tent_density(grid: Grid, center: tuple[float, ...], scale: float) -> DensityMeasure:
     """(1 - |x - c|_1 / scale)_+ sampled at midpoints; 1-concave."""
     if scale <= 0:
@@ -390,10 +380,12 @@ def _exact_sum_path(a, b, mu: DensityMeasure) -> bool:
     )
 
 
-def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> float:
+def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> tuple[float, float]:
+    """mu of the sum and its grid spacing (the operand's on the exact path)."""
     if _exact_sum_path(a, b, mu):
-        return staircase_sum_volume_exact(a, b, spec)
-    return measure_of(curvilinear_sum_grid(a, b, spec), mu)
+        return staircase_sum_volume_exact(a, b, spec), a.grid.spacing
+    s = curvilinear_sum_grid(a, b, spec)
+    return measure_of(s, mu), s.grid.spacing
 
 
 def _reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> tuple:
@@ -427,7 +419,6 @@ def surface_area_sets(
     mu: DensityMeasure,
     p: float,
     alphas: PowerVector,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
     lambda_points: int = 64,
 ) -> SurfaceEstimate:
     """Difference quotients of eps -> mu(A + eps x B) at eps -> 0.
@@ -438,17 +429,17 @@ def surface_area_sets(
     """
     spec = _t_free_spec(p, alphas, lambda_points)
     if b.volume == 0.0:
-        qs = [(float(e), 0.0) for e in eps_schedule]
+        qs = [(float(e), 0.0) for e in EPS_SCHEDULE]
         return SurfaceEstimate.build(qs)
     if _exact_sum_path(a, b, mu):
         mu_a = a.volume
     else:
         mu_a = measure_of(a, mu)
     qs = []
-    for eps in eps_schedule:
+    for eps in EPS_SCHEDULE:
         eb = scalar_dilate(float(eps), b, spec)
         spec_e = spec.with_extra_lambdas(_reach_extras(a, eb, spec))
-        val = _mu_of_sum(a, eb, spec_e, mu)
+        val, _ = _mu_of_sum(a, eb, spec_e, mu)
         qs.append((float(eps), (val - mu_a) / float(eps)))
     return SurfaceEstimate.build(qs)
 
@@ -459,7 +450,6 @@ def surface_area_funcs(
     mu: DensityMeasure,
     p: float,
     alphas: PowerVector,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
     lambda_points: int = 64,
 ) -> SurfaceEstimate:
     """Quotients of eps -> integral of (f convolved with eps x g) d(mu).
@@ -469,7 +459,7 @@ def surface_area_funcs(
     base-space density equals the column measure of its hypograph.
     """
     return surface_area_sets(
-        f.hypograph(), g.hypograph(), mu, p, alphas, eps_schedule, lambda_points
+        f.hypograph(), g.hypograph(), mu, p, alphas, lambda_points
     )
 
 
@@ -496,7 +486,6 @@ def f_concavity_check(
     tol: float = 1e-9,
     seed: int = 0,
     can_refine: bool = True,
-    check_id: str | None = None,
 ) -> InequalityReport:
     """mu(sum at t) >= F^{-1}((1-t) F(mu A) + t F(mu B)) over sampled t.
 
@@ -506,7 +495,7 @@ def f_concavity_check(
     if not t_samples:
         raise RangeError("need at least one t sample")
     mu_a, mu_b, is_func = _pair_measures(a, b, mu)
-    name = check_id or ("f_concavity_funcs" if is_func else "f_concavity_sets")
+    name = "f_concavity_funcs" if is_func else "f_concavity_sets"
     if mu_a <= 0.0 or mu_b <= 0.0:
         return InequalityReport.from_values(
             name, seed, 0.0, 0.0, tol,
@@ -517,22 +506,12 @@ def f_concavity_check(
     grid_h = None
     for t in t_samples:
         t = float(t)
-        spec_t = SumSpec(
-            p=spec.p, alphas=spec.alphas, t=t,
-            lambda_points=spec.lambda_points, mode=spec.mode,
-            coefficient_form=WITH_T,
-        )
+        spec_t = replace(spec, t=t, coefficient_form=WITH_T)
         if is_func:
             conv = sup_convolve(a, b, spec_t)
-            lhs_t = measure_of(conv.hypograph(), mu)
-            grid_h = conv.grid.spacing
-        elif _exact_sum_path(a, b, mu):
-            lhs_t = staircase_sum_volume_exact(a, b, spec_t)
-            grid_h = a.grid.spacing
+            lhs_t, grid_h = measure_of(conv.hypograph(), mu), conv.grid.spacing
         else:
-            s = curvilinear_sum_grid(a, b, spec_t)
-            lhs_t = measure_of(s, mu)
-            grid_h = s.grid.spacing
+            lhs_t, grid_h = _mu_of_sum(a, b, spec_t, mu)
         rhs_t = F.inverse((1.0 - t) * F.value(mu_a) + t * F.value(mu_b))
         if worst is None or (lhs_t - rhs_t) < (worst[1] - worst[2]):
             worst = (t, lhs_t, rhs_t)
@@ -552,7 +531,6 @@ def minkowski_first_check(
     F: FSpec,
     p: float,
     alphas: PowerVector,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
     lambda_points: int = 64,
     t_samples: tuple[float, ...] = (0.25, 0.5, 0.75),
     tol: float = 1e-9,
@@ -575,8 +553,8 @@ def minkowski_first_check(
         seed=seed, can_refine=False,
     )
     surf = surface_area_funcs if is_func else surface_area_sets
-    s_ab = surf(a, b, mu, p, alphas, eps_schedule, lambda_points)
-    s_aa = surf(a, a, mu, p, alphas, eps_schedule, lambda_points)
+    s_ab = surf(a, b, mu, p, alphas, lambda_points)
+    s_aa = surf(a, a, mu, p, alphas, lambda_points)
     lhs = s_ab.estimate
     rhs = s_aa.estimate + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
     report = InequalityReport.from_values(
@@ -603,7 +581,6 @@ def mixed_volume_quantities(
     F: FSpec,
     p: float,
     alphas: PowerVector,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
     lambda_points: int = 64,
 ) -> tuple[float, float]:
     """First-variation pair (V, M).
@@ -614,12 +591,12 @@ def mixed_volume_quantities(
     geometric schedule.
     """
     d1 = F.derivative_at_one
-    v = d1 * surface_area_sets(a, b, mu, p, alphas, eps_schedule, lambda_points).estimate
+    v = d1 * surface_area_sets(a, b, mu, p, alphas, lambda_points).estimate
     spec = _t_free_spec(p, alphas, lambda_points)
     exact = isinstance(a, StaircaseSet) and mu.is_lebesgue
     mu_a = a.volume if exact else measure_of(a, mu)
     qs = []
-    for eps in eps_schedule:
+    for eps in EPS_SCHEDULE:
         c = 1.0 - float(eps)
         ca = scalar_dilate(c, a, spec)
         val = ca.volume if exact else measure_of(ca, mu)
@@ -636,14 +613,13 @@ def mixed_volume_check(
     F: FSpec,
     p: float,
     alphas: PowerVector,
-    eps_schedule: tuple[float, ...] = EPS_SCHEDULE,
     lambda_points: int = 64,
     tol: float = 1e-9,
     seed: int = 0,
     can_refine: bool = True,
 ) -> InequalityReport:
     """V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)."""
-    v, m = mixed_volume_quantities(a, b, mu, F, p, alphas, eps_schedule, lambda_points)
+    v, m = mixed_volume_quantities(a, b, mu, F, p, alphas, lambda_points)
     mu_a, mu_b, _ = _pair_measures(a, b, mu)
     d1 = F.derivative_at_one
     lhs = v + d1 * m

@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -155,8 +156,9 @@ class BoxUnion:
         """The boxes as one (m, 2, dim) float array of (lo, hi) rows."""
         return np.asarray(self.boxes, dtype=float).reshape(len(self.boxes), 2, self.dim)
 
-    @property
+    @cached_property
     def volume(self) -> float:
+        # the boxes never change, so one sweep serves every read
         return box_union_volume(self)
 
     def to_json(self) -> dict:
@@ -424,13 +426,6 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
 # volumes and sections
 
 
-def volume(s) -> float:
-    """Volume of any carrier defined in this module."""
-    if isinstance(s, (IntervalUnion, BoxUnion, StaircaseSet, GridPointSet)):
-        return s.volume
-    raise DomainError(f"no volume for {type(s).__name__}")
-
-
 @dataclass(frozen=True)
 class SectionProfile:
     """Section volume function u -> V_{k+1}(A cap (span(e_1..e_k) x R_+ + u)).
@@ -447,10 +442,6 @@ class SectionProfile:
     @property
     def sup_norm(self) -> float:
         return float(np.max(self.values)) if self.values.size else 0.0
-
-    def integral(self) -> float:
-        d = 0 if self.grid is None else self.grid.ndim
-        return float(np.sum(self.values)) * self.spacing**d
 
 
 def _integrate_leading(values: np.ndarray, grid: Grid, k: int) -> SectionProfile:

@@ -75,6 +75,7 @@ KINDS = (INTERVAL_UNIONS, BOX_UNIONS, STAIRCASES, GRID_FUNCTIONS, DENSITIES)
 REFINE_BUDGET = 2  # levels of doubling before fail is allowed
 _R_POINTS = 64
 _EXACT_TOL = 1e-9
+_VALUE_RANGE = (0.2, 2.0)  # cell values of staircase and function draws
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +96,6 @@ class InstanceGen:
     dim: int = 1
     cells: int = 6
     pieces: int = 3
-    lo: float = 0.2
-    hi: float = 2.0
     zero_frac: float = 0.18
 
     def __post_init__(self) -> None:
@@ -144,11 +143,11 @@ class InstanceGen:
             int(rng.integers(max(2, self.cells - 2), self.cells + 3))
             for _ in range(self.dim)
         )
-        values = rng.uniform(self.lo, self.hi, size=shape)
+        values = rng.uniform(*_VALUE_RANGE, size=shape)
         if self.zero_frac > 0.0:
             values[rng.random(shape) < self.zero_frac] = 0.0
             if not values.any():
-                values.flat[0] = self.hi
+                values.flat[0] = _VALUE_RANGE[1]
         return Grid((0.0,) * self.dim, 0.25, shape), values
 
     def _density(self, rng) -> DensityMeasure:
@@ -165,6 +164,36 @@ class InstanceGen:
         return gaussian_density(grid, center, float(rng.uniform(0.8, 2.0)))
 
 
+def _pairs(kind: str, dim: int, period: int = 0, **sizes):
+    """Builder of the operand pair (draw 2i, draw 2i+1) of run i.
+
+    With a period, every run i with i % period == period - 1 draws one
+    dimension up.  The keyword sizes go to InstanceGen unchanged.
+    """
+    def build(seed: int, index: int):
+        up = period and index % period == period - 1
+        gen = InstanceGen(kind, seed=seed, dim=dim + 1 if up else dim, **sizes)
+        return gen.draw(2 * index), gen.draw(2 * index + 1)
+    return build
+
+
+def _measure_instance(seed: int, index: int):
+    a, b = _pairs(STAIRCASES, 1, cells=6, zero_frac=0.0)(seed, index)
+    return a, b, InstanceGen(DENSITIES, seed=seed, dim=2).draw(index)
+
+
+def _minkowski_instance(seed: int, index: int):
+    raw, b = _pairs(STAIRCASES, 1, cells=5, zero_frac=0.0)(seed, index)
+    # the first operand must be closed under its own lam combinations
+    # (self-sum equal to its dilate), which anchored boxes are exactly;
+    # rough first operands gain first-order corner bulk in the
+    # self-quotient and push the right side above the true variation
+    box = StaircaseSet(raw.grid, np.full(raw.grid.shape, raw.sup_height))
+    # surface checks run against volume: tagged densities have no
+    # provable concavity here and would only ever reach refine
+    return box, b, lebesgue(Grid((0.0, 0.0), 0.25, (48, 48)))
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -177,9 +206,11 @@ def _draw_p(rng) -> float:
     return float(rng.choice(np.asarray([1.0, 1.5, 2.0, 3.0]), p=[0.3, 0.2, 0.3, 0.2]))
 
 
-def _lam_points(base: int, level: int) -> int:
+def _levels(params) -> tuple[int, bool]:
+    """(lam points at the run's level, whether a finer level is left)."""
+    level = params["level"]
     # (b+1)*2^k - 1 keeps the lam grids nested level to level
-    return (base + 1) * (1 << level) - 1
+    return (params["lambda_points"] + 1) * (1 << level) - 1, level < REFINE_BUDGET
 
 
 def _pair_at_level(instance, level: int):
@@ -254,7 +285,7 @@ def _base_reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     return tuple(extras)
 
 
-def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POINTS):
+def _layered_base_integral(prof_a, prof_b, p, t, lambda_points):
     """Right-endpoint quadrature of r -> V(base sum of the r-superlevels).
 
     The integrand is nonincreasing in r, so the rule underestimates the
@@ -262,8 +293,8 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POIN
     """
     acc = 0.0
     prev = None
-    for j in range(1, r_points + 1):
-        r = j / r_points
+    for j in range(1, _R_POINTS + 1):
+        r = j / _R_POINTS
         masks = (superlevel_mask(prof_a, r), superlevel_mask(prof_b, r))
         # adjacent r levels often cut the same cells; their base sum is the same
         if prev is None or not all(map(np.array_equal, masks, prev)):
@@ -271,7 +302,7 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points, r_points=_R_POIN
                 superlevel(prof_a, r), superlevel(prof_b, r), p, t, lambda_points
             ).volume
             prev = masks
-        acc += vol / r_points
+        acc += vol / _R_POINTS
     return acc
 
 
@@ -388,8 +419,7 @@ def check_compression_monotone(instance, params):
     """
     a, b = instance
     p, t, alpha = params["p"], params["t"], params["alpha"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     spec = SumSpec(p, PowerVector((1.0,) * (a.dim - 1) + (alpha,)), t, lp)
     ca, cb = compress(a), compress(b)
     drift = max(abs(ca.volume - a.volume), abs(cb.volume - b.volume))
@@ -399,7 +429,7 @@ def check_compression_monotone(instance, params):
     tol = _EXACT_TOL + 0.5 * scale / (lp + 1)
     report = _report(
         "compression_monotone", params, lhs, rhs, tol,
-        lambda_points=lp, can_refine=level < REFINE_BUDGET,
+        lambda_points=lp, can_refine=can_refine,
         extra={"volume_drift": drift},
     )
     if drift > 1e-12 * scale and report.verdict != FAIL:
@@ -417,15 +447,14 @@ def check_bm_curvilinear(instance, params):
     contains the slice attaining the bound.
     """
     a, b = _pair_at_level(instance, params["level"])
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     spec = SumSpec(params["p"], PowerVector(tuple(params["alphas"])), params["t"], lp)
     rhs, spec, extra = _branch_bound(spec, a.volume, b.volume)
     lhs, grid_h = _sum_volume(a, b, spec)
     if grid_h is None:
         tol, can_refine = _EXACT_TOL, False
     else:
-        tol, can_refine = params["c"] * grid_h, level < REFINE_BUDGET
+        tol = params["c"] * grid_h
     return _report(
         "bm_curvilinear", params, lhs, rhs, tol,
         grid_h=grid_h, lambda_points=lp, can_refine=can_refine, extra=extra,
@@ -443,11 +472,10 @@ def check_refinement(instance, params):
     """
     a, b = _pair_at_level(instance, params["level"])
     p, t, alpha = params["p"], params["t"], params["alpha"]
-    level = params["level"]
+    lp, can_refine = _levels(params)
     n = a.base_dim
     a0 = normalized_compression(a, 0)
     b0 = normalized_compression(b, 0)
-    lp = _lam_points(params["lambda_points"], level)
     spec_mean = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     extras = _base_reach_extras(a0, b0, spec_mean)
     spec_mean = spec_mean.with_extra_lambdas(extras)
@@ -466,7 +494,7 @@ def check_refinement(instance, params):
     return _report(
         "refinement", params, v_mean, layers, tol,
         slack=min(slack1, slack2), grid_h=out_grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET,
+        can_refine=can_refine,
         extra={"slack_mean_min": slack1, "slack_min_layers": slack2,
                "middle": v_min},
     )
@@ -481,9 +509,8 @@ def check_normalized_bm(instance, params):
     """
     a, b = _pair_at_level(instance, params["level"])
     p, t, alpha = params["p"], params["t"], params["alpha"]
-    level = params["level"]
+    lp, can_refine = _levels(params)
     n = a.base_dim
-    lp = _lam_points(params["lambda_points"], level)
     spec = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     spec = spec.with_extra_lambdas(_base_reach_extras(a, b, spec))
     sa, sb = a.sup_height, b.sup_height
@@ -497,7 +524,7 @@ def check_normalized_bm(instance, params):
     tol = params["c"] * h * max(1.0, factor)
     return _report(
         "normalized_bm", params, lhs, rhs, tol,
-        grid_h=h, lambda_points=lp, can_refine=level < REFINE_BUDGET,
+        grid_h=h, lambda_points=lp, can_refine=can_refine,
         extra={"sum_volume": vol, "factor": factor},
     )
 
@@ -512,8 +539,7 @@ def check_sectional(instance, params):
     a, b = _pair_at_level(instance, params["level"])
     p, t = params["p"], params["t"]
     alpha, beta, k = params["alpha"], params["beta"], params["k"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     n = a.base_dim
     spec = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     spec = spec.with_extra_lambdas((t,))
@@ -526,7 +552,7 @@ def check_sectional(instance, params):
     return _report(
         "sectional", params, lhs, rhs, tol,
         grid_h=out.grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET, extra={"delta": delta},
+        can_refine=can_refine, extra={"delta": delta},
     )
 
 
@@ -539,8 +565,7 @@ def check_bbl(instance, params):
     """
     f, g = _pair_at_level(instance, params["level"])
     p, t, alpha = params["p"], params["t"], params["alpha"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     spec = SumSpec(p, PowerVector((1.0,) * f.ndim + (alpha,)), t, lp)
     rhs, spec, extra = _branch_bound(spec, f.integral, g.integral)
     witness = bbl_min_witness(f, g, spec)
@@ -549,7 +574,7 @@ def check_bbl(instance, params):
     return _report(
         "bbl", params, lhs, rhs, tol,
         grid_h=witness.grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET, extra=extra,
+        can_refine=can_refine, extra=extra,
     )
 
 
@@ -564,9 +589,8 @@ def check_marginal_bbl(instance, params):
     f, g = _pair_at_level(instance, params["level"])
     p, t = params["p"], params["t"]
     alpha, beta, k = params["alpha"], params["beta"], params["k"]
-    level = params["level"]
+    lp, can_refine = _levels(params)
     n = f.ndim
-    lp = _lam_points(params["lambda_points"], level)
     spec = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     spec = spec.with_extra_lambdas((t,))
     witness = bbl_min_witness(f, g, spec)
@@ -589,7 +613,7 @@ def check_marginal_bbl(instance, params):
     return _report(
         "marginal_bbl", params, lhs, rhs, tol,
         grid_h=witness.grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET, extra={"exponent": exponent},
+        can_refine=can_refine, extra={"exponent": exponent},
     )
 
 
@@ -606,8 +630,7 @@ def check_measure_bm(instance, params):
     mu = instance[2]
     p, t = params["p"], params["t"]
     alpha, beta, k = params["alpha"], params["beta"], params["k"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     n = a.base_dim + 1
     spec = SumSpec(p, PowerVector((1.0,) * n), t, lp)
     spec = spec.with_extra_lambdas((t,))
@@ -622,8 +645,7 @@ def check_measure_bm(instance, params):
     tol = params["c"] * out.grid.spacing
     return _report(
         "measure_bm", params, lhs, rhs, tol,
-        grid_h=out.grid.spacing, lambda_points=lp,
-        can_refine=level < REFINE_BUDGET,
+        grid_h=out.grid.spacing, lambda_points=lp, can_refine=can_refine,
         extra={"density": "lebesgue" if mu.is_lebesgue else "tagged"},
     )
 
@@ -637,15 +659,13 @@ def check_minkowski_first(instance, params):
     """
     a, b, mu = instance
     p, t = params["p"], params["t"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     alphas = PowerVector(tuple(params["alphas"]))
     if params["fkind"] == F_LOG:
         fmap = FSpec(F_LOG)
     else:
         fmap = FSpec(F_POWER, params["fparam"])
-    kwargs = dict(lambda_points=lp, seed=params["run_seed"],
-                  can_refine=level < REFINE_BUDGET)
+    kwargs = dict(lambda_points=lp, seed=params["run_seed"], can_refine=can_refine)
     if params["route"] == "mixed":
         inner = mixed_volume_check(a, b, mu, fmap, p, alphas, **kwargs)
     else:
@@ -667,8 +687,7 @@ def check_power_monotonicity(instance, params):
     """
     a, b = _pair_at_level(instance, params["level"])
     p, t = params["p"], params["t"]
-    level = params["level"]
-    lp = _lam_points(params["lambda_points"], level)
+    lp, can_refine = _levels(params)
     mode = CURVILINEAR if params["mode"] == "curvilinear" else QUASI
     form = WITH_T if params["form"] == "with_t" else T_FREE
     spec_lo = SumSpec(p, PowerVector(tuple(params["alphas_low"])), t, lp, mode, form)
@@ -691,7 +710,7 @@ def check_power_monotonicity(instance, params):
     return _report(
         "power_monotonicity", params, s_big.volume, s_small.volume, tol,
         slack=margin, grid_h=grid.spacing, lambda_points=lp,
-        can_refine=not exact and level < REFINE_BUDGET,
+        can_refine=can_refine and not exact,
         extra={"pointwise": True},
     )
 
@@ -896,93 +915,50 @@ def _params_power_mono(rng, instance):
 # dispatch
 
 
-_CHECK_FNS = {
-    "lemma_1d": check_lemma_1d,
-    "compression_monotone": check_compression_monotone,
-    "bm_curvilinear": check_bm_curvilinear,
-    "refinement": check_refinement,
-    "normalized_bm": check_normalized_bm,
-    "sectional": check_sectional,
-    "bbl": check_bbl,
-    "marginal_bbl": check_marginal_bbl,
-    "measure_bm": check_measure_bm,
-    "minkowski_first": check_minkowski_first,
-    "power_monotonicity": check_power_monotonicity,
+# id -> (check, parameter draw, instance builder, default-suite count)
+_CHECKS = {
+    "lemma_1d": (check_lemma_1d, _params_lemma_1d,
+                 _pairs(INTERVAL_UNIONS, 1, pieces=3), 40),
+    "compression_monotone": (check_compression_monotone, _params_compression,
+                             _pairs(BOX_UNIONS, 2, 4, pieces=4), 20),
+    "bm_curvilinear": (check_bm_curvilinear, _params_bm,
+                       _pairs(STAIRCASES, 1, 3, cells=6), 28),
+    "refinement": (check_refinement, _params_refinement,
+                   _pairs(STAIRCASES, 1, 4, cells=6), 10),
+    "normalized_bm": (check_normalized_bm, _params_normalized_bm,
+                      _pairs(STAIRCASES, 1, 4, cells=6), 10),
+    "sectional": (check_sectional, _params_sectional,
+                  _pairs(STAIRCASES, 2, cells=5), 12),
+    "bbl": (check_bbl, _params_bbl, _pairs(GRID_FUNCTIONS, 1, 3, cells=5), 18),
+    "marginal_bbl": (check_marginal_bbl, _params_marginal_bbl,
+                     _pairs(GRID_FUNCTIONS, 2, cells=5), 10),
+    "measure_bm": (check_measure_bm, _params_measure_bm, _measure_instance, 10),
+    "minkowski_first": (check_minkowski_first, _params_minkowski,
+                        _minkowski_instance, 6),
+    "power_monotonicity": (check_power_monotonicity, _params_power_mono,
+                           _pairs(STAIRCASES, 1, 4, cells=5, zero_frac=0.0), 16),
 }
-CHECK_IDS = tuple(_CHECK_FNS)
+CHECK_IDS = tuple(_CHECKS)
+# run_check and shrink call checks through this dict, so a wrapper
+# installed over one of its values sees every check run
+_CHECK_FNS = {cid: row[0] for cid, row in _CHECKS.items()}
 
-_PARAM_DRAWS = {
-    "lemma_1d": _params_lemma_1d,
-    "compression_monotone": _params_compression,
-    "bm_curvilinear": _params_bm,
-    "refinement": _params_refinement,
-    "normalized_bm": _params_normalized_bm,
-    "sectional": _params_sectional,
-    "bbl": _params_bbl,
-    "marginal_bbl": _params_marginal_bbl,
-    "measure_bm": _params_measure_bm,
-    "minkowski_first": _params_minkowski,
-    "power_monotonicity": _params_power_mono,
-}
+
+def _row(check_id: str):
+    try:
+        return _CHECKS[check_id]
+    except KeyError:
+        raise RangeError(f"unknown check id {check_id!r}") from None
 
 
 def make_instance(check_id: str, seed: int, index: int):
     """Build the deterministic instance for one check run."""
-    if check_id == "lemma_1d":
-        gen = InstanceGen(INTERVAL_UNIONS, seed=seed, pieces=3)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "compression_monotone":
-        dim = 3 if index % 4 == 3 else 2
-        gen = InstanceGen(BOX_UNIONS, seed=seed, dim=dim, pieces=4)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "bm_curvilinear":
-        dim = 2 if index % 3 == 2 else 1
-        gen = InstanceGen(STAIRCASES, seed=seed, dim=dim, cells=6)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id in ("refinement", "normalized_bm"):
-        dim = 2 if index % 4 == 3 else 1
-        gen = InstanceGen(STAIRCASES, seed=seed, dim=dim, cells=6)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "sectional":
-        gen = InstanceGen(STAIRCASES, seed=seed, dim=2, cells=5)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "bbl":
-        dim = 2 if index % 3 == 2 else 1
-        gen = InstanceGen(GRID_FUNCTIONS, seed=seed, dim=dim, cells=5)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "marginal_bbl":
-        gen = InstanceGen(GRID_FUNCTIONS, seed=seed, dim=2, cells=5)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    if check_id == "measure_bm":
-        sgen = InstanceGen(STAIRCASES, seed=seed, dim=1, cells=6, zero_frac=0.0)
-        dgen = InstanceGen(DENSITIES, seed=seed, dim=2)
-        return sgen.draw(2 * index), sgen.draw(2 * index + 1), dgen.draw(index)
-    if check_id == "minkowski_first":
-        sgen = InstanceGen(STAIRCASES, seed=seed, dim=1, cells=5, zero_frac=0.0)
-        raw = sgen.draw(2 * index)
-        # the first operand must be closed under its own lam combinations
-        # (self-sum equal to its dilate), which anchored boxes are exactly;
-        # rough first operands gain first-order corner bulk in the
-        # self-quotient and push the right side above the true variation
-        box = StaircaseSet(
-            raw.grid, np.full(raw.grid.shape, raw.sup_height)
-        )
-        # surface checks run against volume: tagged densities have no
-        # provable concavity here and would only ever reach refine
-        mu = lebesgue(Grid((0.0, 0.0), 0.25, (48, 48)))
-        return box, sgen.draw(2 * index + 1), mu
-    if check_id == "power_monotonicity":
-        dim = 2 if index % 4 == 3 else 1
-        gen = InstanceGen(STAIRCASES, seed=seed, dim=dim, cells=5, zero_frac=0.0)
-        return gen.draw(2 * index), gen.draw(2 * index + 1)
-    raise RangeError(f"unknown check id {check_id!r}")
+    return _row(check_id)[2](seed, index)
 
 
 def make_params(check_id: str, seed: int, index: int, instance) -> dict:
     """Draw the deterministic parameter set for one check run."""
-    if check_id not in _PARAM_DRAWS:
-        raise RangeError(f"unknown check id {check_id!r}")
-    params = _PARAM_DRAWS[check_id](_param_rng(check_id, seed, index), instance)
+    params = _row(check_id)[1](_param_rng(check_id, seed, index), instance)
     params["seed"] = int(seed)
     params["index"] = int(index)
     params["run_seed"] = int(seed) * 1000 + int(index)
@@ -1008,13 +984,12 @@ def run_check(check_id: str, seed: int, index: int, level: int = 0,
 
 
 def run_check_refined(check_id: str, seed: int, index: int,
-                      budget: int = REFINE_BUDGET,
                       lambda_points: int | None = None,
                       start_level: int = 0) -> InequalityReport:
     """Run a check, doubling densities while the verdict stays refine."""
     level = int(start_level)
     report = run_check(check_id, seed, index, level, lambda_points)
-    while report.verdict == REFINE and level < budget:
+    while report.verdict == REFINE and level < REFINE_BUDGET:
         level += 1
         report = run_check(check_id, seed, index, level, lambda_points)
     return report
@@ -1100,29 +1075,14 @@ def shrink(report: InequalityReport) -> InequalityReport:
 # suite
 
 
-_DEFAULT_COUNTS = {
-    "lemma_1d": 40,
-    "compression_monotone": 20,
-    "bm_curvilinear": 28,
-    "refinement": 10,
-    "normalized_bm": 10,
-    "sectional": 12,
-    "bbl": 18,
-    "marginal_bbl": 10,
-    "measure_bm": 10,
-    "minkowski_first": 6,
-    "power_monotonicity": 16,
-}
-
-
-def default_suite(seed: int = 0, name: str = "default") -> dict:
+def default_suite(seed: int = 0) -> dict:
     """Manifest covering every check with the stock instance counts."""
     return {
-        "suite": name,
+        "suite": "default",
         "seed": int(seed),
         "checks": [
-            {"check": cid, "count": _DEFAULT_COUNTS[cid], "seed": int(seed)}
-            for cid in CHECK_IDS
+            {"check": cid, "count": row[3], "seed": int(seed)}
+            for cid, row in _CHECKS.items()
         ],
     }
 
@@ -1156,8 +1116,7 @@ def run_suite(manifest: dict, workers: int = 1) -> SuiteResult:
     jobs = []
     for entry in manifest["checks"]:
         cid = entry["check"]
-        if cid not in _CHECK_FNS:
-            raise RangeError(f"unknown check id {cid!r}")
+        _row(cid)
         seed = int(entry.get("seed", manifest.get("seed", 0)))
         jobs.extend((cid, seed, i, lam, level) for i in range(int(entry["count"])))
     if workers > 1 and len(jobs) > 1:
@@ -1186,10 +1145,14 @@ def write_reports_jsonl(path: str, reports) -> None:
             fh.write("\n")
 
 
-def write_summary_csv(path: str, summary) -> None:
+def _write_summary(stream, summary) -> None:
+    """Summary rows as CSV with a header line, to an open text stream."""
     fields = ("check_id", "runs", "passes", "refines", "min_slack")
+    writer = csv.DictWriter(stream, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows(summary)
+
+
+def write_summary_csv(path: str, summary) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in summary:
-            writer.writerow({k: row[k] for k in fields})
+        _write_summary(fh, summary)

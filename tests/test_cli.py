@@ -76,12 +76,32 @@ def test_flag_parsing_covers_documented_surface():
     cfg = cli.config_from_args([
         "sum", "--a", "x.json", "--b", "y.json", "--p", "1.5", "--t", "0.3",
         "--alphas", "1,0.5", "--lambda-points", "17", "--grid", "1",
-        "--seed", "9", "--workers", "3", "--out", "o.json",
-        "--format", "json"])
+        "--out", "o.json", "--format", "json"])
     assert cfg == RunConfig(command="sum", a="x.json", b="y.json", p=1.5,
                             t=0.3, alphas=(1.0, 0.5), lambda_points=17,
-                            grid=1, seed=9, workers=3, out="o.json",
-                            format="json")
+                            grid=1, out="o.json", format="json")
+    cfg = cli.config_from_args([
+        "verify", "--suite", "m.json", "--seed", "9", "--workers", "3",
+        "--grid", "1", "--lambda-points", "17", "--out", "d",
+        "--format", "csv"])
+    assert cfg == RunConfig(command="verify", suite="m.json", seed=9,
+                            workers=3, grid=1, lambda_points=17, out="d",
+                            format="csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", "2"],
+    ["sum", "--a", "x.json", "--b", "y.json", "--workers", "2"],
+    ["compress", "--a", "x.json", "--grid", "1"],
+    ["surface", "--a", "x.json", "--b", "y.json", "--t", "0.3"],
+])
+def test_flags_a_command_does_not_read_exit_2(monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("no command may start")
+
+    monkeypatch.setattr(cli, "run", no_work)
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_workers_fallback_order(monkeypatch):
@@ -209,6 +229,21 @@ def test_wrong_power_count_exits_2(tmp_path):
     paths = write_inputs(tmp_path)
     assert cli.run(RunConfig(command="sum", a=paths["a"], b=paths["b"],
                              alphas=(1.0, 1.0, 1.0))) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"intervals": [[0.0, 1.0], [1.5, 2.0]]},
+    {"dim": 2, "boxes": [{"lo": [0.0, 0.0], "hi": [1.0, 0.5]}]},
+])
+def test_sum_grid_on_interval_or_box_operands_exits_2(tmp_path, capsys,
+                                                      payload):
+    path = tmp_path / "operand.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "sum.json"
+    assert cli.main(["sum", "--a", str(path), "--b", str(path), "--grid", "1",
+                     "--out", str(out)]) == 2
+    assert "--grid refines staircase operands only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_manifest_exits_2(tmp_path):

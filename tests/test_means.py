@@ -242,7 +242,6 @@ def test_power_vector():
 
     x = PowerVector((1.0, 0.5))
     assert x.delta(2.0, 1) == pytest.approx(1.0 / (2.0 + 0.5 + 1.0))
-    assert x.omega(2.0) == x.delta(2.0, 1)
 
     # a zero power degenerates the combination exponent to zero
     z = PowerVector((1.0, 0.0))
@@ -259,4 +258,3 @@ def test_mean_params_validation():
         MeanParams(p=-1.0, t=0.5, lam=0.5)
     params = MeanParams(p=3.0, t=0.25, lam=0.25)
     assert params.q == pytest.approx(1.5)
-    assert 0 < params.theta_lambda < 1

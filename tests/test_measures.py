@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,7 @@ from curvilin import (
     PowerVector,
     RangeError,
 )
+from curvilin import measures
 from curvilin.curvsum import SumSpec
 from curvilin.measures import (
     EPS_SCHEDULE,
@@ -18,7 +17,6 @@ from curvilin.measures import (
     SurfaceEstimate,
     f_concavity_check,
     gaussian_density,
-    indicator_density,
     lebesgue,
     measure_of,
     minkowski_first_check,
@@ -68,7 +66,6 @@ def test_density_constructors_pass_spot_check():
     g1 = Grid((0.0,), 0.125, (32,))
     g2 = Grid((0.0, 0.0), 0.25, (16, 16))
     assert lebesgue(g1).is_lebesgue
-    assert indicator_density(g2, (2, 2), (9, 11)).alpha_concavity == math.inf
     assert tent_density(g1, (2.0,), 2.0).alpha_concavity == 1.0
     assert gaussian_density(g2, (2.0, 2.0), 1.0).alpha_concavity == 0.0
 
@@ -291,6 +288,23 @@ def test_f_concavity_same_set_small_slack():
     rep = f_concavity_check(a, a, mu, F, spec, tol=0.1)
     assert rep.verdict == "pass"
     assert abs(rep.slack) <= 0.1
+
+
+def test_f_concavity_keeps_the_callers_extra_lambdas(monkeypatch):
+    seen = []
+
+    def recording(a, b, spec):
+        seen.append(spec)
+        return exact(a, b, spec)
+
+    exact = measures.staircase_sum_volume_exact
+    monkeypatch.setattr(measures, "staircase_sum_volume_exact", recording)
+    a, b = rng_staircase(31), rng_staircase(32)
+    spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=8,
+                   extra_lambdas=(0.001,))
+    f_concavity_check(a, b, line_density(slope=0.0), FSpec("power", 0.75), spec)
+    assert [s.t for s in seen] == [0.25, 0.5, 0.75]
+    assert all(s.extra_lambdas == (0.001,) for s in seen)
 
 
 def test_f_concavity_zero_measure_passes():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvilin import sets
 from curvilin.errors import (
     DegenerateInputError,
     DomainError,
@@ -26,7 +27,6 @@ from curvilin.sets import (
     section_profile,
     set_from_json,
     superlevel,
-    volume,
 )
 
 
@@ -121,6 +121,19 @@ def _box_unions(draw):
 @settings(max_examples=300, deadline=None)
 def test_box_union_volume_equals_loop_oracle(u):
     assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+def test_box_union_volume_is_computed_once(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return box_union_volume(u)
+
+    monkeypatch.setattr(sets, "box_union_volume", counted)
+    u = BoxUnion(2, (((0, 0), (1, 2)), ((0.5, 1), (2, 3)), ((3, 0), (4, 1))))
+    assert u.volume == u.volume == box_union_volume_ie(u)
+    assert len(calls) == 1
 
 
 def test_box_union_volume_prefix_sums_stay_in_place():
@@ -271,7 +284,6 @@ def test_section_profile_k1():
     # integrate over the first axis: columns summed times spacing
     assert p.values == pytest.approx([0.5 * 4.0, 0.5 * 6.0])
     assert p.sup_norm == pytest.approx(3.0)
-    assert p.integral() == pytest.approx(s.volume)
 
 
 def test_superlevel():
@@ -315,9 +327,3 @@ def test_grid_point_set_volume():
     g = GridPointSet(np.array([[0.0, 0.0], [0.5, 0.5]]), spacing=0.5)
     assert g.volume == pytest.approx(2 * 0.25)
     assert g.dim == 2
-
-
-def test_volume_dispatch():
-    assert volume(IntervalUnion(((0, 2),))) == 2.0
-    with pytest.raises(DomainError):
-        volume("nonsense")
