@@ -1,7 +1,9 @@
 """Command line front end: run suites, apply operators to files, emit reports.
 
-Every command is a thin wrapper over one library entry point and takes
-only the flags it reads:
+The command line is the only way in: ``main(argv)`` parses argv and
+``run`` hands the parsed namespace to the command's handler.  Every
+command is a thin wrapper over one library entry point and takes only
+the flags it reads:
 
 * ``verify``   --suite --seed --workers --grid --lambda-points --out --format
 * ``sum``      --a --b --grid --lambda-points --p --t --alphas --out --format
@@ -9,10 +11,14 @@ only the flags it reads:
 * ``compress`` --a --out --format
 * ``surface``  --a --b --grid --lambda-points --p --alphas --out --format
 
-Any other flag is a usage error.  Outputs are deterministic for a fixed
-config: JSON is dumped with sorted keys, suites order their reports by
-check id and seed, and nothing here stamps times or hostnames into
-artifacts.
+Any other flag is a usage error.  Defaults: ``--suite default``,
+``--seed 0``, ``--workers`` from ``CURVILIN_WORKERS`` else the CPU count,
+``--grid`` and ``--lambda-points`` the manifest's values for ``verify``
+and 0 (no refinement) and 64 for the operators, ``--p 1``, ``--t 0.5``,
+``--alphas`` all 1, ``--out`` stdout, ``--format`` csv for ``verify`` and
+json otherwise.  Outputs are deterministic for a fixed command line: JSON
+is dumped with sorted keys, suites order their reports by check id and
+seed, and nothing here stamps times or hostnames into artifacts.
 
 Exit codes: 0 when no check failed (refine verdicts allowed), 1 when any
 suite check reports a fail verdict, 2 on malformed input files or flags.
@@ -27,7 +33,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,117 +60,37 @@ FORMATS = ("json", "csv")
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete description of one invocation; round-trips through JSON."""
-
-    command: str
-    a: str | None = None
-    b: str | None = None
-    suite: str | None = None
-    seed: int = 0
-    workers: int | None = None
-    grid: int | None = None
-    lambda_points: int | None = None
-    p: float = 1.0
-    t: float = 0.5
-    alphas: tuple[float, ...] | None = None
-    out: str | None = None
-    format: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise RangeError(f"unknown command {self.command!r}")
-        if self.format is not None and self.format not in FORMATS:
-            raise RangeError(f"unknown format {self.format!r}")
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "alphas": None if self.alphas is None else list(self.alphas)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RunConfig":
-        alphas = data.get("alphas")
-        return cls(
-            command=data["command"],
-            a=data.get("a"),
-            b=data.get("b"),
-            suite=data.get("suite"),
-            seed=int(data.get("seed", 0)),
-            workers=None if data.get("workers") is None else int(data["workers"]),
-            grid=None if data.get("grid") is None else int(data["grid"]),
-            lambda_points=(None if data.get("lambda_points") is None
-                           else int(data["lambda_points"])),
-            p=float(data.get("p", 1.0)),
-            t=float(data.get("t", 0.5)),
-            alphas=None if alphas is None else tuple(float(x) for x in alphas),
-            out=data.get("out"),
-            format=data.get("format"),
-        )
+# flags
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
         raise RangeError(f"bad alphas list {text!r}") from exc
-    if not vals:
-        raise RangeError("alphas list is empty")
-    return vals
 
 
-# flag -> argparse keywords; defaults live in RunConfig
+# flag -> argparse keywords; the one home of every default
 _FLAGS = {
     "a": dict(required=True, help="first input file"),
     "b": dict(required=True, help="second input file"),
-    "suite": dict(help="'default' (the default) or a manifest JSON path"),
-    "seed": dict(type=int, help="suite seed, default 0"),
+    "suite": dict(default="default",
+                  help="'default' (the default) or a manifest JSON path"),
+    "seed": dict(type=int, default=0, help="suite seed, default 0"),
     "workers": dict(type=int, help="default CURVILIN_WORKERS, else the CPU count"),
     "grid": dict(type=int, help="refinement level; each level doubles the density"),
     "lambda_points": dict(type=int, help="lam grid size; operators default to 64"),
-    "p": dict(type=float, help="exponent p, default 1"),
-    "t": dict(type=float, help="weight t in (0, 1), default 0.5"),
+    "p": dict(type=float, default=1.0, help="exponent p, default 1"),
+    "t": dict(type=float, default=0.5, help="weight t in (0, 1), default 0.5"),
     "alphas": dict(type=_parse_alphas, help="comma separated powers, default all 1"),
     "out": dict(help="output file; for verify, the artifact directory"),
     "format": dict(choices=FORMATS, help="default csv for verify, json otherwise"),
 }
-_OPERANDS = "a b grid lambda_points p t alphas out format"
-_COMMANDS = {
-    "verify": ("run an inequality suite",
-               "suite seed workers grid lambda_points out format"),
-    "sum": ("curvilinear sum of two set files", _OPERANDS),
-    "conv": ("supremal convolution of two function files", _OPERANDS),
-    "compress": ("compress a set file", "a out format"),
-    "surface": ("surface quotient of two staircase files",
-                "a b grid lambda_points p alphas out format"),
-}
-COMMANDS = tuple(_COMMANDS)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="curvilin",
-        description="curvilinear summation operators and inequality suites")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in _COMMANDS.items():
-        # an absent flag stays out of the namespace, so RunConfig fills it in
-        sp = sub.add_parser(command, help=text,
-                            argument_default=argparse.SUPPRESS)
-        for flag in flags.split():
-            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
-                            **_FLAGS[flag])
-    return parser
-
-
-def config_from_args(argv) -> RunConfig:
-    return RunConfig(**vars(build_parser().parse_args(argv)))
-
-
-def _resolve_workers(config: RunConfig) -> int:
+def _resolve_workers(args: argparse.Namespace) -> int:
     """--workers, else CURVILIN_WORKERS, else the CPU count; below 1 is refused."""
-    workers, source = config.workers, "--workers"
+    workers, source = args.workers, "--workers"
     if workers is None:
         env = os.environ.get("CURVILIN_WORKERS")
         if env is None:
@@ -217,13 +142,13 @@ def _payload_rows(payload: dict) -> tuple[list[str], list[list]]:
     return header, [[a, b] for a, b in result["intervals"]]
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    if config.out:
-        target = open(config.out, "w", encoding="ascii", newline="")
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    if args.out:
+        target = open(args.out, "w", encoding="ascii", newline="")
     else:
         target = contextlib.nullcontext(sys.stdout)
     with target as fh:
-        if (config.format or "json") == "json":
+        if (args.format or "json") == "json":
             _dump_json(payload, fh)
         else:
             header, rows = _payload_rows(payload)
@@ -236,39 +161,44 @@ def _emit(payload: dict, config: RunConfig) -> None:
 # commands
 
 
-def _refine_level(config: RunConfig) -> int:
-    level = config.grid or 0
+def _refine_level(args: argparse.Namespace) -> int:
+    level = args.grid or 0
     if level < 0:
         raise RangeError("grid level must be nonnegative")
     return level
 
 
-def _spec_for(config: RunConfig, entries: int) -> SumSpec:
-    alphas = config.alphas
-    if alphas is None:
-        alphas = (1.0,) * entries
+def _powers(args: argparse.Namespace, entries: int) -> PowerVector:
+    alphas = args.alphas or (1.0,) * entries
     if len(alphas) != entries:
         raise RangeError(
             f"need {entries} powers for these operands, got {len(alphas)}")
-    lam = config.lambda_points if config.lambda_points is not None else 64
-    return SumSpec(p=config.p, alphas=PowerVector(alphas), t=config.t,
-                   lambda_points=lam)
+    return PowerVector(alphas)
 
 
-def _run_sum(config: RunConfig) -> int:
-    a = load_set(config.a)
-    b = load_set(config.b)
-    level = _refine_level(config)
+def _lambda_points(args: argparse.Namespace) -> int:
+    return 64 if args.lambda_points is None else args.lambda_points
+
+
+def _spec_for(args: argparse.Namespace, entries: int) -> SumSpec:
+    return SumSpec(p=args.p, alphas=_powers(args, entries), t=args.t,
+                   lambda_points=_lambda_points(args))
+
+
+def _run_sum(args: argparse.Namespace) -> int:
+    a = load_set(args.a)
+    b = load_set(args.b)
+    level = _refine_level(args)
     if level and not isinstance(a, StaircaseSet):
         raise RangeError("--grid refines staircase operands only")
     if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
-        spec = _spec_for(config, 1)
+        spec = _spec_for(args, 1)
         out = curvilinear_sum_1d(a, b, spec)
         vol = out.volume
     elif isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
         if a.dim != b.dim:
             raise DomainError("box unions live in different dimensions")
-        spec = _spec_for(config, a.dim)
+        spec = _spec_for(args, a.dim)
         out = curvilinear_sum_boxes(a, b, spec)
         vol = out.volume
     elif isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet):
@@ -276,35 +206,35 @@ def _run_sum(config: RunConfig) -> int:
             raise DomainError("staircases live in different dimensions")
         if level:
             a, b = a.refined(1 << level), b.refined(1 << level)
-        spec = _spec_for(config, a.base_dim + 1)
+        spec = _spec_for(args, a.base_dim + 1)
         out = curvilinear_sum_grid(a, b, spec)
         vol = out.volume
     else:
         raise DomainError("operands must share one set representation")
     payload = {"kind": "sum", "spec": spec.to_json(),
                "result": out.to_json(), "volume": vol}
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def _run_conv(config: RunConfig) -> int:
-    f = load_function(config.a)
-    g = load_function(config.b)
-    level = _refine_level(config)
+def _run_conv(args: argparse.Namespace) -> int:
+    f = load_function(args.a)
+    g = load_function(args.b)
+    level = _refine_level(args)
     if level:
         f, g = f.refined(1 << level), g.refined(1 << level)
     if f.ndim != g.ndim:
         raise DomainError("functions live in different dimensions")
-    spec = _spec_for(config, f.ndim + 1)
+    spec = _spec_for(args, f.ndim + 1)
     out = sup_convolve(f, g, spec)
     payload = {"kind": "convolution", "spec": spec.to_json(),
                "result": out.to_json(), "integral": out.integral}
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def _run_compress(config: RunConfig) -> int:
-    a = load_set(config.a)
+def _run_compress(args: argparse.Namespace) -> int:
+    a = load_set(args.a)
     if isinstance(a, StaircaseSet):
         boxes, spacing = a.boxes(), a.grid.spacing
     elif isinstance(a, BoxUnion):
@@ -314,7 +244,7 @@ def _run_compress(config: RunConfig) -> int:
     out = compress(boxes, spacing)
     payload = {"kind": "compression", "result": out.to_json(),
                "volume": out.volume, "source_volume": boxes.volume}
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
@@ -328,61 +258,61 @@ def _cover_for(a: StaircaseSet, b: StaircaseSet) -> Grid:
     return Grid((0.0,) * a.base_dim, spacing, tuple(shape))
 
 
-def _run_surface(config: RunConfig) -> int:
-    a = load_set(config.a)
-    b = load_set(config.b)
+def _run_surface(args: argparse.Namespace) -> int:
+    a = load_set(args.a)
+    b = load_set(args.b)
     if not (isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet)):
         raise DomainError("surface quotients expect two staircases")
     if a.base_dim != b.base_dim:
         raise DomainError("staircases live in different dimensions")
-    level = _refine_level(config)
+    level = _refine_level(args)
     if level:
         a, b = a.refined(1 << level), b.refined(1 << level)
-    spec = _spec_for(config, a.base_dim + 1)
-    est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)), spec.p, spec.alphas,
-                            lambda_points=spec.lambda_points)
+    alphas = _powers(args, a.base_dim + 1)
+    # the t-free sum: surface_area_sets checks p and the lam grid size
+    est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)), args.p, alphas,
+                            lambda_points=_lambda_points(args))
     payload = {
         "kind": "surface",
-        "p": config.p,
-        "alphas": list(spec.alphas.alphas),
+        "p": args.p,
+        "alphas": list(alphas.alphas),
         "estimate": est.estimate,
         "trend": est.trend,
         "unsettled": est.unsettled,
         "quotients": [[e, q] for e, q in est.quotients],
     }
-    _emit(payload, config)
+    _emit(payload, args)
     return 0
 
 
-def _load_manifest(config: RunConfig) -> dict:
-    name = config.suite or "default"
-    if name == "default":
-        return verify.default_suite(seed=config.seed)
-    with open(name) as fh:
+def _load_manifest(args: argparse.Namespace) -> dict:
+    if args.suite == "default":
+        return verify.default_suite(seed=args.seed)
+    with open(args.suite) as fh:
         manifest = json.load(fh)
     if "checks" not in manifest:
         raise DomainError("manifest has no checks list")
-    manifest.setdefault("seed", config.seed)
+    manifest.setdefault("seed", args.seed)
     return manifest
 
 
-def _run_verify(config: RunConfig) -> int:
-    manifest = _load_manifest(config)
-    if config.lambda_points is not None:
-        manifest["lambda_points"] = config.lambda_points
-    if config.grid is not None:
-        manifest["grid"] = config.grid
-    result = verify.run_suite(manifest, workers=_resolve_workers(config))
-    fmt = config.format or "csv"
-    if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        with open(os.path.join(config.out, "manifest.json"), "w",
+def _run_verify(args: argparse.Namespace) -> int:
+    manifest = _load_manifest(args)
+    if args.lambda_points is not None:
+        manifest["lambda_points"] = args.lambda_points
+    if args.grid is not None:
+        manifest["grid"] = args.grid
+    result = verify.run_suite(manifest, workers=_resolve_workers(args))
+    fmt = args.format or "csv"
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "manifest.json"), "w",
                   encoding="ascii") as fh:
             _dump_json(manifest, fh)
         verify.write_reports_jsonl(
-            os.path.join(config.out, "reports.jsonl"), result.reports)
+            os.path.join(args.out, "reports.jsonl"), result.reports)
         verify.write_summary_csv(
-            os.path.join(config.out, "summary.csv"), result.summary)
+            os.path.join(args.out, "summary.csv"), result.summary)
     if fmt == "json":
         _dump_json({"kind": "summary", "failures": result.failures,
                     "summary": list(result.summary)}, sys.stdout)
@@ -391,33 +321,48 @@ def _run_verify(config: RunConfig) -> int:
     return 1 if result.failures else 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one config; returns the process exit status."""
-    handlers = {
-        "verify": _run_verify,
-        "sum": _run_sum,
-        "conv": _run_conv,
-        "compress": _run_compress,
-        "surface": _run_surface,
-    }
+# one declaration per command: help text, the flags it reads, its handler
+_OPERANDS = "a b grid lambda_points p t alphas out format"
+_COMMANDS = {
+    "verify": ("run an inequality suite",
+               "suite seed workers grid lambda_points out format", _run_verify),
+    "sum": ("curvilinear sum of two set files", _OPERANDS, _run_sum),
+    "conv": ("supremal convolution of two function files", _OPERANDS, _run_conv),
+    "compress": ("compress a set file", "a out format", _run_compress),
+    "surface": ("surface quotient of two staircase files",
+                "a b grid lambda_points p alphas out format", _run_surface),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="curvilin",
+        description="curvilinear summation operators and inequality suites")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, flags, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for flag in flags.split():
+            sp.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                            **_FLAGS[flag])
+    return parser
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
     try:
-        return handlers[config.command](config)
-    except (CurvilinError, OSError, KeyError,
-            json.JSONDecodeError, ValueError) as exc:
+        return _COMMANDS[args.command][2](args)
+    except (CurvilinError, OSError, KeyError, TypeError, ValueError) as exc:
         print(f"curvilin: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
     try:
-        config = config_from_args(argv)
-    except CurvilinError as exc:
-        print(f"curvilin: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse reports its own message; normalize the status
         return int(exc.code or 0) and 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

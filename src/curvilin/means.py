@@ -18,7 +18,7 @@ that the inequality checks lean on.  Conventions used throughout:
 
 All functions take and return plain floats; the array kernels used by the
 set-summation code live in :mod:`curvilin.curvsum` and are cross-validated
-against these scalars in the test suite.
+against these scalars in ``tests/test_means.py``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import jsonschema
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from curvilin import cli, verify
-from curvilin.cli import RunConfig
 from curvilin.curvsum import SumSpec, curvilinear_sum_grid
 from curvilin.means import PowerVector, mean_alpha
 from curvilin.sets import Grid, StaircaseSet
@@ -42,51 +42,51 @@ def write_inputs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# flags
 
 
-def test_runconfig_roundtrip_is_lossless():
-    configs = [
-        RunConfig(command="verify", suite="default", seed=7, workers=2,
-                  format="csv"),
-        RunConfig(command="sum", a="a.json", b="b.json", p=2.0, t=0.4,
-                  alphas=(1.0, 0.5), lambda_points=33, grid=1),
-        RunConfig(command="compress", a="boxes.json", out="res.json"),
-    ]
-    for cfg in configs:
-        assert RunConfig.from_json(cfg.to_json()) == cfg
-        assert RunConfig.from_json(
-            json.loads(json.dumps(cfg.to_json()))) == cfg
-
-
-def test_runconfig_validates_against_schema():
-    cfg = RunConfig(command="sum", a="a.json", b="b.json",
-                    alphas=(1.0, 1.0))
-    jsonschema.validate(cfg.to_json(), schema("runconfig"))
-
-
-def test_runconfig_rejects_unknown_command():
-    with pytest.raises(Exception):
-        RunConfig(command="explode")
-    with pytest.raises(Exception):
-        RunConfig(command="sum", format="xml")
+def test_unknown_command_or_format_exits_2(capsys):
+    assert cli.main(["explode"]) == 2
+    assert cli.main(["sum", "--a", "x.json", "--b", "y.json",
+                     "--format", "xml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_flag_parsing_covers_documented_surface():
-    cfg = cli.config_from_args([
+    ns = cli.build_parser().parse_args([
         "sum", "--a", "x.json", "--b", "y.json", "--p", "1.5", "--t", "0.3",
         "--alphas", "1,0.5", "--lambda-points", "17", "--grid", "1",
         "--out", "o.json", "--format", "json"])
-    assert cfg == RunConfig(command="sum", a="x.json", b="y.json", p=1.5,
+    assert vars(ns) == dict(command="sum", a="x.json", b="y.json", p=1.5,
                             t=0.3, alphas=(1.0, 0.5), lambda_points=17,
                             grid=1, out="o.json", format="json")
-    cfg = cli.config_from_args([
+    ns = cli.build_parser().parse_args([
         "verify", "--suite", "m.json", "--seed", "9", "--workers", "3",
         "--grid", "1", "--lambda-points", "17", "--out", "d",
         "--format", "csv"])
-    assert cfg == RunConfig(command="verify", suite="m.json", seed=9,
+    assert vars(ns) == dict(command="verify", suite="m.json", seed=9,
                             workers=3, grid=1, lambda_points=17, out="d",
                             format="csv")
+
+
+OPERANDS = dict(grid=None, lambda_points=None, out=None, format=None)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify"], dict(suite="default", seed=0, workers=None, **OPERANDS)),
+    (["sum", "--a", "x", "--b", "y"],
+     dict(a="x", b="y", p=1.0, t=0.5, alphas=None, **OPERANDS)),
+    (["conv", "--a", "x", "--b", "y"],
+     dict(a="x", b="y", p=1.0, t=0.5, alphas=None, **OPERANDS)),
+    (["compress", "--a", "x"], dict(a="x", out=None, format=None)),
+    (["surface", "--a", "x", "--b", "y"],
+     dict(a="x", b="y", p=1.0, alphas=None, **OPERANDS)),
+])
+def test_namespace_holds_exactly_the_commands_flags(argv, expected):
+    ns = cli.build_parser().parse_args(argv)
+    flags = cli._COMMANDS[argv[0]][1].split()
+    assert set(vars(ns)) == {"command"} | set(flags)
+    assert vars(ns) == {"command": argv[0], **expected}
 
 
 @pytest.mark.parametrize("argv", [
@@ -106,11 +106,11 @@ def test_flags_a_command_does_not_read_exit_2(monkeypatch, capsys, argv):
 
 def test_workers_fallback_order(monkeypatch):
     monkeypatch.delenv("CURVILIN_WORKERS", raising=False)
-    assert cli._resolve_workers(RunConfig(command="verify", workers=5)) == 5
+    assert cli._resolve_workers(Namespace(workers=5)) == 5
     monkeypatch.setenv("CURVILIN_WORKERS", "3")
-    assert cli._resolve_workers(RunConfig(command="verify")) == 3
+    assert cli._resolve_workers(Namespace(workers=None)) == 3
     monkeypatch.delenv("CURVILIN_WORKERS")
-    assert cli._resolve_workers(RunConfig(command="verify")) >= 1
+    assert cli._resolve_workers(Namespace(workers=None)) >= 1
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -134,10 +134,8 @@ def test_workers_below_one_are_refused(monkeypatch, capsys, bad):
 def test_sum_matches_library_route(tmp_path):
     paths = write_inputs(tmp_path)
     out = tmp_path / "sum.json"
-    code = cli.run(RunConfig(command="sum", a=paths["a"], b=paths["b"],
-                             p=1.0, t=0.5, alphas=(1.0, 1.0),
-                             out=str(out)))
-    assert code == 0
+    assert cli.main(["sum", "--a", paths["a"], "--b", paths["b"], "--p", "1",
+                     "--t", "0.5", "--alphas", "1,1", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, schema("result"))
     gen = verify.InstanceGen(verify.STAIRCASES, seed=2, dim=1, cells=5,
@@ -153,9 +151,9 @@ def test_sum_output_is_deterministic(tmp_path):
     outs = []
     for tag in ("one", "two"):
         out = tmp_path / f"{tag}.json"
-        cfg = RunConfig(command="sum", a=paths["a"], b=paths["b"], p=2.0,
-                        t=0.4, alphas=(1.0, 0.5), out=str(out))
-        assert cli.run(cfg) == 0
+        assert cli.main(["sum", "--a", paths["a"], "--b", paths["b"],
+                         "--p", "2", "--t", "0.4", "--alphas", "1,0.5",
+                         "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -163,10 +161,8 @@ def test_sum_output_is_deterministic(tmp_path):
 def test_conv_payload_validates(tmp_path):
     paths = write_inputs(tmp_path)
     out = tmp_path / "conv.json"
-    code = cli.run(RunConfig(command="conv", a=paths["f"], b=paths["g"],
-                             p=2.0, t=0.4, alphas=(1.0, 0.5),
-                             out=str(out)))
-    assert code == 0
+    assert cli.main(["conv", "--a", paths["f"], "--b", paths["g"], "--p", "2",
+                     "--t", "0.4", "--alphas", "1,0.5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, schema("result"))
     assert payload["integral"] > 0
@@ -175,9 +171,7 @@ def test_conv_payload_validates(tmp_path):
 def test_compress_preserves_volume_field(tmp_path):
     paths = write_inputs(tmp_path)
     out = tmp_path / "comp.json"
-    code = cli.run(RunConfig(command="compress", a=paths["boxes"],
-                             out=str(out)))
-    assert code == 0
+    assert cli.main(["compress", "--a", paths["boxes"], "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, schema("result"))
     assert payload["volume"] == pytest.approx(payload["source_volume"],
@@ -189,9 +183,8 @@ def test_surface_square_hits_closed_form(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(sq.to_json()))
     out = tmp_path / "surf.json"
-    code = cli.run(RunConfig(command="surface", a=str(path), b=str(path),
-                             p=2.0, out=str(out)))
-    assert code == 0
+    assert cli.main(["surface", "--a", str(path), "--b", str(path), "--p", "2",
+                     "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     jsonschema.validate(payload, schema("result"))
     assert payload["estimate"] == pytest.approx(1.0, rel=0.02)
@@ -200,9 +193,8 @@ def test_surface_square_hits_closed_form(tmp_path):
 def test_csv_format_emits_rows(tmp_path):
     paths = write_inputs(tmp_path)
     out = tmp_path / "sum.csv"
-    code = cli.run(RunConfig(command="sum", a=paths["a"], b=paths["b"],
-                             alphas=(1.0, 1.0), out=str(out), format="csv"))
-    assert code == 0
+    assert cli.main(["sum", "--a", paths["a"], "--b", paths["b"], "--alphas",
+                     "1,1", "--out", str(out), "--format", "csv"]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "x0,height"
     assert len(lines) > 1
@@ -216,19 +208,17 @@ def test_malformed_set_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bogus": 1}')
     paths = write_inputs(tmp_path)
-    assert cli.run(RunConfig(command="sum", a=str(bad),
-                             b=paths["b"])) == 2
+    assert cli.main(["sum", "--a", str(bad), "--b", paths["b"]]) == 2
 
 
 def test_unreadable_path_exits_2(tmp_path):
-    assert cli.run(RunConfig(command="compress",
-                             a=str(tmp_path / "missing.json"))) == 2
+    assert cli.main(["compress", "--a", str(tmp_path / "missing.json")]) == 2
 
 
 def test_wrong_power_count_exits_2(tmp_path):
     paths = write_inputs(tmp_path)
-    assert cli.run(RunConfig(command="sum", a=paths["a"], b=paths["b"],
-                             alphas=(1.0, 1.0, 1.0))) == 2
+    assert cli.main(["sum", "--a", paths["a"], "--b", paths["b"],
+                     "--alphas", "1,1,1"]) == 2
 
 
 @pytest.mark.parametrize("payload", [
@@ -246,11 +236,28 @@ def test_sum_grid_on_interval_or_box_operands_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("sum", {"dim": 2, "boxes": 5}),
+    ("compress", {"dim": 2, "boxes": 5}),
+    ("verify", {"checks": ["lemma_1d"]}),
+])
+def test_malformed_structure_exits_2_without_traceback(tmp_path, capsys,
+                                                       command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    flags = {"sum": ["--a", str(path), "--b", str(path)],
+             "compress": ["--a", str(path)],
+             "verify": ["--suite", str(path), "--workers", "1"]}[command]
+    assert cli.main([command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvilin: ")
+    assert "Traceback" not in err
+
+
 def test_bad_manifest_exits_2(tmp_path):
     man = tmp_path / "man.json"
     man.write_text('{"seed": 0}')
-    assert cli.run(RunConfig(command="verify", suite=str(man),
-                             workers=1)) == 2
+    assert cli.main(["verify", "--suite", str(man), "--workers", "1"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +282,8 @@ def test_verify_writes_validating_artifacts(tmp_path, capsys):
     path, man = small_manifest(tmp_path)
     jsonschema.validate(man, schema("manifest"))
     out_dir = tmp_path / "artifacts"
-    cfg = RunConfig(command="verify", suite=str(path), workers=1,
-                    out=str(out_dir))
-    assert cli.run(cfg) == 0
+    assert cli.main(["verify", "--suite", str(path), "--workers", "1",
+                     "--out", str(out_dir)]) == 0
     caps = capsys.readouterr()
     assert caps.out.splitlines()[0] == "check_id,runs,passes,refines,min_slack"
     report_schema = schema("report")
@@ -292,9 +298,8 @@ def test_verify_writes_validating_artifacts(tmp_path, capsys):
 
 def test_verify_json_summary_validates(tmp_path, capsys):
     path, _ = small_manifest(tmp_path)
-    cfg = RunConfig(command="verify", suite=str(path), workers=1,
-                    format="json")
-    assert cli.run(cfg) == 0
+    assert cli.main(["verify", "--suite", str(path), "--workers", "1",
+                     "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, schema("summary"))
     assert payload["failures"] == 0
@@ -305,9 +310,8 @@ def test_verify_artifacts_are_deterministic(tmp_path, capsys):
     blobs = []
     for tag in ("one", "two"):
         out_dir = tmp_path / tag
-        cfg = RunConfig(command="verify", suite=str(path), workers=1,
-                        out=str(out_dir))
-        assert cli.run(cfg) == 0
+        assert cli.main(["verify", "--suite", str(path), "--workers", "1",
+                         "--out", str(out_dir)]) == 0
         capsys.readouterr()
         blobs.append((out_dir / "reports.jsonl").read_bytes()
                      + (out_dir / "summary.csv").read_bytes())
@@ -320,17 +324,15 @@ def test_verify_fail_verdict_exits_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "mean_alpha", fat_mean)
     path, _ = small_manifest(tmp_path)
-    cfg = RunConfig(command="verify", suite=str(path), workers=1)
-    assert cli.run(cfg) == 1
+    assert cli.main(["verify", "--suite", str(path), "--workers", "1"]) == 1
     capsys.readouterr()
 
 
 def test_lambda_points_override_reaches_reports(tmp_path, capsys):
     path, _ = small_manifest(tmp_path)
     out_dir = tmp_path / "artifacts"
-    cfg = RunConfig(command="verify", suite=str(path), workers=1,
-                    lambda_points=9, out=str(out_dir))
-    assert cli.run(cfg) == 0
+    assert cli.main(["verify", "--suite", str(path), "--workers", "1",
+                     "--lambda-points", "9", "--out", str(out_dir)]) == 0
     capsys.readouterr()
     rows = [json.loads(line) for line in
             (out_dir / "reports.jsonl").read_text().splitlines()]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvilin import (
@@ -10,6 +10,7 @@ from curvilin import (
     MeanParams,
     PowerVector,
     RangeError,
+    SumSpec,
     conjugate,
     gamma_pair,
     holder_product_bound,
@@ -258,3 +259,24 @@ def test_mean_params_validation():
         MeanParams(p=-1.0, t=0.5, lam=0.5)
     params = MeanParams(p=3.0, t=0.25, lam=0.25)
     assert params.q == pytest.approx(1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.just(1.0), st.floats(min_value=0.5, max_value=4.0)),
+       t=unit_open, lam=unit_open, a=pos, b=pos,
+       alpha=st.floats(min_value=1e-2, max_value=4.0), sign=st.sampled_from([-1, 1]),
+       gamma=st.floats(min_value=1e-2, max_value=4.0))
+def test_array_kernels_agree_with_the_scalars(p, t, lam, a, b, alpha, sign, gamma):
+    spec = SumSpec(p=p, alphas=PowerVector((1.0,)), t=t)
+    c, d = spec.coefficients(lam)
+    c0, d0 = lp_coefficients(p, lam, t)
+    assert float(c) == pytest.approx(c0, rel=1e-15, abs=0.0)
+    assert float(d) == pytest.approx(d0, rel=1e-15, abs=0.0)
+    alpha *= sign
+    assert float(spec.pair_lambda_star(a, b, alpha)) == optimal_lambda(a, b, p, t, alpha)
+    # 1 - lam cancels for a crossing within about 1e-15 of an endpoint
+    cross = float(spec.quasi_crossing_lambda(a, b, gamma))
+    assume(1e-6 <= cross <= 1.0 - 1e-6)
+    cc, dd = (float(x) for x in spec.coefficients(cross))
+    at_cross = min(cc ** (1.0 / gamma) * a, dd ** (1.0 / gamma) * b)
+    assert at_cross == pytest.approx(sup_lambda_min_form(a, b, p, t, gamma), rel=1e-9)
