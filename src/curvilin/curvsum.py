@@ -1,13 +1,17 @@
 """Curvilinear and quasi-curvilinear set summation.
 
 The two-set sum is a union over the coefficient parameter lam of
-coordinatewise combined point sets: with coefficients (C, D) drawn from
+coordinatewise combined point sets, with coefficients (C, D) drawn from
 either the with-t form ((1-t)^(1/p) (1-lam)^(1/q), t^(1/p) lam^(1/q)) or the
-t-free form ((1-lam)^(1/q), lam^(1/q)), coordinate i of a combined point is
-the (C, D)-weighted alpha_i-mean of the parent coordinates.  The quasi
-variant replaces the mean by min(C^(1/alpha_i) x_i, D^(1/alpha_i) y_i).
-For p >= 1 the sum is the union over lam, for 0 < p < 1 the intersection
-(supported, flagged experimental).
+t-free form ((1-lam)^(1/q), lam^(1/q)).  ``SumSpec.mode`` picks how
+coordinate i of a combined point is formed: the (C, D)-weighted
+alpha_i-mean of the parent coordinates (``curvilinear``), min(C^(1/alpha_i)
+x_i, D^(1/alpha_i) y_i) (``quasi``), or the convex-combination form that the
+sectional and marginal bounds quantify over, C x_i + D y_i on the base axes
+(all base powers 1, p >= 1) and the quasi min on the vertical axis
+(``convex_quasi``).  ``SumSpec.kernels`` is the (base, vertical) kernel
+pair that every path reads.  For p >= 1 the sum is the union over lam, for
+0 < p < 1 the intersection (supported, flagged experimental).
 
 Grid realization: operands are staircase sets; every pair of support cells
 is combined at every lam of the evaluation set and the result is snapped to
@@ -59,9 +63,9 @@ _PAIR_CHUNK = 1 << 22
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
+CONVEX_QUASI = "convex_quasi"
 WITH_T = "with_t"
 T_FREE = "t_free"
-_MIXED = "mixed"  # internal: affine base, quasi vertical (convex combination form)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class SumSpec:
     def __post_init__(self) -> None:
         if self.p <= 0:
             raise RangeError(f"p must be positive, got {self.p}")
-        if self.mode not in (CURVILINEAR, QUASI):
+        if self.mode not in (CURVILINEAR, QUASI, CONVEX_QUASI):
             raise RangeError(f"unknown mode {self.mode!r}")
         if self.coefficient_form not in (WITH_T, T_FREE):
             raise RangeError(f"unknown coefficient form {self.coefficient_form!r}")
@@ -88,14 +92,27 @@ class SumSpec:
                 raise RangeError("with_t coefficients need t in (0, 1)")
         if self.lambda_points < 1:
             raise RangeError("lambda_points must be >= 1")
-        if self.mode == QUASI and any(a == 0.0 for a in self.alphas.alphas):
+        if self.mode != CURVILINEAR and any(a == 0.0 for a in self.alphas.alphas):
             raise DomainError("quasi summation requires nonzero powers")
+        if self.mode == CONVEX_QUASI:
+            if self.p < 1.0:
+                raise RegimeError("convex combination form covers p >= 1 only")
+            if any(a != 1.0 for a in self.alphas.alphas[:-1]):
+                raise DomainError("convex combination form needs base powers all 1")
         if any(not 0.0 < lam < 1.0 for lam in self.extra_lambdas):
             raise RangeError("extra lam values must lie in (0, 1)")
 
     @property
     def q(self) -> float:
         return conjugate(self.p)
+
+    @property
+    def kernels(self):
+        """(base, vertical) kernel pair of the mode."""
+        return (
+            combine_quasi if self.mode == QUASI else combine,
+            combine if self.mode == CURVILINEAR else combine_quasi,
+        )
 
     def lambda_grid(self) -> np.ndarray:
         n = self.lambda_points
@@ -231,9 +248,9 @@ def _axis_extent(spec: SumSpec, amax: float, bmax: float, alpha: float) -> float
     the grid maximum suffices.
     """
     if spec.p < 1.0:
-        kernel = combine_quasi if spec.mode == QUASI else combine
+        base_kernel = spec.kernels[0]
         c, d = spec.coefficients(spec.lambda_grid())
-        return float(np.max(kernel(amax, bmax, c, d, alpha)))
+        return float(np.max(base_kernel(amax, bmax, c, d, alpha)))
     if spec.mode == QUASI:
         if math.isinf(alpha) or alpha > 0:
             return min(amax, bmax)
@@ -302,7 +319,7 @@ def _lambda_star(spec: SumSpec, u, v):
     """Maximizer over lam of the vertical combination of (u, v).
 
     The mean's closed-form maximizer for curvilinear sums, the crossing
-    of the min for quasi sums (and the mixed kernel, whose spec is quasi).
+    of the min for both quasi modes.
     """
     if spec.mode == CURVILINEAR:
         return spec.pair_lambda_star(u, v, spec.alphas.last)
@@ -336,7 +353,7 @@ def _coefficient_list(spec: SumSpec, lams) -> list:
     return [spec.coefficients(lam) for lam in lams]
 
 
-def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
+def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     """Accumulate all (cell pair, lam) images into the output heights.
 
     For p >= 1 every image is max-accumulated into ``out`` (the union over
@@ -359,8 +376,7 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
     """
     n = xa.shape[1]
     alphas = spec.alphas.alphas
-    base_kernel = combine_quasi if kind == QUASI else combine
-    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    base_kernel, vert_kernel = spec.kernels
     shape = out.shape
     strides = [math.prod(shape[ax + 1 :]) for ax in range(n)]
     flat = out.ravel()
@@ -438,52 +454,12 @@ def curvilinear_sum_grid(
     spec: SumSpec,
     out_grid: Grid | None = None,
 ) -> StaircaseSet:
-    """Curvilinear sum of two staircases on an output grid.
+    """Sum of two staircases on an output grid, in the spec's mode.
 
     Union over lam for p >= 1; intersection over the lam grid for
     0 < p < 1 (experimental regime: only containment monotonicity is
     asserted there).
     """
-    if spec.mode != CURVILINEAR:
-        raise RegimeError("spec.mode must be curvilinear here")
-    return _sum_grid(a, b, spec, out_grid, kind=CURVILINEAR)
-
-
-def quasi_sum_grid(
-    a: StaircaseSet,
-    b: StaircaseSet,
-    spec: SumSpec,
-    out_grid: Grid | None = None,
-) -> StaircaseSet:
-    """Quasi-curvilinear sum of two staircases on an output grid."""
-    if spec.mode != QUASI:
-        raise RegimeError("spec.mode must be quasi here")
-    return _sum_grid(a, b, spec, out_grid, kind=QUASI)
-
-
-def convex_quasi_sum_grid(
-    a: StaircaseSet,
-    b: StaircaseSet,
-    spec: SumSpec,
-    out_grid: Grid | None = None,
-) -> StaircaseSet:
-    """Scalar quasi convex combination: affine base, quasi vertical kernel.
-
-    Base points combine as C x + D y while the vertical pair combines as
-    min(C^(1/alpha) a, D^(1/alpha) b); this is the convex-combination form
-    of the quasi sum that the sectional and marginal bounds quantify over.
-    Base powers must all be 1.
-    """
-    if spec.mode != QUASI:
-        raise RegimeError("spec.mode must be quasi here")
-    if spec.p < 1.0:
-        raise RegimeError("convex combination form covers p >= 1 only")
-    if any(x != 1.0 for x in spec.alphas.alphas[:-1]):
-        raise DomainError("convex combination form needs base powers all 1")
-    return _sum_grid(a, b, spec, out_grid, kind=_MIXED)
-
-
-def _sum_grid(a, b, spec, out_grid, kind):
     if a.base_dim != b.base_dim:
         raise DomainError("summands live in different dimensions")
     if a.base_dim != spec.alphas.n:
@@ -492,19 +468,14 @@ def _sum_grid(a, b, spec, out_grid, kind):
         )
     xa, ha = _support(a)
     xb, hb = _support(b)
-    # mixed form reaches affine base extents regardless of spec.mode
-    grid_spec = replace(spec, mode=CURVILINEAR) if kind == _MIXED else spec
     if out_grid is None:
-        out_grid = derive_out_grid(a, b, grid_spec)
+        out_grid = derive_out_grid(a, b, spec)
     else:
-        _check_out_grid(out_grid, a, b, grid_spec)
+        _check_out_grid(out_grid, a, b, spec)
     out = np.zeros(out_grid.shape)
     # for 0 < p < 1 the lam values are the spec's grid and the result is
     # the intersection over them
-    _accumulate(
-        out, out_grid, spec, xa, ha, xb, hb,
-        _lambda_values(spec, a, b), kind,
-    )
+    _accumulate(out, out_grid, spec, xa, ha, xb, hb, _lambda_values(spec, a, b))
     return StaircaseSet(out_grid, out)
 
 
@@ -589,12 +560,6 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     Each (cell pair, lam) yields the base interval [m(x_lo, y_lo),
     m(x_hi, y_hi)] at height m(h_a, h_b); the anchored union of these
     rectangles is exactly the sum restricted to the lam set.
-    """
-    return _regions(a, b, spec, spec.mode)
-
-
-def _regions(a, b, spec, kind):
-    """Region arrays for ``staircase_sum_regions`` and the mixed kernel.
 
     Rows come in (lam, a-cell, b-cell) order, then one row per cell pair
     at its own maximizer.  (C, D) is computed per lam as scalars.  Where C
@@ -613,8 +578,7 @@ def _regions(a, b, spec, kind):
     xb, hb = _support(b)
     alpha0 = spec.alphas.alphas[0]
     alpha1 = spec.alphas.last
-    base_kernel = combine_quasi if kind == QUASI else combine
-    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    base_kernel, vert_kernel = spec.kernels
     u = ha[:, None]
     v = hb[None, :]
     cd_list = _coefficient_list(spec, _lambda_values(spec, a, b))
@@ -698,18 +662,6 @@ def envelope_volume(z_lo, z_hi, v) -> float:
 def staircase_sum_volume_exact(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> float:
     """Exact volume of the lam-set sum for one-base-axis staircases."""
     z_lo, z_hi, v = staircase_sum_regions(a, b, spec)
-    return envelope_volume(z_lo, z_hi, v)
-
-
-def convex_quasi_sum_volume_exact(
-    a: StaircaseSet, b: StaircaseSet, spec: SumSpec
-) -> float:
-    """Exact lam-set volume of the convex-combination quasi sum, one base axis."""
-    if spec.mode != QUASI:
-        raise RegimeError("spec.mode must be quasi here")
-    if spec.alphas.alphas[0] != 1.0:
-        raise DomainError("convex combination form needs base power 1")
-    z_lo, z_hi, v = _regions(a, b, spec, _MIXED)
     return envelope_volume(z_lo, z_hi, v)
 
 

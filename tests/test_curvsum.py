@@ -17,8 +17,8 @@ from curvilin import (
 )
 from curvilin import curvsum
 from curvilin.curvsum import (
-    _MIXED,
     _SNAP,
+    CONVEX_QUASI,
     CURVILINEAR,
     QUASI,
     T_FREE,
@@ -26,7 +26,6 @@ from curvilin.curvsum import (
     SumSpec,
     combine,
     combine_quasi,
-    convex_quasi_sum_grid,
     curvilinear_sum_1d,
     curvilinear_sum_boxes,
     curvilinear_sum_grid,
@@ -34,12 +33,12 @@ from curvilin.curvsum import (
     envelope_segments,
     envelope_volume,
     lp_minkowski_sum_base,
-    quasi_sum_grid,
     scalar_dilate,
     staircase_sum_regions,
     staircase_sum_volume_exact,
     sum_oracle,
 )
+from curvilin.funcs import GridFunction, sup_convolve
 from curvilin.means import PowerVector
 from curvilin.sets import BoxUnion, Grid, GridPointSet, IntervalUnion, StaircaseSet
 
@@ -79,6 +78,26 @@ def test_spec_validation_and_roundtrip():
         SumSpec(p=2.0, alphas=vec(1, 0), t=0.5, mode=QUASI)
     # t-free form does not need t
     SumSpec(p=2.0, alphas=vec(1), t=None, coefficient_form=T_FREE)
+
+
+@pytest.mark.parametrize("mode", [QUASI, CONVEX_QUASI])
+@pytest.mark.parametrize(
+    "op", [curvilinear_sum_1d, curvilinear_sum_boxes, sum_oracle, sup_convolve]
+)
+def test_curvilinear_only_paths_refuse_quasi_modes(mode, op):
+    # the interval path takes a single-entry power vector
+    alphas = vec(-1) if op is curvilinear_sum_1d else vec(1, -1)
+    spec = SumSpec(p=2.0, alphas=alphas, t=0.5, mode=mode)
+    assert SumSpec.from_json(spec.to_json()) == spec
+    a = cube_staircase(1.0, 1.0)
+    operand = {
+        curvilinear_sum_1d: IntervalUnion(((0.0, 1.0),)),
+        curvilinear_sum_boxes: BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)),)),
+        sum_oracle: a,
+        sup_convolve: GridFunction(a.grid, a.heights),
+    }[op]
+    with pytest.raises(RegimeError):
+        op(operand, operand, spec)
 
 
 def test_p1_coefficients_ignore_lambda():
@@ -219,17 +238,11 @@ def test_grid_sum_nested_lambda_grids_monotone():
     rng = np.random.default_rng(19)
     a = rng_staircase(rng)
     b = rng_staircase(rng)
-    for mode in ("curvilinear", QUASI):
-        v16 = _modal_sum(a, b, mode, lambda_points=16).volume
-        v33 = _modal_sum(a, b, mode, lambda_points=33).volume
+    for mode in (CURVILINEAR, QUASI, CONVEX_QUASI):
+        spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, mode=mode)
+        v16 = curvilinear_sum_grid(a, b, spec.with_lambda_points(16)).volume
+        v33 = curvilinear_sum_grid(a, b, spec.with_lambda_points(33)).volume
         assert v16 <= v33 + 1e-12
-
-
-def _modal_sum(a, b, mode, lambda_points):
-    spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=lambda_points, mode=mode)
-    if mode == QUASI:
-        return quasi_sum_grid(a, b, spec)
-    return curvilinear_sum_grid(a, b, spec)
 
 
 def test_grid_sum_out_grid_validation():
@@ -241,8 +254,6 @@ def test_grid_sum_out_grid_validation():
     with pytest.raises(DegenerateInputError):
         empty = StaircaseSet(Grid((0.0,), 0.25, (4,)), np.zeros(4))
         curvilinear_sum_grid(a, empty, spec)
-    with pytest.raises(RegimeError):
-        quasi_sum_grid(a, a, spec)
 
 
 def test_oracle_budget():
@@ -268,7 +279,7 @@ def test_quasi_p1_matches_brute_force():
     a = rng_staircase(rng)
     b = rng_staircase(rng)
     spec = SumSpec(p=1.0, alphas=vec(2, -1), t=0.3, mode=QUASI, lambda_points=4)
-    fast = quasi_sum_grid(a, b, spec)
+    fast = curvilinear_sum_grid(a, b, spec)
     xa, ha = a.support_cells()
     xb, hb = b.support_cells()
     grid = derive_out_grid(a, b, spec)
@@ -283,12 +294,19 @@ def test_quasi_p1_matches_brute_force():
     assert np.allclose(fast.heights, expect, atol=1e-15)
 
 
-def _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
+# (base, vertical) kernels per mode, kept apart from ``SumSpec.kernels``
+_MODE_KERNELS = {
+    CURVILINEAR: (combine, combine),
+    QUASI: (combine_quasi, combine_quasi),
+    CONVEX_QUASI: (combine, combine_quasi),
+}
+
+
+def _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     """Oracle for ``curvsum._accumulate``: snaps every cell pair on every axis."""
     n = xa.shape[1]
     alphas = spec.alphas.alphas
-    base_kernel = combine_quasi if kind == QUASI else combine
-    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    base_kernel, vert_kernel = _MODE_KERNELS[spec.mode]
     shape = out.shape
     flat = out.ravel()
     ma = xa.shape[0]
@@ -305,7 +323,7 @@ def _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
         v = hb[None, :]
         cd_list = [spec.coefficients(lam) for lam in lam_values]
         if inject_pairs:
-            if kind == CURVILINEAR:
+            if spec.mode == CURVILINEAR:
                 lam_star = spec.pair_lambda_star(u, v, a_last)
             else:
                 lam_star = spec.quasi_crossing_lambda(u, v, a_last)
@@ -325,36 +343,31 @@ def _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
     return out
 
 
-def _pairwise_every_lam(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind):
+def _pairwise_every_lam(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     # every lam of the spec at p = 1, where the fast path evaluates just one
     if spec.p == 1.0:
         lam_values = spec.lambda_grid()
     if spec.p >= 1.0:
-        return _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values, kind)
+        return _accumulate_pairwise(out, out_grid, spec, xa, ha, xb, hb, lam_values)
     # 0 < p < 1: intersection of single-lam slices
     for i, lam in enumerate(lam_values):
         lam_slice = _accumulate_pairwise(
-            np.zeros(out.shape), out_grid, spec, xa, ha, xb, hb, [lam], kind
+            np.zeros(out.shape), out_grid, spec, xa, ha, xb, hb, [lam]
         )
         out[...] = lam_slice if i == 0 else np.minimum(out, lam_slice)
     return out
 
 
-_GRID_SUMS = {
-    CURVILINEAR: curvilinear_sum_grid,
-    QUASI: quasi_sum_grid,
-    _MIXED: convex_quasi_sum_grid,
-}
 _POWERS = [1.0, -1.0, 0.5, 2.0, 0.0, math.inf, -math.inf]
 
 
 @st.composite
 def _grid_sum_case(draw):
-    kind = draw(st.sampled_from([CURVILINEAR, QUASI, _MIXED]))
-    ps = [1.0, 1.5, 2.0, 3.0] if kind == _MIXED else [0.6, 1.0, 1.5, 2.0, 3.0]
-    powers = _POWERS if kind == CURVILINEAR else [a for a in _POWERS if a != 0.0]
+    mode = draw(st.sampled_from([CURVILINEAR, QUASI, CONVEX_QUASI]))
+    ps = [1.0, 1.5, 2.0, 3.0] if mode == CONVEX_QUASI else [0.6, 1.0, 1.5, 2.0, 3.0]
+    powers = _POWERS if mode == CURVILINEAR else [a for a in _POWERS if a != 0.0]
     base_dim = draw(st.integers(1, 2))
-    if kind == _MIXED:
+    if mode == CONVEX_QUASI:
         base = [1.0] * base_dim
     else:
         base = [draw(st.sampled_from(powers)) for _ in range(base_dim)]
@@ -364,7 +377,7 @@ def _grid_sum_case(draw):
         alphas=vec(*base, draw(st.sampled_from(powers))),
         t=draw(st.sampled_from([0.2, 0.5, 0.7])) if form == WITH_T else None,
         lambda_points=draw(st.integers(1, 9)),
-        mode=CURVILINEAR if kind == CURVILINEAR else QUASI,
+        mode=mode,
         coefficient_form=form,
     )
     sets = []
@@ -382,32 +395,27 @@ def _grid_sum_case(draw):
         sets.append(StaircaseSet(Grid((0.0,) * base_dim, spacing, heights.shape), heights))
     supplied = draw(st.booleans())
     pair_chunk = draw(st.sampled_from([None, 1, 5, 40]))
-    return kind, spec, sets[0], sets[1], supplied, pair_chunk
+    return spec, sets[0], sets[1], supplied, pair_chunk
 
 
 @given(_grid_sum_case())
 @settings(max_examples=250, deadline=None)
 def test_grid_kernel_equals_pairwise_oracle(case):
-    kind, spec, a, b, supplied, pair_chunk = case
-    sum_grid = _GRID_SUMS[kind]
+    spec, a, b, supplied, pair_chunk = case
     out_grid = None
     if supplied:
         # a finer grid reaching past the derived one
-        reach = spec if kind != _MIXED else SumSpec(
-            spec.p, spec.alphas, spec.t, spec.lambda_points, CURVILINEAR,
-            spec.coefficient_form,
-        )
-        derived = derive_out_grid(a, b, reach)
+        derived = derive_out_grid(a, b, spec)
         out_grid = Grid(
             derived.origin, derived.spacing / 2, tuple(2 * k + 3 for k in derived.shape)
         )
     with mock.patch.object(curvsum, "_accumulate", _pairwise_every_lam):
-        want = sum_grid(a, b, spec, out_grid)
+        want = curvilinear_sum_grid(a, b, spec, out_grid)
     if pair_chunk is None:
-        got = sum_grid(a, b, spec, out_grid)
+        got = curvilinear_sum_grid(a, b, spec, out_grid)
     else:
         with mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk):
-            got = sum_grid(a, b, spec, out_grid)
+            got = curvilinear_sum_grid(a, b, spec, out_grid)
     assert got.grid == want.grid
     assert np.array_equal(got.heights, want.heights)
 
@@ -673,20 +681,18 @@ def test_envelope_volume_equals_oracle_on_staircase_regions(seed, p):
 
 
 def test_convex_quasi_volume_equals_oracle_on_regions():
-    from curvilin.curvsum import _MIXED, _regions, convex_quasi_sum_volume_exact
-
     rng = np.random.default_rng(23)
     a = rng_staircase(rng, cells=16, spacing=1 / 16)
     b = rng_staircase(rng, cells=16, spacing=1 / 16)
-    spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=32, mode=QUASI)
-    regions = _regions(a, b, spec, _MIXED)
+    spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=32, mode=CONVEX_QUASI)
+    regions = staircase_sum_regions(a, b, spec)
     assert_matches_heap(*regions)
     assert envelope_volume(*regions) == _heap_volume(*regions)
-    assert convex_quasi_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
+    assert staircase_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
 
 
-def _regions_loop(a, b, spec, kind):
-    """Oracle for ``curvsum._regions``: one scalar (C, D) per kernel call."""
+def _regions_loop(a, b, spec):
+    """Oracle for ``staircase_sum_regions``: one scalar (C, D) per kernel call."""
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
     if spec.alphas.n != 1:
@@ -697,14 +703,13 @@ def _regions_loop(a, b, spec, kind):
     xb, hb = curvsum._support(b)
     alpha0 = spec.alphas.alphas[0]
     alpha1 = spec.alphas.last
-    base_kernel = combine_quasi if kind == QUASI else combine
-    vert_kernel = combine if kind == CURVILINEAR else combine_quasi
+    base_kernel, vert_kernel = _MODE_KERNELS[spec.mode]
     lam_values = curvsum._lambda_values(spec, a, b)
     u = ha[:, None]
     v = hb[None, :]
     cd_list = [spec.coefficients(lam) for lam in lam_values]
     if spec.p > 1.0 and alpha1 != 0.0 and not math.isinf(alpha1):
-        if kind == CURVILINEAR:
+        if spec.mode == CURVILINEAR:
             cd_list.append(spec.coefficients(spec.pair_lambda_star(u, v, alpha1)))
         else:
             cd_list.append(spec.coefficients(spec.quasi_crossing_lambda(u, v, alpha1)))
@@ -722,16 +727,16 @@ def _regions_loop(a, b, spec, kind):
 
 @st.composite
 def _region_case(draw):
-    kind = draw(st.sampled_from([CURVILINEAR, QUASI, _MIXED]))
-    powers = _POWERS if kind == CURVILINEAR else [a for a in _POWERS if a != 0.0]
-    base = 1.0 if kind == _MIXED else draw(st.sampled_from(powers))
+    mode = draw(st.sampled_from([CURVILINEAR, QUASI, CONVEX_QUASI]))
+    powers = _POWERS if mode == CURVILINEAR else [a for a in _POWERS if a != 0.0]
+    base = 1.0 if mode == CONVEX_QUASI else draw(st.sampled_from(powers))
     form = draw(st.sampled_from([WITH_T, T_FREE]))
     spec = SumSpec(
         p=draw(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0])),
         alphas=vec(base, draw(st.sampled_from(powers))),
         t=draw(st.floats(0.05, 0.95)) if form == WITH_T else None,
         lambda_points=draw(st.integers(1, 40)),
-        mode=CURVILINEAR if kind == CURVILINEAR else QUASI,
+        mode=mode,
         coefficient_form=form,
         extra_lambdas=tuple(draw(st.lists(st.floats(0.01, 0.99), max_size=3))),
     )
@@ -746,15 +751,15 @@ def _region_case(draw):
             heights[-1] = 1.0
         spacing = draw(st.sampled_from([0.1, 0.25, 1 / 3]))
         sets.append(StaircaseSet(Grid((0.0,), spacing, heights.shape), heights))
-    return kind, spec, sets[0], sets[1]
+    return spec, sets[0], sets[1]
 
 
 @given(_region_case())
 @settings(max_examples=300, deadline=None)
 def test_regions_equal_loop_oracle(case):
-    kind, spec, a, b = case
-    got = curvsum._regions(a, b, spec, kind)
-    want = _regions_loop(a, b, spec, kind)
+    spec, a, b = case
+    got = staircase_sum_regions(a, b, spec)
+    want = _regions_loop(a, b, spec)
     for g, w in zip(got, want):
         assert np.array_equal(g, w, equal_nan=True)
 
@@ -955,14 +960,12 @@ def test_extra_lambda_reaches_new_cells():
 
 
 def test_convex_quasi_sum_matches_direct_loop():
-    from curvilin.curvsum import convex_quasi_sum_grid
-
     rng = np.random.default_rng(11)
     a = rng_staircase(rng, cells=4)
     b = rng_staircase(rng, cells=4)
     delta = -0.8
-    spec = SumSpec(p=2.0, alphas=vec(1, delta), t=0.4, lambda_points=8, mode=QUASI)
-    out = convex_quasi_sum_grid(a, b, spec)
+    spec = SumSpec(p=2.0, alphas=vec(1, delta), t=0.4, lambda_points=8, mode=CONVEX_QUASI)
+    out = curvilinear_sum_grid(a, b, spec)
     # direct replay: affine base, quasi vertical, same lam values
     expect = np.zeros(out.grid.shape)
     h = out.grid.spacing
@@ -983,25 +986,23 @@ def test_convex_quasi_sum_matches_direct_loop():
 
 
 def test_convex_quasi_exact_envelope_dominates_grid():
-    from curvilin.curvsum import convex_quasi_sum_grid, convex_quasi_sum_volume_exact
-
     rng = np.random.default_rng(12)
     a = rng_staircase(rng, cells=5)
     b = rng_staircase(rng, cells=5)
-    spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=16, mode=QUASI)
-    exact = convex_quasi_sum_volume_exact(a, b, spec)
-    grid = convex_quasi_sum_grid(a, b, spec).volume
+    spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=16, mode=CONVEX_QUASI)
+    exact = staircase_sum_volume_exact(a, b, spec)
+    grid = curvilinear_sum_grid(a, b, spec).volume
     assert exact >= grid - 1e-12
     assert exact <= grid + 0.5  # same lam set, snapping loss only
 
 
 def test_convex_quasi_guards():
-    from curvilin.curvsum import convex_quasi_sum_grid
-
-    a = cube_staircase(1.0, 1.0)
-    spec_bad_mode = SumSpec(p=2.0, alphas=vec(1, -1), t=0.5)
+    spec = SumSpec(p=1.5, alphas=vec(1, 1, -0.5), t=0.3, lambda_points=8, mode=CONVEX_QUASI)
+    assert SumSpec.from_json(spec.to_json()) == spec
+    assert spec.kernels == (combine, combine_quasi)
     with pytest.raises(RegimeError):
-        convex_quasi_sum_grid(a, a, spec_bad_mode)
-    spec_bad_base = SumSpec(p=2.0, alphas=vec(0.5, -1), t=0.5, mode=QUASI)
+        SumSpec(p=0.75, alphas=vec(1, -1), t=0.5, mode=CONVEX_QUASI)
     with pytest.raises(DomainError):
-        convex_quasi_sum_grid(a, a, spec_bad_base)
+        SumSpec(p=2.0, alphas=vec(0.5, -1), t=0.5, mode=CONVEX_QUASI)
+    with pytest.raises(DomainError):
+        SumSpec(p=2.0, alphas=vec(1, 0), t=0.5, mode=CONVEX_QUASI)

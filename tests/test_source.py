@@ -29,3 +29,12 @@ def test_no_unused_imports():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_package_exports_resolve_once():
+    import curvilin
+
+    names = curvilin.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(curvilin, name)]
+    assert missing == []
