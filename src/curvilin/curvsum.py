@@ -750,13 +750,11 @@ def lp_minkowski_sum_base(
         raise DegenerateInputError("point set is empty")
     if x.dim != y.dim:
         raise DomainError("point sets live in different dimensions")
-    spec = SumSpec(
-        p=p,
-        alphas=PowerVector((1.0,) * (x.dim + 1)),
-        t=t,
-        lambda_points=lambda_points,
-    )
-    lams = np.asarray([t]) if p == 1.0 else np.unique(np.append(spec.lambda_grid(), t))
+    # the base sum is the support of the min-kernel sum of the indicators,
+    # whose vertical kernel has no maximizer to inject
+    spec = SumSpec(p, PowerVector((1.0,) * x.dim + (-_INF,)), t, lambda_points,
+                   extra_lambdas=(t,))
+    lams = _lambda_values(spec, x, y)
     cd = np.asarray(_coefficient_list(spec, lams))
     c, d = cd[:, :1], cd[:, 1:]
     h = x.spacing

@@ -8,7 +8,9 @@ as function values.  That makes the bridge identity
 
     integral(sup_convolve(f, g)) = volume(sum of hypographs)
 
-exact by construction rather than a quadrature statement.
+exact by construction rather than a quadrature statement.  For the same
+reason the measure checks (``measures``) take a function pair as its pair
+of hypographs and run the set sums on them.
 """
 
 from __future__ import annotations
@@ -108,19 +110,6 @@ def marginal(f: GridFunction, k: int) -> tuple[GridFunction | float, float]:
         return total, total
     out = GridFunction(prof.grid, prof.values)
     return out, out.sup_norm
-
-
-def bbl_min_witness(f: GridFunction, g: GridFunction, spec: SumSpec) -> GridFunction:
-    """Smallest sampled function dominating the vertical mean of f and g.
-
-    A function h is admissible for the inequality hypothesis when
-    h(coordinate means of x, y) >= vertical mean of (f(x), g(y)) for every
-    argument pair and lam.  The pointwise max over the sampled tuples is
-    the least such h, and it coincides with sup_convolve cell for cell;
-    this alias exists so checks can cite the hypothesis rather than the
-    operator that happens to realize it.
-    """
-    return sup_convolve(f, g, spec)
 
 
 def load_function(path: str) -> GridFunction:

@@ -1,5 +1,8 @@
 """Densities, weighted measures of sets, F-concavity, and surface quotients.
 
+The checks take a pair of sets or a pair of grid functions; a function
+enters as its hypograph, so both run the same set sums and measures.
+
 A measure here is always d(mu) = phi dx with phi sampled per cell of a
 uniform grid (midpoint rule).  Staircase sets are integrated column by
 column: the base contribution is the midpoint value times the cell area,
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .errors import (
     RangeError,
     RegimeError,
 )
-from .funcs import GridFunction, sup_convolve
+from .funcs import GridFunction
 from .means import PowerVector, mean_alpha
 from .reports import InequalityReport
 from .sets import (
@@ -44,7 +46,6 @@ from .sets import (
     SectionProfile,
     StaircaseSet,
     _integrate_leading,
-    superlevel,
 )
 
 EPS_SCHEDULE = tuple(2.0**-j for j in range(4, 11))
@@ -225,19 +226,19 @@ def measure_of(a, mu: DensityMeasure) -> float:
 
 def mu_section_quantities(
     a: StaircaseSet, mu: DensityMeasure, k: int
-) -> tuple[SectionProfile, float, Callable[[float], GridPointSet]]:
-    """Fiber masses over the last n-k base axes, their sup, and a thresholder.
+) -> tuple[SectionProfile, float]:
+    """Fiber masses over the last n-k base axes and their sup.
 
-    Returns (profile, m, C) with profile.values[u] the mu-mass of the fiber
-    through u, m its maximum, and C(r) the grid cells where the fiber mass
-    reaches r*m.  With a constant density this is sets.section_profile and
-    sets.superlevel on the same staircase.
+    Returns (profile, m) with profile.values[u] the mu-mass of the fiber
+    through u and m its maximum; sets.superlevel(profile, r) gives the grid
+    cells where the fiber mass reaches r*m.  With a constant density the
+    profile is sets.section_profile of the same staircase.
     """
     profile = _integrate_leading(_column_masses(a, mu), a.grid, k)
     m = profile.sup_norm
     if m <= 0.0:
         raise DegenerateInputError("all fibers have zero mass")
-    return profile, m, lambda r: superlevel(profile, r)
+    return profile, m
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +372,13 @@ def _t_free_spec(p: float, alphas: PowerVector, lambda_points: int) -> SumSpec:
     )
 
 
-def _exact_sum_path(a, b, mu: DensityMeasure) -> bool:
-    return (
-        isinstance(a, StaircaseSet)
-        and isinstance(b, StaircaseSet)
-        and a.base_dim == 1
-        and mu.is_lebesgue
-    )
+def _exact_sum_path(a: StaircaseSet, mu: DensityMeasure) -> bool:
+    return a.base_dim == 1 and mu.is_lebesgue
 
 
 def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> tuple[float, float]:
     """mu of the sum and its grid spacing (the operand's on the exact path)."""
-    if _exact_sum_path(a, b, mu):
+    if _exact_sum_path(a, mu):
         return staircase_sum_volume_exact(a, b, spec), a.grid.spacing
     s = curvilinear_sum_grid(a, b, spec)
     return measure_of(s, mu), s.grid.spacing
@@ -431,7 +427,7 @@ def surface_area_sets(
     if b.volume == 0.0:
         qs = [(float(e), 0.0) for e in EPS_SCHEDULE]
         return SurfaceEstimate.build(qs)
-    if _exact_sum_path(a, b, mu):
+    if _exact_sum_path(a, mu):
         mu_a = a.volume
     else:
         mu_a = measure_of(a, mu)
@@ -444,36 +440,23 @@ def surface_area_sets(
     return SurfaceEstimate.build(qs)
 
 
-def surface_area_funcs(
-    f: GridFunction,
-    g: GridFunction,
-    mu: DensityMeasure,
-    p: float,
-    alphas: PowerVector,
-    lambda_points: int = 64,
-) -> SurfaceEstimate:
-    """Quotients of eps -> integral of (f convolved with eps x g) d(mu).
-
-    Identical to surface_area_sets on the hypographs: the convolution is
-    the set sum of hypographs and the integral of a function against a
-    base-space density equals the column measure of its hypograph.
-    """
-    return surface_area_sets(
-        f.hypograph(), g.hypograph(), mu, p, alphas, lambda_points
-    )
-
-
 # ---------------------------------------------------------------------------
 # concavity and first-variation checks
 
 
-def _pair_measures(a, b, mu: DensityMeasure) -> tuple[float, float, bool]:
+def _as_sets(a, b) -> tuple:
+    """(a, b, is_func): two grid functions become their hypographs.
+
+    The sup convolution of two functions is the set sum of their
+    hypographs, and a function's integral against a base-space density is
+    its hypograph's column measure, so every check runs on the sets.
+    """
     is_func = isinstance(a, GridFunction)
     if is_func != isinstance(b, GridFunction):
         raise DomainError("mixed set/function pair")
     if is_func:
-        return measure_of(a.hypograph(), mu), measure_of(b.hypograph(), mu), True
-    return measure_of(a, mu), measure_of(b, mu), False
+        return a.hypograph(), b.hypograph(), True
+    return a, b, False
 
 
 def f_concavity_check(
@@ -489,12 +472,13 @@ def f_concavity_check(
 ) -> InequalityReport:
     """mu(sum at t) >= F^{-1}((1-t) F(mu A) + t F(mu B)) over sampled t.
 
-    Accepts a pair of staircase sets or a pair of grid functions; reports
-    the worst slack over the t samples.
+    Accepts a pair of staircase sets or a pair of grid functions, taken as
+    their hypographs; reports the worst slack over the t samples.
     """
     if not t_samples:
         raise RangeError("need at least one t sample")
-    mu_a, mu_b, is_func = _pair_measures(a, b, mu)
+    a, b, is_func = _as_sets(a, b)
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
     name = "f_concavity_funcs" if is_func else "f_concavity_sets"
     if mu_a <= 0.0 or mu_b <= 0.0:
         return InequalityReport.from_values(
@@ -503,15 +487,10 @@ def f_concavity_check(
             params={"zero_measure": True, "F": F.describe()},
         )
     worst = None
-    grid_h = None
     for t in t_samples:
         t = float(t)
         spec_t = replace(spec, t=t, coefficient_form=WITH_T)
-        if is_func:
-            conv = sup_convolve(a, b, spec_t)
-            lhs_t, grid_h = measure_of(conv.hypograph(), mu), conv.grid.spacing
-        else:
-            lhs_t, grid_h = _mu_of_sum(a, b, spec_t, mu)
+        lhs_t, grid_h = _mu_of_sum(a, b, spec_t, mu)
         rhs_t = F.inverse((1.0 - t) * F.value(mu_a) + t * F.value(mu_b))
         if worst is None or (lhs_t - rhs_t) < (worst[1] - worst[2]):
             worst = (t, lhs_t, rhs_t)
@@ -544,7 +523,8 @@ def minkowski_first_check(
     gate does not pass, the verdict is capped at refine because the
     inequality's hypothesis is unverified, not falsified.
     """
-    mu_a, mu_b, is_func = _pair_measures(a, b, mu)
+    a, b, is_func = _as_sets(a, b)
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
     name = "minkowski_first_funcs" if is_func else "minkowski_first_sets"
     gate_spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=lambda_points)
     gate = f_concavity_check(
@@ -552,9 +532,8 @@ def minkowski_first_check(
         t_samples=t_samples, tol=tol if gate_tol is None else gate_tol,
         seed=seed, can_refine=False,
     )
-    surf = surface_area_funcs if is_func else surface_area_sets
-    s_ab = surf(a, b, mu, p, alphas, lambda_points)
-    s_aa = surf(a, a, mu, p, alphas, lambda_points)
+    s_ab = surface_area_sets(a, b, mu, p, alphas, lambda_points)
+    s_aa = surface_area_sets(a, a, mu, p, alphas, lambda_points)
     lhs = s_ab.estimate
     rhs = s_aa.estimate + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
     report = InequalityReport.from_values(
@@ -593,7 +572,7 @@ def mixed_volume_quantities(
     d1 = F.derivative_at_one
     v = d1 * surface_area_sets(a, b, mu, p, alphas, lambda_points).estimate
     spec = _t_free_spec(p, alphas, lambda_points)
-    exact = isinstance(a, StaircaseSet) and mu.is_lebesgue
+    exact = mu.is_lebesgue
     mu_a = a.volume if exact else measure_of(a, mu)
     qs = []
     for eps in EPS_SCHEDULE:
@@ -607,8 +586,8 @@ def mixed_volume_quantities(
 
 
 def mixed_volume_check(
-    a: StaircaseSet,
-    b: StaircaseSet,
+    a,
+    b,
     mu: DensityMeasure,
     F: FSpec,
     p: float,
@@ -618,9 +597,14 @@ def mixed_volume_check(
     seed: int = 0,
     can_refine: bool = True,
 ) -> InequalityReport:
-    """V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)."""
+    """V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A).
+
+    Accepts two staircase sets or two grid functions, taken as their
+    hypographs.
+    """
+    a, b, _ = _as_sets(a, b)
     v, m = mixed_volume_quantities(a, b, mu, F, p, alphas, lambda_points)
-    mu_a, mu_b, _ = _pair_measures(a, b, mu)
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
     d1 = F.derivative_at_one
     lhs = v + d1 * m
     rhs = d1 * (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a) + mu_a

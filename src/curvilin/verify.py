@@ -32,7 +32,7 @@ from .curvsum import (
     sum_oracle,
 )
 from .errors import CurvilinError, RangeError
-from .funcs import GridFunction, bbl_min_witness, marginal
+from .funcs import GridFunction, marginal, sup_convolve
 from .means import PowerVector, mean_alpha, sup_lambda_min_form
 from .measures import (
     F_LOG,
@@ -302,6 +302,12 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points):
     return acc
 
 
+def _closed_bound(min_branch: bool, va: float, vb: float, p, t, gamma) -> float:
+    """sup over lam of the min form on the min branch, else the (p gamma)-mean."""
+    return (sup_lambda_min_form(va, vb, p, t, gamma) if min_branch
+            else mean_alpha(va, vb, t, p * gamma))
+
+
 def _branch_bound(spec: SumSpec, va: float, vb: float):
     """(rhs, spec, extra): the mean or min branch bound from two volumes.
 
@@ -309,12 +315,11 @@ def _branch_bound(spec: SumSpec, va: float, vb: float):
     spec, so the evaluated lam set contains the slice attaining the bound.
     """
     p, t, gamma = spec.p, spec.t, spec.alphas.gamma
-    if spec.alphas.uses_min_branch():
-        rhs = sup_lambda_min_form(va, vb, p, t, gamma)
-        if p > 1.0:
-            spec = spec.with_extra_lambdas((float(spec.quasi_crossing_lambda(va, vb, gamma)),))
-        return rhs, spec, {"branch": "min", "gamma": gamma}
-    return mean_alpha(va, vb, t, p * gamma), spec, {"branch": "mean", "gamma": gamma}
+    min_branch = spec.alphas.uses_min_branch()
+    rhs = _closed_bound(min_branch, va, vb, p, t, gamma)
+    if min_branch and p > 1.0:
+        spec = spec.with_extra_lambdas((float(spec.quasi_crossing_lambda(va, vb, gamma)),))
+    return rhs, spec, {"branch": "min" if min_branch else "mean", "gamma": gamma}
 
 
 def _sum_volume(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
@@ -563,7 +568,7 @@ def check_bbl(instance, params):
     lp, can_refine = _levels(params)
     spec = SumSpec(p, PowerVector((1.0,) * f.ndim + (alpha,)), t, lp)
     rhs, spec, extra = _branch_bound(spec, f.integral, g.integral)
-    witness = bbl_min_witness(f, g, spec)
+    witness = sup_convolve(f, g, spec)
     lhs = witness.integral
     tol = params["c"] * witness.grid.spacing
     return _report(
@@ -588,20 +593,15 @@ def check_marginal_bbl(instance, params):
     n = f.ndim
     spec = SumSpec(p, PowerVector((1.0,) * n + (alpha,)), t, lp)
     spec = spec.with_extra_lambdas((t,))
-    witness = bbl_min_witness(f, g, spec)
+    witness = sup_convolve(f, g, spec)
+    exponent = _delta_exponent(alpha, beta, k)
     if k == n:
         nf, ng = f.sup_norm, g.sup_norm
-        omega = _delta_exponent(alpha, beta, n)
-        xf, xg = f.integral / nf, g.integral / ng
-        if params["branch"] == "quasi":
-            rhs = sup_lambda_min_form(xf, xg, p, t, omega)
-        else:
-            rhs = mean_alpha(xf, xg, t, p * omega)
-        exponent = omega
+        rhs = _closed_bound(params["branch"] == "quasi", f.integral / nf,
+                            g.integral / ng, p, t, exponent)
     else:
         mf, nf = marginal(f, k)
         mg, ng = marginal(g, k)
-        exponent = _delta_exponent(alpha, beta, k)
         rhs = _hypograph_sum(mf, mg, params, lp, exponent)
     lhs = witness.integral * mean_alpha(1.0 / nf, 1.0 / ng, t, p * beta)
     tol = params["c"] * witness.grid.spacing
@@ -630,8 +630,8 @@ def check_measure_bm(instance, params):
     spec = SumSpec(p, PowerVector((1.0,) * n), t, lp)
     spec = spec.with_extra_lambdas((t,))
     out = curvilinear_sum_grid(a, b, spec)
-    prof_a, ma, _ = mu_section_quantities(a, mu, 0)
-    prof_b, mb, _ = mu_section_quantities(b, mu, 0)
+    prof_a, ma = mu_section_quantities(a, mu, 0)
+    prof_b, mb = mu_section_quantities(b, mu, 0)
     lhs = measure_of(out, mu) * mean_alpha(1.0 / ma, 1.0 / mb, t, p * beta)
     if params["branch"] == "quasi":
         rhs = _hypograph_sum(prof_a, prof_b, params, lp, _delta_exponent(alpha, beta, k))

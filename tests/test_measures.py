@@ -23,7 +23,6 @@ from curvilin.measures import (
     mixed_volume_check,
     mixed_volume_quantities,
     mu_section_quantities,
-    surface_area_funcs,
     surface_area_sets,
     tent_density,
 )
@@ -178,11 +177,11 @@ def test_mu_sections_reduce_to_section_profile():
     heights = r.uniform(0.0, 1.0, size=(6, 5))
     a = StaircaseSet(Grid((0.0, 0.0), 0.25, (6, 5)), heights)
     mu = lebesgue(Grid((0.0, 0.0), 0.25, (6, 5)))
-    profile, m, thresh = mu_section_quantities(a, mu, 1)
+    profile, m = mu_section_quantities(a, mu, 1)
     plain = section_profile(a, 1)
     assert np.array_equal(profile.values, plain.values)
     assert m == plain.sup_norm
-    got = thresh(0.5)
+    got = superlevel(profile, 0.5)
     want = superlevel(plain, 0.5)
     assert np.array_equal(got.coords, want.coords)
 
@@ -192,13 +191,13 @@ def test_mu_sections_layer_cake():
     heights = r.uniform(0.0, 1.2, size=(8, 8))
     a = StaircaseSet(Grid((0.0, 0.0), 0.25, (8, 8)), heights)
     mu = gaussian_density(Grid((0.0, 0.0), 0.25, (8, 8)), (1.0, 1.0), 1.2)
-    profile, m, thresh = mu_section_quantities(a, mu, 1)
+    profile, m = mu_section_quantities(a, mu, 1)
     total = measure_of(a, mu)
     R = 256
-    quad = sum(thresh(j / R).volume for j in range(1, R + 1)) / R
+    quad = sum(superlevel(profile, j / R).volume for j in range(1, R + 1)) / R
     # right-endpoint quadrature of a nonincreasing level function
     # under-estimates, and by at most the full support per step
-    support = thresh(0.0).volume
+    support = superlevel(profile, 0.0).volume
     assert total - m * quad >= -1e-9
     assert total - m * quad <= m * support / R + 1e-9
 
@@ -242,18 +241,6 @@ def test_surface_zero_summand():
     est = surface_area_sets(a, b, mu, 2.0, vec(1, 1))
     assert est.estimate == 0.0
     assert all(q == 0.0 for _, q in est.quotients)
-
-
-def test_surface_funcs_bridge_and_zero():
-    f = GridFunction(Grid((0.0,), 0.125, (8,)), np.full(8, 1.0))
-    mu = line_density()
-    spec_args = (2.0, vec(1, 1))
-    via_funcs = surface_area_funcs(f, f, mu, *spec_args)
-    via_sets = surface_area_sets(f.hypograph(), f.hypograph(), mu, *spec_args)
-    assert via_funcs.quotients == via_sets.quotients
-    assert via_funcs.estimate == via_sets.estimate
-    zero = GridFunction(f.grid, np.zeros(8))
-    assert surface_area_funcs(f, zero, mu, *spec_args).estimate == 0.0
 
 
 def test_surface_quotient_nonnegative_random():
@@ -327,6 +314,43 @@ def test_f_concavity_funcs_dispatch():
     rep = f_concavity_check(f, g, mu, F, spec, tol=0.15)
     assert rep.check_id == "f_concavity_funcs"
     assert rep.verdict == "pass"
+
+
+def _function_pair(base_dim):
+    r = np.random.default_rng(40 + base_dim)
+    if base_dim == 1:
+        grid = Grid((0.0,), 0.125, (8,))
+        mu = lebesgue(Grid((0.0,), 0.125, (32,)))
+    else:
+        grid = Grid((0.0, 0.0), 0.25, (4, 4))
+        mu = tent_density(Grid((0.0, 0.0), 0.25, (16, 16)), (2.0, 2.0), 4.5)
+    f, g = (GridFunction(grid, r.uniform(0.2, 1.0, grid.shape)) for _ in range(2))
+    return f, g, mu, vec(*(1,) * (base_dim + 1))
+
+
+@pytest.mark.parametrize("base_dim", [1, 2])
+def test_function_checks_equal_their_hypograph_checks(base_dim):
+    # 1-D under Lebesgue takes the exact envelope, 2-D under a tagged
+    # density the grid sum; a function pair must report what its
+    # hypographs report, up to the check id's suffix
+    f, g, mu, alphas = _function_pair(base_dim)
+    assert mu.is_lebesgue == (base_dim == 1)
+    F = FSpec("power", 0.5)
+    spec = SumSpec(p=2.0, alphas=alphas, t=0.5, lambda_points=12)
+    checks = (
+        lambda a, b: f_concavity_check(a, b, mu, F, spec, tol=0.05),
+        lambda a, b: minkowski_first_check(
+            a, b, mu, F, 2.0, alphas, lambda_points=12, tol=0.05, gate_tol=0.1),
+        lambda a, b: mixed_volume_check(
+            a, b, mu, F, 2.0, alphas, lambda_points=12, tol=0.05),
+    )
+    for check in checks:
+        via_funcs = check(f, g).to_json()
+        via_sets = check(f.hypograph(), g.hypograph()).to_json()
+        assert via_funcs.pop("check").replace("_funcs", "_sets") == via_sets.pop("check")
+        assert via_funcs == via_sets
+        with pytest.raises(DomainError):
+            check(f, g.hypograph())
 
 
 def test_minkowski_first_equality_on_cubes():
