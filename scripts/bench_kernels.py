@@ -1,0 +1,160 @@
+"""Warm-call timings of the north-star kernels, each at two fixed seeded sizes.
+
+Run from the repository root:
+
+    python3 scripts/bench_kernels.py > BENCH_<n>.json
+    python3 scripts/bench_kernels.py --before PATH > BENCH_<n>.json
+
+The first form times the ``src`` tree next to this script.  The second
+also times the ``src`` tree of the checkout at PATH, with the same inputs,
+and reports both sides as ``before`` and ``after``, each from a fresh
+process.  Every call is made once untimed, so imports and lazy set-up are
+done, then ``CALLS`` times; the report gives the median and the quartiles
+of those calls in milliseconds.  Inputs come from fixed seeds, so the two
+sides see the same values.
+
+The kernels: the grid sum, the exact envelope (region build plus
+envelope), ``box_union_volume``, ``compress``, ``curvilinear_sum_1d``,
+``sup_convolve``, ``surface_area_sets`` and the recipe behind
+``calibrate_grid_constant``.  That recipe has one fixed size (3-cell
+operands), so it is timed at two seeds instead of two sizes; seed 0
+reads a committed constant and runs nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALLS = 21
+
+
+def _cases():
+    """(kernel, size, call) for every kernel at both of its sizes."""
+    from curvilin.curvsum import (
+        SumSpec,
+        curvilinear_sum_1d,
+        curvilinear_sum_grid,
+        envelope_segments,
+        staircase_sum_regions,
+    )
+    from curvilin.funcs import GridFunction, sup_convolve
+    from curvilin.means import PowerVector
+    from curvilin.measures import lebesgue, surface_area_sets
+    from curvilin.sets import (
+        BoxUnion,
+        Grid,
+        IntervalUnion,
+        StaircaseSet,
+        box_union_volume,
+        compress,
+    )
+    from curvilin.verify import _calibrate
+
+    def stair(rng, n, dim):
+        shape = (n,) * dim
+        return StaircaseSet(Grid((0.0,) * dim, 0.25, shape), rng.uniform(0.2, 2.0, shape))
+
+    def spec(dim, lams):
+        return SumSpec(2.0, PowerVector((1.0,) * dim), 0.5, lams)
+
+    def envelope(a, b, s):
+        return envelope_segments(*staircase_sum_regions(a, b, s))
+
+    cases = []
+    for n in (10, 20):
+        rng = np.random.default_rng(n)
+        a, b = stair(rng, n, 2), stair(rng, n, 2)
+        cases.append(("grid_sum", f"2-D staircases {n}x{n}, p=2, 16 lam",
+                      lambda a=a, b=b: curvilinear_sum_grid(a, b, spec(3, 16))))
+    for n in (14, 28):
+        rng = np.random.default_rng(n)
+        a, b = stair(rng, n, 1), stair(rng, n, 1)
+        cases.append(("envelope", f"1-D staircases of {n} cells, p=2, 64 lam",
+                      lambda a=a, b=b: envelope(a, b, spec(2, 64))))
+    for m in (50, 100):
+        lo = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 3))
+        hi = lo + np.random.default_rng(m + 1).uniform(0.05, 0.5, size=(m, 3))
+        u = BoxUnion(3, np.stack([lo, hi], axis=1))
+        cases.append(("box_union_volume", f"{m} boxes in 3-D",
+                      lambda u=u: box_union_volume(u)))
+    for n in (10, 20):
+        u = stair(np.random.default_rng(n), n, 2).boxes()
+        cases.append(("compress", f"{n * n} boxes of a {n}x{n} staircase",
+                      lambda u=u: compress(u, 0.25)))
+    for m in (6, 12):
+        rng = np.random.default_rng(m)
+        k, l = (IntervalUnion(np.sort(rng.uniform(0.0, 4.0, 2 * m)).reshape(m, 2))
+                for _ in range(2))
+        cases.append(("curvilinear_sum_1d", f"{m} intervals each, p=2, 64 lam",
+                      lambda k=k, l=l: curvilinear_sum_1d(k, l, spec(1, 64))))
+    for n in (8, 16):
+        rng = np.random.default_rng(n)
+        grid = Grid((0.0, 0.0), 0.25, (n, n))
+        f, g = (GridFunction(grid, rng.uniform(0.2, 2.0, (n, n))) for _ in range(2))
+        cases.append(("sup_convolve", f"2-D functions {n}x{n}, p=2, 16 lam",
+                      lambda f=f, g=g: sup_convolve(f, g, spec(3, 16))))
+    for n in (7, 14):
+        rng = np.random.default_rng(n)
+        a, b = stair(rng, n, 1), stair(rng, n, 1)
+        mu = lebesgue(Grid((0.0,), 0.25, (2 * n + 2,)))
+        cases.append(("surface_area_sets", f"1-D staircases of {n} cells, p=2, 64 lam",
+                      lambda a=a, b=b, mu=mu: surface_area_sets(
+                          a, b, mu, 2.0, PowerVector((1.0, 1.0)))))
+    for seed in (1, 2):
+        cases.append(("calibrate_grid_constant", f"recipe at seed {seed}",
+                      lambda seed=seed: _calibrate(seed)))
+    return cases
+
+
+def measure(src: str) -> dict:
+    """Median and quartiles, in ms, of ``CALLS`` warm calls per case."""
+    sys.path.insert(0, src)
+    kernels: dict = {}
+    for kernel, size, call in _cases():
+        call()
+        times = []
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            call()
+            times.append(1e3 * (time.perf_counter() - t0))
+        q1, med, q3 = np.percentile(times, [25, 50, 75])
+        kernels.setdefault(kernel, []).append(
+            {"size": size, "calls": CALLS, "median_ms": round(float(med), 4),
+             "q1_ms": round(float(q1), 4), "q3_ms": round(float(q3), 4)})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpus": os.cpu_count(), "kernels": kernels}
+
+
+def _side(checkout: str) -> dict:
+    src = os.path.join(os.path.abspath(checkout), "src")
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", help="another checkout, timed as 'before'")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the source tree to time in this process")
+    args = parser.parse_args(argv)
+    if args.before:
+        report = {"before": _side(args.before), "after": _side(ROOT)}
+    else:
+        report = measure(args.src)
+    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

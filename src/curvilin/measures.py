@@ -450,13 +450,16 @@ def _as_sets(a, b) -> tuple:
     The sup convolution of two functions is the set sum of their
     hypographs, and a function's integral against a base-space density is
     its hypograph's column measure, so every check runs on the sets.
+    Any other pair, a mixed one included, raises DomainError.
     """
-    is_func = isinstance(a, GridFunction)
-    if is_func != isinstance(b, GridFunction):
-        raise DomainError("mixed set/function pair")
-    if is_func:
+    if isinstance(a, GridFunction) and isinstance(b, GridFunction):
         return a.hypograph(), b.hypograph(), True
-    return a, b, False
+    if isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet):
+        return a, b, False
+    raise DomainError(
+        "expected two staircase sets or two grid functions, got "
+        f"{type(a).__name__} and {type(b).__name__}"
+    )
 
 
 def f_concavity_check(

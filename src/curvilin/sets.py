@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BudgetError,
     DegenerateInputError,
     DomainError,
     GridAlignmentError,
@@ -31,6 +32,9 @@ from .errors import (
 )
 
 _EDGE_DENOMINATOR_CAP = 1 << 20
+# compress: most base cells per grid, and most cell-box pairs per chunk
+_COMPRESS_CELL_BUDGET = 1 << 22
+_COMPRESS_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +301,12 @@ class StaircaseSet:
     def boxes(self) -> BoxUnion:
         """The staircase as an explicit box union in R^(n+1)."""
         corners, heights = self.support_cells()
-        s = self.grid.spacing
-        bxs = []
-        for corner, v in zip(corners, heights):
-            lo = tuple(corner) + (0.0,)
-            hi = tuple(c + s for c in corner) + (float(v),)
-            bxs.append((lo, hi))
-        return BoxUnion(self.base_dim + 1, tuple(bxs))
+        n = self.base_dim
+        boxes = np.zeros((len(heights), 2, n + 1))
+        boxes[:, 0, :n] = corners
+        boxes[:, 1, :n] = corners + self.grid.spacing
+        boxes[:, 1, n] = heights
+        return BoxUnion(n + 1, boxes)
 
     def to_json(self) -> dict:
         return {
@@ -391,35 +394,76 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
     edge coordinates; misaligned inputs raise GridAlignmentError.  Volume
     is preserved exactly because each fiber is a 1-D interval union whose
     measure becomes the stack height.
+
+    A box's vertical extent lies in the fiber over a cell when the cell
+    midpoint lies in the box's closed base.  The solid boxes are sorted
+    once by vertical (lo, hi), the order ``normalize`` sorts intervals in,
+    and each cell's fibers are merged in one pass over that order: a
+    fiber opens a new piece when its lo exceeds the running max of the hi
+    before it.  The pieces' lengths are summed left to right, as
+    ``IntervalUnion.volume`` sums them, so each height is bitwise the
+    volume of the cell's fibers as an ``IntervalUnion``.  Cells go through
+    in chunks of at most ``_COMPRESS_CHUNK`` cell-box pairs, so memory
+    stays bounded, and a grid of more than ``_COMPRESS_CELL_BUDGET`` cells
+    raises BudgetError before anything is allocated.
     """
     if a.dim < 2:
         raise DomainError("compress needs dim >= 2 (base plus vertical)")
     n = a.dim - 1
-    boxes = [b for b in a.boxes if all(h > l for l, h in zip(*b))]
-    if not boxes:
+    boxes = a.as_array()
+    boxes = boxes[(boxes[:, 1] > boxes[:, 0]).all(axis=1)]
+    if not len(boxes):
         raise DegenerateInputError("cannot compress an empty union")
-    base_edges = [v for (lo, hi) in boxes for v in list(lo[:n]) + list(hi[:n])]
-    h = _aligned_spacing(base_edges, spacing)
-    hi_max = [max(b[1][ax] for b in boxes) for ax in range(n)]
-    lo_min = [min(b[0][ax] for b in boxes) for ax in range(n)]
+    h = _aligned_spacing(boxes[:, :, :n].ravel().tolist(), spacing)
+    hi_max = boxes[:, 1, :n].max(axis=0).tolist()
+    lo_min = boxes[:, 0, :n].min(axis=0).tolist()
     origin = tuple(math.floor(l / h + 1e-9) * h for l in lo_min)
     shape = tuple(
         int(math.ceil((hm - o) / h - 1e-9)) for hm, o in zip(hi_max, origin)
     )
     grid = Grid(origin, h, shape)
-    heights = np.zeros(shape)
-    corners = grid.cell_lower_corners().reshape(shape + (n,))
-    it = np.ndindex(*shape)
-    for idx in it:
-        c = corners[idx]
-        mid = c + h / 2.0
-        fibers = []
-        for lo, hi in boxes:
-            if all(lo[ax] <= mid[ax] <= hi[ax] for ax in range(n)):
-                fibers.append((lo[n], hi[n]))
-        if fibers:
-            heights[idx] = IntervalUnion(tuple(fibers)).volume
-    return StaircaseSet(grid, heights)
+    cells = math.prod(shape)
+    if cells > _COMPRESS_CELL_BUDGET:
+        raise BudgetError(
+            f"compression grid of shape {shape} has {cells} cells, "
+            f"budget {_COMPRESS_CELL_BUDGET}"
+        )
+    boxes = boxes[np.lexsort((boxes[:, 1, n], boxes[:, 0, n]))]
+    mids = grid.cell_lower_corners()
+    mids += h / 2.0
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    heights = np.empty(cells)
+    step = max(1, _COMPRESS_CHUNK // len(boxes))
+    for s in range(0, cells, step):
+        mid = mids[s : s + step, :, None]
+        inside = np.ones((len(mid), len(boxes)), dtype=bool)
+        for ax in range(n):
+            inside &= (lo[:, ax] <= mid[:, ax]) & (mid[:, ax] <= hi[:, ax])
+        heights[s : s + step] = _merged_length(inside, lo[:, n], hi[:, n])
+    return StaircaseSet(grid, heights.reshape(shape))
+
+
+def _merged_length(inside: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the length of the union of the intervals [lo, hi] it selects.
+
+    ``inside`` is a (rows, m) mask over m intervals sorted by (lo, hi).
+    Unselected entries read as -inf; only their comparisons are computed.
+    """
+    reach = np.maximum.accumulate(np.where(inside, hi, -np.inf), axis=1)
+    before = np.empty_like(reach)
+    before[:, 0] = -np.inf
+    before[:, 1:] = reach[:, :-1]
+    opens = inside & (lo > before)
+    start = np.maximum.accumulate(np.where(opens, lo, -np.inf), axis=1)
+    # column k - 1 holds the piece that the opening at k closes, the last
+    # column the piece still open at the row's end
+    pieces = np.zeros(inside.shape)
+    np.subtract(before[:, 1:], start[:, :-1], out=pieces[:, :-1],
+                where=opens[:, 1:] & (before[:, 1:] > -np.inf))
+    np.subtract(reach[:, -1], start[:, -1], out=pieces[:, -1],
+                where=reach[:, -1] > -np.inf)
+    # cumsum adds left to right, where sum would pair terms up
+    return np.cumsum(pieces, axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -332,8 +332,10 @@ def _function_pair(base_dim):
 def test_function_checks_equal_their_hypograph_checks(base_dim):
     # 1-D under Lebesgue takes the exact envelope, 2-D under a tagged
     # density the grid sum; a function pair must report what its
-    # hypographs report, up to the check id's suffix
+    # hypographs report, up to the check id's suffix; a mixed pair and a
+    # pair of grid point sets are refused
     f, g, mu, alphas = _function_pair(base_dim)
+    cells = GridPointSet(f.grid.cell_lower_corners(), f.grid.spacing)
     assert mu.is_lebesgue == (base_dim == 1)
     F = FSpec("power", 0.5)
     spec = SumSpec(p=2.0, alphas=alphas, t=0.5, lambda_points=12)
@@ -351,6 +353,8 @@ def test_function_checks_equal_their_hypograph_checks(base_dim):
         assert via_funcs == via_sets
         with pytest.raises(DomainError):
             check(f, g.hypograph())
+        with pytest.raises(DomainError):
+            check(cells, cells)
 
 
 def test_minkowski_first_equality_on_cubes():

@@ -1,14 +1,17 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curvilin import sets
+from curvilin import cli, sets
 from curvilin.errors import (
+    BudgetError,
+    CurvilinError,
     DegenerateInputError,
     DomainError,
     GridAlignmentError,
@@ -267,6 +270,113 @@ def test_compress_volume_invariance(data):
     u = BoxUnion(dim, tuple(boxes))
     s = compress(u, spacing=1 / 8)
     assert s.volume == pytest.approx(u.volume, abs=1e-12)
+
+
+def _compress_loop(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
+    """Reference compress: a Python loop over cells and boxes, one merge per cell."""
+    if a.dim < 2:
+        raise DomainError("compress needs dim >= 2 (base plus vertical)")
+    n = a.dim - 1
+    boxes = [b for b in a.boxes if all(h > l for l, h in zip(*b))]
+    if not boxes:
+        raise DegenerateInputError("cannot compress an empty union")
+    base_edges = [v for (lo, hi) in boxes for v in list(lo[:n]) + list(hi[:n])]
+    h = sets._aligned_spacing(base_edges, spacing)
+    hi_max = [max(b[1][ax] for b in boxes) for ax in range(n)]
+    lo_min = [min(b[0][ax] for b in boxes) for ax in range(n)]
+    origin = tuple(math.floor(l / h + 1e-9) * h for l in lo_min)
+    shape = tuple(
+        int(math.ceil((hm - o) / h - 1e-9)) for hm, o in zip(hi_max, origin)
+    )
+    grid = Grid(origin, h, shape)
+    heights = np.zeros(shape)
+    corners = grid.cell_lower_corners().reshape(shape + (n,))
+    it = np.ndindex(*shape)
+    for idx in it:
+        c = corners[idx]
+        mid = c + h / 2.0
+        fibers = []
+        for lo, hi in boxes:
+            if all(lo[ax] <= mid[ax] <= hi[ax] for ax in range(n)):
+                fibers.append((lo[n], hi[n]))
+        if fibers:
+            heights[idx] = IntervalUnion(tuple(fibers)).volume
+    return StaircaseSet(grid, heights)
+
+
+@st.composite
+def _compress_inputs(draw):
+    """(union, spacing, cells per chunk) with touching, nested, identical
+    and zero-width fibers; with an explicit spacing, base slivers that
+    cover no cell midpoint."""
+    dim = draw(st.integers(2, 4))
+    q = draw(st.sampled_from([1, 2, 3, 4]))
+    spacing = draw(st.sampled_from([None, 1 / q, 1 / (2 * q)]))
+    # a few shared vertical values make fibers touch, nest and repeat;
+    # decimal ones make the order of subtractions and sums show
+    pool = draw(st.lists(
+        st.one_of(st.integers(0, 6).map(lambda k: k / q),
+                  st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+                  st.floats(0.0, 10.0, allow_subnormal=False)),
+        min_size=3, max_size=5))
+    boxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        lo = [draw(st.integers(0, 5)) / q for _ in range(dim - 1)]
+        hi = []
+        for l in lo:
+            width = draw(st.sampled_from([1, 2, 0, 3]))
+            if spacing is not None and width == 0 and draw(st.booleans()):
+                hi.append(l + 1e-11)
+            else:
+                hi.append(l + width / q)
+        v0, v1 = sorted(draw(st.sampled_from(pool)) for _ in range(2))
+        boxes.append((tuple(lo + [v0]), tuple(hi + [v1])))
+    return BoxUnion(dim, tuple(boxes)), spacing, draw(st.sampled_from([None, 1, 3]))
+
+
+# twelve disjoint fibers whose lengths sum differently when paired up
+_TWELVE_FIBERS = BoxUnion(2, tuple(
+    ((0.0, 2.0 * k), (1.0, 2.0 * k + v)) for k, v in enumerate(
+        [0.16, 0.02, 0.6, 0.55, 0.75, 0.86, 0.47, 0.53, 0.59, 0.34, 0.8, 0.77])))
+
+
+@given(_compress_inputs())
+@example((_TWELVE_FIBERS, None, None))
+@settings(max_examples=300, deadline=None)
+def test_compress_equals_loop_oracle(case):
+    u, spacing, per_chunk = case
+    try:
+        want = _compress_loop(u, spacing)
+    except CurvilinError as exc:
+        with pytest.raises(type(exc)):
+            compress(u, spacing)
+        return
+    solid = sum(all(h > l for l, h in zip(*b)) for b in u.boxes)
+    chunk = sets._COMPRESS_CHUNK if per_chunk is None else per_chunk * solid
+    with mock.patch.object(sets, "_COMPRESS_CHUNK", chunk):
+        got = compress(u, spacing)
+    assert got.grid == want.grid
+    assert np.array_equal(got.heights, want.heights)
+
+
+def test_compress_refuses_grid_beyond_budget_before_allocating(tmp_path, capsys):
+    # a base edge at 1/1048575 derives that spacing: a 2,097,150^2 grid
+    e = 1 / 1048575
+    u = BoxUnion(3, (((0.0, 0.0, 0.0), (2.0, 2.0, 1.0)),
+                     ((0.0, 0.0, 0.0), (e, e, 1.0))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="budget"):
+            compress(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(u.to_json()))
+    assert cli.main(["compress", "--a", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvilin: ") and "budget" in err
 
 
 def test_section_profile_k0_and_kn():
