@@ -46,12 +46,13 @@ def _cases():
         envelope_segments,
         staircase_sum_regions,
     )
-    from curvilin.funcs import GridFunction, sup_convolve
+    from curvilin.funcs import sup_convolve
     from curvilin.means import PowerVector
     from curvilin.measures import lebesgue, surface_area_sets
     from curvilin.sets import (
         BoxUnion,
         Grid,
+        GridFunction,
         IntervalUnion,
         StaircaseSet,
         box_union_volume,

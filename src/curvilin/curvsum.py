@@ -60,6 +60,10 @@ from .sets import BoxUnion, Grid, GridPointSet, IntervalUnion, StaircaseSet, nor
 _INF = math.inf
 _SNAP = 1e-9  # floor snap guard, in cell units
 _PAIR_CHUNK = 1 << 22
+# most (interval pair, lam) pieces of a 1-D sum, and most bytes of the
+# (3, rows, a-cells, b-cells) float64 buffer of the region builder
+_INTERVAL_PIECES = 1 << 20
+_REGION_BUDGET = 1 << 30
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
@@ -491,6 +495,9 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     map); the result is the normalized union over the lam evaluation set,
     including the closed-form maximizers for the volume pair, each length
     pair, and each right-endpoint pair.  At p = 1 one lam is evaluated.
+    Pairs times the largest lam count that set can have is bounded by
+    ``_INTERVAL_PIECES``; beyond it BudgetError is raised before the pair
+    list is built.
     """
     if spec.alphas.n != 0:
         raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
@@ -503,6 +510,15 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     la = normalize(l).intervals
     if not ka or not la:
         raise DegenerateInputError("summand has empty support")
+    m = len(ka) * len(la)
+    lam_count = 1
+    if spec.p != 1.0:
+        lam_count = spec.lambda_points + len(spec.extra_lambdas) + (1 + 2 * m) * _injects(spec)
+    if m * lam_count > _INTERVAL_PIECES:
+        raise BudgetError(
+            f"{len(ka)} x {len(la)} intervals at up to {lam_count} lam values "
+            f"give {m * lam_count} pieces, budget {_INTERVAL_PIECES}"
+        )
 
     pairs = [q for a, b in ka for c, d in la for q in ((b - a, d - c), (b, d))]
     lam_arr = _lambda_values(spec, k, l, pairs)
@@ -566,7 +582,9 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     and D only scale (``combine`` at alpha != 0) one broadcast over
     (lam, a-cell, b-cell) covers every lam; a power of C or D
     (``combine_quasi``, or ``combine`` at alpha = 0) stays one scalar
-    call per lam, because array powers can round differently.
+    call per lam, because array powers can round differently.  A buffer
+    of more than ``_REGION_BUDGET`` bytes raises BudgetError before any
+    coefficient is computed.
     """
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
@@ -579,11 +597,19 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     alpha0 = spec.alphas.alphas[0]
     alpha1 = spec.alphas.last
     base_kernel, vert_kernel = spec.kernels
+    lams = _lambda_values(spec, a, b)
+    injects = _injects(spec)
+    need = 3 * (len(lams) + injects) * len(ha) * len(hb) * 8
+    if need > _REGION_BUDGET:
+        raise BudgetError(
+            f"region buffer for {len(lams)} lam values and {len(ha)} x {len(hb)} "
+            f"cells needs {need} bytes, budget {_REGION_BUDGET}"
+        )
     u = ha[:, None]
     v = hb[None, :]
-    cd_list = _coefficient_list(spec, _lambda_values(spec, a, b))
+    cd_list = _coefficient_list(spec, lams)
     c_col, d_col = np.asarray(cd_list).T[..., None, None]
-    star = spec.coefficients(_lambda_star(spec, u, v)) if _injects(spec) else None
+    star = spec.coefficients(_lambda_star(spec, u, v)) if injects else None
     xlo_a = xa[:, 0][:, None]
     xhi_a = xlo_a + a.grid.spacing
     xlo_b = xb[:, 0][None, :]

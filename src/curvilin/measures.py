@@ -37,13 +37,12 @@ from .errors import (
     RangeError,
     RegimeError,
 )
-from .funcs import GridFunction
 from .means import PowerVector, mean_alpha
 from .reports import InequalityReport
 from .sets import (
     Grid,
+    GridFunction,
     GridPointSet,
-    SectionProfile,
     StaircaseSet,
     _integrate_leading,
 )
@@ -224,21 +223,18 @@ def measure_of(a, mu: DensityMeasure) -> float:
     raise DomainError(f"cannot integrate over {type(a).__name__}")
 
 
-def mu_section_quantities(
-    a: StaircaseSet, mu: DensityMeasure, k: int
-) -> tuple[SectionProfile, float]:
-    """Fiber masses over the last n-k base axes and their sup.
+def mu_section_quantities(a: StaircaseSet, mu: DensityMeasure, k: int) -> GridFunction:
+    """Fiber masses over the first k base axes, on the remaining ones.
 
-    Returns (profile, m) with profile.values[u] the mu-mass of the fiber
-    through u and m its maximum; sets.superlevel(profile, r) gives the grid
-    cells where the fiber mass reaches r*m.  With a constant density the
+    The value at u is the mu-mass of the fiber through u, and ``.sup_norm``
+    the largest such mass; sets.superlevel(profile, r) gives the grid cells
+    where the fiber mass reaches r times it.  With a constant density the
     profile is sets.section_profile of the same staircase.
     """
     profile = _integrate_leading(_column_masses(a, mu), a.grid, k)
-    m = profile.sup_norm
-    if m <= 0.0:
+    if profile.sup_norm <= 0.0:
         raise DegenerateInputError("all fibers have zero mass")
-    return profile, m
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ A staircase over base cells Q_i with heights v_i is the set
 union_i Q_i x [0, v_i]; compression of a box union rearranges each vertical
 fiber into such a stack, which preserves volume exactly as long as the box
 edges live on a common rational grid.
+
+:class:`GridFunction` is the one per-cell function type: one nonnegative
+value per grid cell, whose hypograph is the staircase with those heights.
+Section profiles (a set's fiber heights integrated over its first k base
+axes) are grid functions on the remaining axes, down to a 0-dim function
+holding the total at k = n.
 """
 
 from __future__ import annotations
@@ -324,6 +330,51 @@ class StaircaseSet:
 
 
 @dataclass(frozen=True)
+class GridFunction:
+    """Nonnegative piecewise-constant function sampled per grid cell."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _cell_values(self.grid, self.values, "values"))
+
+    @property
+    def ndim(self) -> int:
+        return self.grid.ndim
+
+    @property
+    def integral(self) -> float:
+        return float(np.sum(self.values)) * self.grid.cell_volume
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.max(self.values))
+
+    def hypograph(self) -> StaircaseSet:
+        """The region under the graph, as a staircase one dimension up."""
+        return StaircaseSet(self.grid, self.values)
+
+    def refined(self, factor: int = 2) -> "GridFunction":
+        """Same function on a grid with cells split by ``factor`` per axis."""
+        return GridFunction(self.grid.refined(factor), _split_cells(self.values, factor))
+
+    def to_json(self) -> dict:
+        return {
+            "origin": list(self.grid.origin),
+            "spacing": self.grid.spacing,
+            "shape": list(self.grid.shape),
+            "values": [float(v) for v in self.values.ravel()],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "GridFunction":
+        grid = Grid(tuple(data["origin"]), float(data["spacing"]), tuple(data["shape"]))
+        values = np.asarray(data["values"], dtype=float).reshape(grid.shape)
+        return cls(grid, values)
+
+
+@dataclass(frozen=True)
 class GridPointSet:
     """Finite set of grid cells given by lower corners; volume is count * h^d."""
 
@@ -421,6 +472,8 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
     shape = tuple(
         int(math.ceil((hm - o) / h - 1e-9)) for hm, o in zip(hi_max, origin)
     )
+    if min(shape) < 1:
+        raise GridAlignmentError(f"every box base is thinner than one cell of spacing {h}")
     grid = Grid(origin, h, shape)
     cells = math.prod(shape)
     if cells > _COMPRESS_CELL_BUDGET:
@@ -470,29 +523,11 @@ def _merged_length(inside: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
 # volumes and sections
 
 
-@dataclass(frozen=True)
-class SectionProfile:
-    """Section volume function u -> V_{k+1}(A cap (span(e_1..e_k) x R_+ + u)).
-
-    values live on the grid of the remaining base axes; sup_norm is the
-    maximum section volume.
-    """
-
-    k: int
-    grid: Grid | None
-    values: np.ndarray
-    spacing: float
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(self.values)) if self.values.size else 0.0
-
-
-def _integrate_leading(values: np.ndarray, grid: Grid, k: int) -> SectionProfile:
+def _integrate_leading(values: np.ndarray, grid: Grid, k: int) -> GridFunction:
     """Integrate per-cell values over the first k axes of ``grid``.
 
-    The profile lives on the grid of the remaining axes; k = 0 keeps the
-    values, k = ndim collapses them to one number (grid None).
+    The result lives on the grid of the remaining axes: k = 0 copies the
+    values, k = ndim leaves a 0-dim function whose one value is the total.
     """
     n = grid.ndim
     if not 0 <= k <= n:
@@ -500,35 +535,35 @@ def _integrate_leading(values: np.ndarray, grid: Grid, k: int) -> SectionProfile
     h = grid.spacing
     for _ in range(k):
         values = values.sum(axis=0) * h
-    values = np.asarray(values, dtype=float)
-    if k == n:
-        return SectionProfile(k, None, values.reshape(()), h)
-    return SectionProfile(k, Grid(grid.origin[k:], h, grid.shape[k:]), values, h)
+    return GridFunction(Grid(grid.origin[k:], h, grid.shape[k:]), values)
 
 
-def section_profile(a: StaircaseSet, k: int) -> SectionProfile:
-    """Integrate the fiber heights over the first k base axes.
+def section_profile(a: StaircaseSet, k: int) -> GridFunction:
+    """Section volumes u -> V_{k+1}(A cap (span(e_1..e_k) x R_+ + u)).
 
-    k = 0 returns the heights themselves; k = n collapses to a single
-    number, the total volume.
+    The fiber heights integrated over the first k base axes, as a function
+    on the remaining ones; its sup is the largest section volume.  k = 0
+    gives the heights themselves, k = n a 0-dim function whose value is the
+    total volume.  A function f's marginal over its first k axes is
+    ``section_profile(f.hypograph(), k)``.
     """
     return _integrate_leading(a.heights, a.grid, k)
 
 
-def superlevel_mask(profile: SectionProfile, r: float) -> np.ndarray:
+def superlevel_mask(profile: GridFunction, r: float) -> np.ndarray:
     """Flat mask of the cells where the profile reaches the fraction r of its sup."""
     if not 0.0 <= r <= 1.0:
         raise RangeError(f"r must lie in [0, 1], got {r}")
     sup = profile.sup_norm
     if sup <= 0:
         raise DegenerateInputError("profile has empty support")
-    if profile.grid is None:
+    if profile.ndim == 0:
         raise DomainError("superlevel needs a positive-dimension profile")
     thresh = r * sup
     return profile.values.ravel() >= thresh - 1e-12 * sup
 
 
-def superlevel(profile: SectionProfile, r: float) -> GridPointSet:
+def superlevel(profile: GridFunction, r: float) -> GridPointSet:
     """Cells where the profile reaches the fraction r of its sup."""
     corners = profile.grid.cell_lower_corners()[superlevel_mask(profile, r)]
     return GridPointSet(corners, profile.grid.spacing)
@@ -539,7 +574,7 @@ def normalized_compression(a: StaircaseSet, k: int) -> StaircaseSet:
     prof = section_profile(a, k)
     if prof.sup_norm <= 0:
         raise DegenerateInputError("set has zero volume")
-    if prof.grid is None:
+    if prof.ndim == 0:
         raise DomainError("k = n leaves no base axes; use section_profile")
     return StaircaseSet(prof.grid, prof.values / prof.sup_norm)
 

@@ -32,7 +32,7 @@ from .curvsum import (
     sum_oracle,
 )
 from .errors import CurvilinError, RangeError
-from .funcs import GridFunction, marginal, sup_convolve
+from .funcs import sup_convolve
 from .means import PowerVector, mean_alpha, sup_lambda_min_form
 from .measures import (
     F_LOG,
@@ -51,6 +51,7 @@ from .reports import FAIL, PASS, REFINE, InequalityReport, verdict_for
 from .sets import (
     BoxUnion,
     Grid,
+    GridFunction,
     IntervalUnion,
     StaircaseSet,
     box_union_volume,
@@ -600,8 +601,8 @@ def check_marginal_bbl(instance, params):
         rhs = _closed_bound(params["branch"] == "quasi", f.integral / nf,
                             g.integral / ng, p, t, exponent)
     else:
-        mf, nf = marginal(f, k)
-        mg, ng = marginal(g, k)
+        mf, mg = section_profile(f.hypograph(), k), section_profile(g.hypograph(), k)
+        nf, ng = mf.sup_norm, mg.sup_norm
         rhs = _hypograph_sum(mf, mg, params, lp, exponent)
     lhs = witness.integral * mean_alpha(1.0 / nf, 1.0 / ng, t, p * beta)
     tol = params["c"] * witness.grid.spacing
@@ -630,8 +631,8 @@ def check_measure_bm(instance, params):
     spec = SumSpec(p, PowerVector((1.0,) * n), t, lp)
     spec = spec.with_extra_lambdas((t,))
     out = curvilinear_sum_grid(a, b, spec)
-    prof_a, ma = mu_section_quantities(a, mu, 0)
-    prof_b, mb = mu_section_quantities(b, mu, 0)
+    prof_a, prof_b = mu_section_quantities(a, mu, 0), mu_section_quantities(b, mu, 0)
+    ma, mb = prof_a.sup_norm, prof_b.sup_norm
     lhs = measure_of(out, mu) * mean_alpha(1.0 / ma, 1.0 / mb, t, p * beta)
     if params["branch"] == "quasi":
         rhs = _hypograph_sum(prof_a, prof_b, params, lp, _delta_exponent(alpha, beta, k))

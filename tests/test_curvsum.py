@@ -1,4 +1,6 @@
+import json
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from curvilin import (
     RegimeError,
     ResolutionError,
 )
-from curvilin import curvsum
+from curvilin import cli, curvsum
 from curvilin.curvsum import (
     _SNAP,
     CONVEX_QUASI,
@@ -38,9 +40,16 @@ from curvilin.curvsum import (
     staircase_sum_volume_exact,
     sum_oracle,
 )
-from curvilin.funcs import GridFunction, sup_convolve
+from curvilin.funcs import sup_convolve
 from curvilin.means import PowerVector
-from curvilin.sets import BoxUnion, Grid, GridPointSet, IntervalUnion, StaircaseSet
+from curvilin.sets import (
+    BoxUnion,
+    Grid,
+    GridFunction,
+    GridPointSet,
+    IntervalUnion,
+    StaircaseSet,
+)
 
 
 def vec(*alphas):
@@ -176,6 +185,23 @@ def test_interval_sum_rejects_degenerate():
     spec = SumSpec(p=1.0, alphas=vec(1), t=0.5)
     with pytest.raises(DegenerateInputError):
         curvilinear_sum_1d(IntervalUnion(()), IntervalUnion(((0.0, 1.0),)), spec)
+
+
+def test_interval_sum_refuses_beyond_piece_budget(tmp_path, capsys):
+    # 48 x 48 pairs at 64 + 1 + 2 * 48^2 lam values: 10.8M pieces
+    rng = np.random.default_rng(48)
+    k, l = (IntervalUnion(np.sort(rng.uniform(0.0, 4.0, 96)).reshape(48, 2))
+            for _ in range(2))
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetError, match="budget"):
+        curvilinear_sum_1d(k, l, SumSpec(p=2.0, alphas=vec(1), t=0.5))
+    assert time.perf_counter() - t0 < 0.1
+    pk, pl = tmp_path / "k.json", tmp_path / "l.json"
+    pk.write_text(json.dumps(k.to_json()))
+    pl.write_text(json.dumps(l.to_json()))
+    assert cli.main(["sum", "--a", str(pk), "--b", str(pl), "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvilin: ") and "budget" in err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from curvilin import (
     curvilinear_sum_grid,
     function_from_json,
     lp_minkowski_sum_base,
-    marginal,
+    section_profile,
     sup_convolve,
 )
 from curvilin.curvsum import QUASI, SumSpec
@@ -175,18 +175,22 @@ def test_lambda_refinement_monotone():
 
 
 def test_marginal_orders():
+    # a function's marginals are the section profiles of its hypograph
     ones = GridFunction(Grid((0.0, 0.0), 0.25, (4, 4)), np.ones((4, 4)))
-    mid, norm = marginal(ones, 1)
+    mid = section_profile(ones.hypograph(), 1)
     assert isinstance(mid, GridFunction)
     assert np.allclose(mid.values, 1.0)
-    assert norm == 1.0
-    same, sup = marginal(ones, 0)
-    assert same is ones and sup == 1.0
-    total, norm_n = marginal(ones, 2)
-    assert total == pytest.approx(1.0, rel=1e-15)
-    assert norm_n == total
+    assert mid.sup_norm == 1.0
+    same = section_profile(ones.hypograph(), 0)
+    # k = 0 copies the values, it does not hand back the function
+    assert same is not ones and same.grid == ones.grid
+    assert np.array_equal(same.values, ones.values) and same.sup_norm == 1.0
+    total = section_profile(ones.hypograph(), 2)
+    assert total.grid == Grid((), 0.25, ())
+    assert float(total.values) == pytest.approx(1.0, rel=1e-15)
+    assert total.sup_norm == float(total.values)
     with pytest.raises(RangeError):
-        marginal(ones, 3)
+        section_profile(ones.hypograph(), 3)
 
 
 def test_marginal_separable():
@@ -195,10 +199,11 @@ def test_marginal_separable():
     bv = r.uniform(0.1, 2.0, 3)
     h = 0.2
     f = GridFunction(Grid((0.0, 0.0), h, (5, 3)), np.outer(av, bv))
-    mid, norm = marginal(f, 1)
+    mid = section_profile(f.hypograph(), 1)
     expect = bv * (av.sum() * h)
+    assert mid.grid == Grid((0.0,), h, (3,))
     assert np.allclose(mid.values, expect, rtol=1e-12)
-    assert norm == pytest.approx(expect.max(), rel=1e-12)
+    assert mid.sup_norm == pytest.approx(expect.max(), rel=1e-12)
 
 
 def test_sup_convolve_guards():

@@ -177,10 +177,11 @@ def test_mu_sections_reduce_to_section_profile():
     heights = r.uniform(0.0, 1.0, size=(6, 5))
     a = StaircaseSet(Grid((0.0, 0.0), 0.25, (6, 5)), heights)
     mu = lebesgue(Grid((0.0, 0.0), 0.25, (6, 5)))
-    profile, m = mu_section_quantities(a, mu, 1)
+    profile = mu_section_quantities(a, mu, 1)
     plain = section_profile(a, 1)
+    assert profile.grid == plain.grid
     assert np.array_equal(profile.values, plain.values)
-    assert m == plain.sup_norm
+    assert profile.sup_norm == plain.sup_norm
     got = superlevel(profile, 0.5)
     want = superlevel(plain, 0.5)
     assert np.array_equal(got.coords, want.coords)
@@ -191,7 +192,8 @@ def test_mu_sections_layer_cake():
     heights = r.uniform(0.0, 1.2, size=(8, 8))
     a = StaircaseSet(Grid((0.0, 0.0), 0.25, (8, 8)), heights)
     mu = gaussian_density(Grid((0.0, 0.0), 0.25, (8, 8)), (1.0, 1.0), 1.2)
-    profile, m = mu_section_quantities(a, mu, 1)
+    profile = mu_section_quantities(a, mu, 1)
+    m = profile.sup_norm
     total = measure_of(a, mu)
     R = 256
     quad = sum(superlevel(profile, j / R).volume for j in range(1, R + 1)) / R

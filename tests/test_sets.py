@@ -15,10 +15,12 @@ from curvilin.errors import (
     DegenerateInputError,
     DomainError,
     GridAlignmentError,
+    RangeError,
 )
 from curvilin.sets import (
     BoxUnion,
     Grid,
+    GridFunction,
     GridPointSet,
     IntervalUnion,
     StaircaseSet,
@@ -248,6 +250,11 @@ def test_compress_misaligned_raises():
     u = BoxUnion(2, (((0.0, 0.0), (1 / 3, 1.0)),))
     with pytest.raises(GridAlignmentError):
         compress(u, spacing=0.25)
+    # aligned to 0.5 within tolerance, but thinner than one cell: no grid
+    sliver = BoxUnion(2, (((0.5, 0.0), (0.5 + 1e-11, 1.0)),))
+    for run in (compress, _compress_loop):
+        with pytest.raises(GridAlignmentError, match="spacing 0.5"):
+            run(sliver, 0.5)
 
 
 def test_compress_idempotent_on_stacks():
@@ -288,6 +295,8 @@ def _compress_loop(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
     shape = tuple(
         int(math.ceil((hm - o) / h - 1e-9)) for hm, o in zip(hi_max, origin)
     )
+    if min(shape) < 1:
+        raise GridAlignmentError(f"every box base is thinner than one cell of spacing {h}")
     grid = Grid(origin, h, shape)
     heights = np.zeros(shape)
     corners = grid.cell_lower_corners().reshape(shape + (n,))
@@ -382,10 +391,16 @@ def test_compress_refuses_grid_beyond_budget_before_allocating(tmp_path, capsys)
 def test_section_profile_k0_and_kn():
     s = staircase([[1.0, 2.0], [3.0, 4.0]], spacing=0.5)
     p0 = section_profile(s, 0)
+    assert isinstance(p0, GridFunction) and p0.grid == s.grid
     assert np.array_equal(p0.values, s.heights)
+    assert p0.sup_norm == s.sup_height
     p2 = section_profile(s, 2)
+    assert p2.grid == Grid((), s.grid.spacing, ())
     assert p2.values.shape == ()
     assert float(p2.values) == pytest.approx(s.volume)
+    assert p2.sup_norm == p2.integral == float(p2.values)
+    with pytest.raises(RangeError):
+        section_profile(s, 3)
 
 
 def test_section_profile_k1():

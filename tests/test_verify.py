@@ -1,17 +1,18 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvilin import PowerVector
+from curvilin import BudgetError, PowerVector
 from curvilin import verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
 from curvilin.reports import FAIL, PASS, REFINE
 from curvilin.sets import (
     Grid,
+    GridFunction,
     IntervalUnion,
-    SectionProfile,
     StaircaseSet,
     normalized_compression,
     superlevel,
@@ -85,6 +86,18 @@ def test_refined_run_tightens_lambda_grid():
     assert finer.lambda_points == 2 * (base.lambda_points + 1) - 1
 
 
+def test_region_buffer_refused_before_allocating():
+    # level 5 of this draw asks the envelope path for a 7.25 GiB region buffer
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="budget"):
+            verify.run_check("normalized_bm", 0, 4, level=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
 def test_classical_reduction_keeps_verdicts():
     # p = 1 with first power one is the classical scalar route; the same
     # draw must agree with itself across two fresh runs bit for bit
@@ -113,7 +126,7 @@ def _layered_base_integral_loop(prof_a, prof_b, p, t, lambda_points, r_points=64
 def _profile(values, spacing=0.5):
     values = np.asarray(values, dtype=float)
     grid = Grid((0.0,) * values.ndim, spacing, values.shape)
-    return SectionProfile(0, grid, values, spacing)
+    return GridFunction(grid, values)
 
 
 @pytest.mark.parametrize("plateaus", [True, False])
