@@ -15,10 +15,15 @@ sides see the same values.
 
 The kernels: the grid sum, the exact envelope (region build plus
 envelope), ``box_union_volume``, ``compress``, ``curvilinear_sum_1d``,
-``sup_convolve``, ``surface_area_sets`` and the recipe behind
-``calibrate_grid_constant``.  That recipe has one fixed size (3-cell
-operands), so it is timed at two seeds instead of two sizes; seed 0
-reads a committed constant and runs nothing.
+``sup_convolve``, ``surface_area_sets``, the recipe behind
+``calibrate_grid_constant``, the layered base integral and the density-tag
+spot check.  The calibration recipe has one fixed size (3-cell operands),
+so it is timed at two seeds instead of two sizes; seed 0 reads a committed
+constant and runs nothing.  The layered base integral is timed on a 1-D and
+a 2-D profile pair, with the base-sum coefficient cache cleared inside every
+call, because each fresh ``curvilin verify`` process starts with it empty.
+The spot check is timed on the Lebesgue and the tent density of the
+suite's 48x48 density grid.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ CALLS = 21
 
 def _cases():
     """(kernel, size, call) for every kernel at both of its sizes."""
+    from curvilin import curvsum
     from curvilin.curvsum import (
         SumSpec,
         curvilinear_sum_1d,
@@ -48,7 +54,7 @@ def _cases():
     )
     from curvilin.funcs import sup_convolve
     from curvilin.means import PowerVector
-    from curvilin.measures import lebesgue, surface_area_sets
+    from curvilin.measures import DensityMeasure, lebesgue, surface_area_sets, tent_density
     from curvilin.sets import (
         BoxUnion,
         Grid,
@@ -58,7 +64,7 @@ def _cases():
         box_union_volume,
         compress,
     )
-    from curvilin.verify import _calibrate
+    from curvilin.verify import _calibrate, _layered_base_integral
 
     def stair(rng, n, dim):
         shape = (n,) * dim
@@ -113,6 +119,24 @@ def _cases():
     for seed in (1, 2):
         cases.append(("calibrate_grid_constant", f"recipe at seed {seed}",
                       lambda seed=seed: _calibrate(seed)))
+    # the cache is absent from trees older than it
+    clear = getattr(getattr(curvsum, "_base_sum_table", None), "cache_clear", lambda: None)
+
+    def layered(fa, fb):
+        clear()
+        return _layered_base_integral(fa, fb, 2.0, 0.4, 16)
+
+    for dim, n in ((1, 12), (2, 6)):
+        rng = np.random.default_rng(100 + dim)
+        grid = Grid((0.0,) * dim, 0.25, (n,) * dim)
+        fa, fb = (GridFunction(grid, rng.uniform(0.2, 2.0, (n,) * dim)) for _ in range(2))
+        cases.append(("layered_base_integral", f"{dim}-D profiles of {n ** dim} cells, "
+                      "p=2, 16 lam", lambda fa=fa, fb=fb: layered(fa, fb)))
+    grid = Grid((0.0, 0.0), 0.25, (48, 48))
+    for name, mu in (("lebesgue", lebesgue(grid)),
+                     ("tent_density", tent_density(grid, (2.0, 2.0), 6.0))):
+        cases.append(("density_spot_check", f"{name} on a 48x48 grid",
+                      lambda mu=mu: DensityMeasure(mu.density, mu.alpha_concavity)))
     return cases
 
 

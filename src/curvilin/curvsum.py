@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,9 +62,14 @@ _INF = math.inf
 _SNAP = 1e-9  # floor snap guard, in cell units
 _PAIR_CHUNK = 1 << 22
 # most (interval pair, lam) pieces of a 1-D sum, and most bytes of the
-# (3, rows, a-cells, b-cells) float64 buffer of the region builder
+# region builder's (3, rows, a-cells, b-cells) float64 buffer together with
+# the envelope's working set over those rows
 _INTERVAL_PIECES = 1 << 20
 _REGION_BUDGET = 1 << 30
+# envelope_segments' tracemalloc peak per rectangle is 124-128 B (the
+# filtered copies, the concatenated ends, np.unique's sort buffers and
+# inverse); the region buffer stays live beside it
+_ENVELOPE_BYTES = 128
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
@@ -582,9 +588,11 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     and D only scale (``combine`` at alpha != 0) one broadcast over
     (lam, a-cell, b-cell) covers every lam; a power of C or D
     (``combine_quasi``, or ``combine`` at alpha = 0) stays one scalar
-    call per lam, because array powers can round differently.  A buffer
-    of more than ``_REGION_BUDGET`` bytes raises BudgetError before any
-    coefficient is computed.
+    call per lam, because array powers can round differently.  The rows
+    are meant for ``envelope_segments``, so the budget counts the 24-byte
+    buffer row and the envelope's working set of ``_ENVELOPE_BYTES`` per
+    rectangle: above ``_REGION_BUDGET`` bytes in all, BudgetError is raised
+    before any coefficient is computed.
     """
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
@@ -599,11 +607,11 @@ def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     base_kernel, vert_kernel = spec.kernels
     lams = _lambda_values(spec, a, b)
     injects = _injects(spec)
-    need = 3 * (len(lams) + injects) * len(ha) * len(hb) * 8
+    need = (len(lams) + injects) * len(ha) * len(hb) * (3 * 8 + _ENVELOPE_BYTES)
     if need > _REGION_BUDGET:
         raise BudgetError(
-            f"region buffer for {len(lams)} lam values and {len(ha)} x {len(hb)} "
-            f"cells needs {need} bytes, budget {_REGION_BUDGET}"
+            f"region buffer and envelope for {len(lams)} lam values and "
+            f"{len(ha)} x {len(hb)} cells need {need} bytes, budget {_REGION_BUDGET}"
         )
     u = ha[:, None]
     v = hb[None, :]
@@ -746,6 +754,27 @@ def scalar_dilate(c: float, x, spec: SumSpec):
 # base-space sums of grid point sets
 
 
+@lru_cache(maxsize=128, typed=True)
+def _base_sum_table(p, t, lambda_points, dim):
+    """Spec, lam set and (C, D) columns of the base sum, cached per key.
+
+    The base sum is the support of the min-kernel sum of the indicators,
+    so its spec has base powers 1 and vertical power -inf.  The lam set
+    ignores the operands only because that -inf power never injects a
+    maximizer: ``_lambda_values`` reads the operands for nothing else.
+    (C, D) come from the scalar ``_coefficient_list`` calls, since array
+    powers can round differently.  Every caller shares the returned
+    arrays, so they are read-only.
+    """
+    spec = SumSpec(p, PowerVector((1.0,) * dim + (-_INF,)), t, lambda_points,
+                   extra_lambdas=(t,))
+    lams = _lambda_values(spec, None, None)
+    cd = np.asarray(_coefficient_list(spec, lams))
+    lams.setflags(write=False)
+    cd.setflags(write=False)
+    return spec, lams, cd[:, :1], cd[:, 1:]
+
+
 def lp_minkowski_sum_base(
     x: GridPointSet,
     y: GridPointSet,
@@ -758,6 +787,9 @@ def lp_minkowski_sum_base(
     The lam evaluation set is the uniform grid plus lam = t (where
     C + D = 1) and, in one dimension, the per-pair maximizers of C u + D v;
     at p = 1 (C, D) is the same for every lam, so one lam is evaluated.
+    The spec, the lam grid and its (C, D) table depend only on
+    (p, t, lambda_points, dimension); ``_base_sum_table`` builds them once
+    per key and every call reads the same cached, read-only arrays.
     All scalar lam values are snapped in one broadcast pass (chunked to
     ``_PAIR_CHUNK`` values), each snapped row is encoded as one int64
     mixed-radix code over the box of reached lattice indices, and the
@@ -776,13 +808,7 @@ def lp_minkowski_sum_base(
         raise DegenerateInputError("point set is empty")
     if x.dim != y.dim:
         raise DomainError("point sets live in different dimensions")
-    # the base sum is the support of the min-kernel sum of the indicators,
-    # whose vertical kernel has no maximizer to inject
-    spec = SumSpec(p, PowerVector((1.0,) * x.dim + (-_INF,)), t, lambda_points,
-                   extra_lambdas=(t,))
-    lams = _lambda_values(spec, x, y)
-    cd = np.asarray(_coefficient_list(spec, lams))
-    c, d = cd[:, :1], cd[:, 1:]
+    spec, lams, c, d = _base_sum_table(p, t, lambda_points, x.dim)
     h = x.spacing
     u = x.coords[:, None, :]
     v = y.coords[None, :, :]

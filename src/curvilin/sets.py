@@ -550,17 +550,28 @@ def section_profile(a: StaircaseSet, k: int) -> GridFunction:
     return _integrate_leading(a.heights, a.grid, k)
 
 
-def superlevel_mask(profile: GridFunction, r: float) -> np.ndarray:
-    """Flat mask of the cells where the profile reaches the fraction r of its sup."""
-    if not 0.0 <= r <= 1.0:
-        raise RangeError(f"r must lie in [0, 1], got {r}")
+def superlevel_masks(profile: GridFunction, rs) -> np.ndarray:
+    """Flat masks of the cells where the profile reaches each fraction in rs.
+
+    Row j of the (len(rs), cells) result flags the cells whose value is at
+    least rs[j] * sup less 1e-12 * sup: the one threshold rule, shared by
+    ``superlevel_mask`` and ``superlevel``.
+    """
+    rs = np.asarray(rs, dtype=float)
+    outside = ~((rs >= 0.0) & (rs <= 1.0))
+    if outside.any():
+        raise RangeError(f"r must lie in [0, 1], got {float(rs[outside][0])}")
     sup = profile.sup_norm
     if sup <= 0:
         raise DegenerateInputError("profile has empty support")
     if profile.ndim == 0:
         raise DomainError("superlevel needs a positive-dimension profile")
-    thresh = r * sup
-    return profile.values.ravel() >= thresh - 1e-12 * sup
+    return profile.values.ravel() >= (rs * sup)[:, None] - 1e-12 * sup
+
+
+def superlevel_mask(profile: GridFunction, r: float) -> np.ndarray:
+    """Flat mask of the cells where the profile reaches the fraction r of its sup."""
+    return superlevel_masks(profile, (r,))[0]
 
 
 def superlevel(profile: GridFunction, r: float) -> GridPointSet:

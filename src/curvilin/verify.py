@@ -52,14 +52,14 @@ from .sets import (
     BoxUnion,
     Grid,
     GridFunction,
+    GridPointSet,
     IntervalUnion,
     StaircaseSet,
     box_union_volume,
     compress,
     normalized_compression,
     section_profile,
-    superlevel,
-    superlevel_mask,
+    superlevel_masks,
 )
 
 INTERVAL_UNIONS = "interval_unions"
@@ -286,19 +286,24 @@ def _layered_base_integral(prof_a, prof_b, p, t, lambda_points):
     """Right-endpoint quadrature of r -> V(base sum of the r-superlevels).
 
     The integrand is nonincreasing in r, so the rule underestimates the
-    integral and the bound direction stays sound.
+    integral and the bound direction stays sound.  Each profile gives one
+    (``_R_POINTS``, cells) mask matrix from one comparison and its cell
+    corners once.  Adjacent r levels often cut the same cells, and their
+    base sum is the same, so the base sum runs once per distinct mask pair,
+    in r order.
     """
+    rs = np.arange(1, _R_POINTS + 1) / _R_POINTS
+    profs = (prof_a, prof_b)
+    masks = [superlevel_masks(prof, rs) for prof in profs]
+    corners = [prof.grid.cell_lower_corners() for prof in profs]
+    fresh = np.ones(_R_POINTS, dtype=bool)
+    fresh[1:] = np.logical_or(*(np.any(m[1:] != m[:-1], axis=1) for m in masks))
     acc = 0.0
-    prev = None
-    for j in range(1, _R_POINTS + 1):
-        r = j / _R_POINTS
-        masks = (superlevel_mask(prof_a, r), superlevel_mask(prof_b, r))
-        # adjacent r levels often cut the same cells; their base sum is the same
-        if prev is None or not all(map(np.array_equal, masks, prev)):
-            vol = lp_minkowski_sum_base(
-                superlevel(prof_a, r), superlevel(prof_b, r), p, t, lambda_points
-            ).volume
-            prev = masks
+    for j in range(_R_POINTS):
+        if fresh[j]:
+            x, y = (GridPointSet(c[m[j]], prof.grid.spacing)
+                    for c, m, prof in zip(corners, masks, profs))
+            vol = lp_minkowski_sum_base(x, y, p, t, lambda_points).volume
         acc += vol / _R_POINTS
     return acc
 

@@ -871,6 +871,39 @@ def test_lp_minkowski_base_frozen():
         lp_minkowski_sum_base(x, GridPointSet(np.asarray([[0.0]]), 0.5), 1.0, 0.5)
 
 
+def test_base_sum_table_is_read_only_and_scalar_exact():
+    inf = float("inf")
+    tables = {}
+    for p in (1.0, 1.5, 2.0, 3.0):
+        for t in (0.2, 0.5, 0.73):
+            for dim in (1, 2):
+                spec, lams, c, d = curvsum._base_sum_table(p, t, 9, dim)
+                assert curvsum._base_sum_table(p, t, 9, dim)[1] is lams
+                fresh = SumSpec(p, PowerVector((1.0,) * dim + (-inf,)), t, 9,
+                                extra_lambdas=(t,))
+                assert spec == fresh
+                x = GridPointSet(np.zeros((1, dim)), 0.5)
+                want_lams = curvsum._lambda_values(fresh, x, x)
+                want = np.asarray(curvsum._coefficient_list(fresh, want_lams))
+                assert np.array_equal(lams, want_lams)
+                assert np.array_equal(c[:, 0], want[:, 0])
+                assert np.array_equal(d[:, 0], want[:, 1])
+                for arr in (lams, c, d):
+                    assert not arr.flags.writeable
+                    with pytest.raises(ValueError):
+                        arr[0] = 0.5
+                tables[p, t, dim] = (spec, c, d)
+    # keys that differ only in t, or only in dim, never share a table
+    for (p, t, dim), (spec, c, d) in tables.items():
+        for t2 in (0.2, 0.5, 0.73):
+            if t2 != t:
+                other = tables[p, t2, dim]
+                assert other[0].t == t2
+                assert not np.array_equal(c, other[1]) or not np.array_equal(d, other[2])
+        assert tables[p, t, 3 - dim][0].alphas.n == 3 - dim
+        assert spec.alphas.n == dim
+
+
 def test_lp_minkowski_base_contains_t_slice():
     rng = np.random.default_rng(2)
     coords = np.unique(rng.integers(0, 6, size=(5, 2)), axis=0).astype(float) * 0.5

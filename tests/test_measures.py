@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvilin import (
     CoverageError,
@@ -10,7 +14,10 @@ from curvilin import (
 )
 from curvilin import measures
 from curvilin.curvsum import SumSpec
+from curvilin.means import mean_alpha
 from curvilin.measures import (
+    _SPOT_SEED,
+    _SPOT_TRIPLES,
     EPS_SCHEDULE,
     DensityMeasure,
     FSpec,
@@ -77,6 +84,65 @@ def test_density_spot_check_rejects_dip():
         DensityMeasure(GridFunction(grid, vals), 1.0)
     # untagged construction accepts anything nonnegative
     DensityMeasure(GridFunction(grid, vals), None)
+
+
+def _spot_verify_loop(vals, alpha):
+    """Oracle for ``DensityMeasure._spot_verify``: one triple per loop pass."""
+    shape = vals.shape
+    support = np.argwhere(vals > 0)
+    if support.shape[0] < 2:
+        return
+    rng = np.random.default_rng(_SPOT_SEED)
+    for _ in range(_SPOT_TRIPLES):
+        i = support[rng.integers(support.shape[0])]
+        w = rng.integers(-3, 4, size=len(shape))
+        j = i + 4 * w
+        if np.any(j < 0) or np.any(j >= shape):
+            continue
+        fi = float(vals[tuple(i)])
+        fj = float(vals[tuple(j)])
+        if fi <= 0.0 or fj <= 0.0:
+            continue
+        for num in (1, 2, 3):
+            s = num / 4.0
+            mid = tuple(i + num * w)
+            have = float(vals[mid])
+            want = mean_alpha(fi, fj, s, alpha)
+            if have < want - 1e-9:
+                raise DomainError(
+                    f"declared {alpha}-concavity fails at cells {tuple(i)}, "
+                    f"{tuple(j)}, s={s}: {have} < {want}"
+                )
+
+
+def _spot_outcome(check):
+    try:
+        check()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([(6,), (17,), (40,), (9, 9), (13, 6), (20, 20)]),
+    alpha=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf]),
+    seed=st.integers(0, 2**16),
+    dips=st.integers(0, 6),
+    depth=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0 - 1e-12]),
+)
+def test_spot_verify_equals_loop_oracle(shape, alpha, seed, dips, depth):
+    # a tent, zero near the edges, with some cells dipped by the factor depth
+    rng = np.random.default_rng(seed)
+    grid = Grid((0.0,) * len(shape), 0.25, shape)
+    mids = grid.cell_lower_corners() + 0.125
+    center = rng.uniform(0.0, 0.25 * np.asarray(shape))
+    scale = rng.uniform(0.5, 0.4 * sum(shape))
+    vals = np.maximum(0.0, 1.0 - np.abs(mids - center).sum(axis=1) / scale)
+    vals[rng.integers(vals.size, size=dips)] *= depth
+    vals = vals.reshape(shape)
+    got = _spot_outcome(lambda: DensityMeasure(GridFunction(grid, vals), alpha))
+    assert got == _spot_outcome(lambda: _spot_verify_loop(vals, float(alpha)))
 
 
 def test_density_json_roundtrip():

@@ -32,6 +32,8 @@ from curvilin.sets import (
     section_profile,
     set_from_json,
     superlevel,
+    superlevel_mask,
+    superlevel_masks,
 )
 
 
@@ -422,6 +424,59 @@ def test_superlevel():
     assert half.volume == pytest.approx(3.0)
     everything = superlevel(prof, 0.0)
     assert everything.count == 4
+
+
+def _superlevel_mask_scalar(profile, r):
+    """Oracle: the one-r threshold rule in scalar arithmetic."""
+    sup = float(np.max(profile.values))
+    thresh = r * sup
+    return profile.values.ravel() >= thresh - 1e-12 * sup
+
+
+def _superlevel_profiles():
+    rng = np.random.default_rng(404)
+    yield GridFunction(Grid((0.0,), 0.5, (23,)), rng.uniform(0.0, 3.0, 23))
+    yield GridFunction(Grid((0.0, 0.0), 0.25, (6, 9)), rng.uniform(0.0, 2.0, (6, 9)))
+    # plateaus: few distinct levels, zero cells included
+    yield GridFunction(Grid((0.0, 0.0), 0.5, (5, 5)), rng.integers(0, 4, (5, 5)) * 0.25)
+    # every value exactly on a threshold r * sup of the r grid below
+    yield GridFunction(Grid((0.0,), 1.0, (65,)), np.arange(65) / 64 * 3.0)
+    # values at, and one ulp under, the threshold minus its tolerance
+    sup = 1.7
+    edge = np.array([0.5 * sup - 1e-12 * sup, sup])
+    edge = np.append(edge, np.nextafter(edge[0], 0.0))
+    yield GridFunction(Grid((0.0,), 1.0, (3,)), edge)
+
+
+def test_superlevel_masks_rows_equal_one_r_masks():
+    rs = np.concatenate([np.arange(65) / 64, [1 / 3, 0.999, 1e-300]])
+    profiles = list(_superlevel_profiles())
+    for prof in profiles:
+        masks = superlevel_masks(prof, rs)
+        assert masks.shape == (rs.size, prof.values.size)
+        for row, r in zip(masks, rs):
+            assert np.array_equal(row, superlevel_mask(prof, float(r)))
+            assert np.array_equal(row, _superlevel_mask_scalar(prof, float(r)))
+    # at the tolerance edge a cell counts, one ulp under it does not
+    assert superlevel_masks(profiles[-1], [0.5])[0].tolist() == [True, True, False]
+
+
+def test_superlevel_masks_errors_match_one_r():
+    prof = GridFunction(Grid((0.0,), 1.0, (3,)), [0.0, 1.0, 2.0])
+    for bad in (-0.25, 1.5, math.nan):
+        with pytest.raises(RangeError, match=f"got {bad}"):
+            superlevel_mask(prof, bad)
+        with pytest.raises(RangeError, match=f"got {bad}"):
+            superlevel_masks(prof, [0.5, bad, 2.0])
+    zero = GridFunction(Grid((0.0,), 1.0, (3,)), np.zeros(3))
+    with pytest.raises(DegenerateInputError):
+        superlevel_masks(zero, [0.5])
+    # the r range is checked before the support, as in the one-r rule
+    with pytest.raises(RangeError):
+        superlevel_masks(zero, [1.5])
+    total = section_profile(staircase([1.0, 2.0]), 1)
+    with pytest.raises(DomainError, match="positive-dimension"):
+        superlevel_masks(total, [0.5])
 
 
 def test_normalized_compression():

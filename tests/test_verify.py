@@ -98,6 +98,19 @@ def test_region_buffer_refused_before_allocating():
     assert peak < 64 << 20
 
 
+def test_envelope_working_set_refused_before_allocating():
+    # level 4 of the same draw needs a 0.47 GiB region buffer, under the
+    # budget alone, but the envelope over its rows peaks above 2.5 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="region buffer and envelope"):
+            verify.run_check("normalized_bm", 0, 4, level=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
 def test_classical_reduction_keeps_verdicts():
     # p = 1 with first power one is the classical scalar route; the same
     # draw must agree with itself across two fresh runs bit for bit
