@@ -11,10 +11,14 @@ the flags it reads:
 * ``compress`` --a --out --format
 * ``surface``  --a --b --grid --lambda-points --p --alphas --out --format
 
-Any other flag is a usage error.  Defaults: ``--suite default``,
-``--seed 0``, ``--workers`` from ``CURVILIN_WORKERS`` else the CPU count,
-``--grid`` and ``--lambda-points`` the manifest's values for ``verify``
-and 0 (no refinement) and 64 for the operators, ``--p 1``, ``--t 0.5``,
+Any other flag is a usage error.  ``sum``, ``conv`` and ``surface`` read
+--a and --b through one loader: both files must hold one carrier type the
+command takes (``sum`` interval unions, box unions or staircases, ``conv``
+grid functions, ``surface`` staircases), and --grid refines staircase and
+function operands only.  Defaults: ``--suite default``, ``--seed 0``,
+``--workers`` from ``CURVILIN_WORKERS`` else the CPU count, ``--grid``
+and ``--lambda-points`` the manifest's values for ``verify`` and 0 (no
+refinement) and 64 for the operators, ``--p 1``, ``--t 0.5``,
 ``--alphas`` all 1, ``--out`` stdout, ``--format`` csv for ``verify`` and
 json otherwise.  Outputs are deterministic for a fixed command line: JSON
 is dumped with sorted keys, suites order their reports by check id and
@@ -43,12 +47,13 @@ from .curvsum import (
     curvilinear_sum_grid,
 )
 from .errors import CurvilinError, DomainError, RangeError
-from .funcs import load_function, sup_convolve
+from .funcs import sup_convolve
 from .means import PowerVector
 from .measures import lebesgue, surface_area_sets
 from .sets import (
     BoxUnion,
     Grid,
+    GridFunction,
     IntervalUnion,
     StaircaseSet,
     compress,
@@ -161,11 +166,20 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
 # commands
 
 
-def _refine_level(args: argparse.Namespace) -> int:
+def _operands(args: argparse.Namespace, kinds: tuple) -> tuple:
+    """--a and --b, of one carrier type from ``kinds``, refined by --grid."""
+    a, b = load_set(args.a), load_set(args.b)
+    if type(a) is not type(b) or not isinstance(a, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f"{args.command} needs two operands of one type: {names}")
     level = args.grid or 0
     if level < 0:
         raise RangeError("grid level must be nonnegative")
-    return level
+    if level:
+        if not isinstance(a, (StaircaseSet, GridFunction)):
+            raise RangeError("--grid refines staircase operands only")
+        a, b = a.refined(1 << level), b.refined(1 << level)
+    return a, b
 
 
 def _powers(args: argparse.Namespace, entries: int) -> PowerVector:
@@ -186,45 +200,22 @@ def _spec_for(args: argparse.Namespace, entries: int) -> SumSpec:
 
 
 def _run_sum(args: argparse.Namespace) -> int:
-    a = load_set(args.a)
-    b = load_set(args.b)
-    level = _refine_level(args)
-    if level and not isinstance(a, StaircaseSet):
-        raise RangeError("--grid refines staircase operands only")
-    if isinstance(a, IntervalUnion) and isinstance(b, IntervalUnion):
-        spec = _spec_for(args, 1)
-        out = curvilinear_sum_1d(a, b, spec)
-        vol = out.volume
-    elif isinstance(a, BoxUnion) and isinstance(b, BoxUnion):
-        if a.dim != b.dim:
-            raise DomainError("box unions live in different dimensions")
-        spec = _spec_for(args, a.dim)
-        out = curvilinear_sum_boxes(a, b, spec)
-        vol = out.volume
-    elif isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet):
-        if a.base_dim != b.base_dim:
-            raise DomainError("staircases live in different dimensions")
-        if level:
-            a, b = a.refined(1 << level), b.refined(1 << level)
-        spec = _spec_for(args, a.base_dim + 1)
-        out = curvilinear_sum_grid(a, b, spec)
-        vol = out.volume
+    a, b = _operands(args, (IntervalUnion, BoxUnion, StaircaseSet))
+    if isinstance(a, IntervalUnion):
+        spec, kernel = _spec_for(args, 1), curvilinear_sum_1d
+    elif isinstance(a, BoxUnion):
+        spec, kernel = _spec_for(args, a.dim), curvilinear_sum_boxes
     else:
-        raise DomainError("operands must share one set representation")
+        spec, kernel = _spec_for(args, a.base_dim + 1), curvilinear_sum_grid
+    out = kernel(a, b, spec)
     payload = {"kind": "sum", "spec": spec.to_json(),
-               "result": out.to_json(), "volume": vol}
+               "result": out.to_json(), "volume": out.volume}
     _emit(payload, args)
     return 0
 
 
 def _run_conv(args: argparse.Namespace) -> int:
-    f = load_function(args.a)
-    g = load_function(args.b)
-    level = _refine_level(args)
-    if level:
-        f, g = f.refined(1 << level), g.refined(1 << level)
-    if f.ndim != g.ndim:
-        raise DomainError("functions live in different dimensions")
+    f, g = _operands(args, (GridFunction,))
     spec = _spec_for(args, f.ndim + 1)
     out = sup_convolve(f, g, spec)
     payload = {"kind": "convolution", "spec": spec.to_json(),
@@ -259,15 +250,10 @@ def _cover_for(a: StaircaseSet, b: StaircaseSet) -> Grid:
 
 
 def _run_surface(args: argparse.Namespace) -> int:
-    a = load_set(args.a)
-    b = load_set(args.b)
-    if not (isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet)):
-        raise DomainError("surface quotients expect two staircases")
+    a, b = _operands(args, (StaircaseSet,))
+    # _cover_for reads every base axis of both grids before any library check
     if a.base_dim != b.base_dim:
         raise DomainError("staircases live in different dimensions")
-    level = _refine_level(args)
-    if level:
-        a, b = a.refined(1 << level), b.refined(1 << level)
     alphas = _powers(args, a.base_dim + 1)
     # the t-free sum: surface_area_sets checks p and the lam grid size
     est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)), args.p, alphas,

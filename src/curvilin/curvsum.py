@@ -131,9 +131,6 @@ class SumSpec:
             grid = np.unique(np.concatenate([grid, np.asarray(self.extra_lambdas)]))
         return grid
 
-    def with_lambda_points(self, n: int) -> "SumSpec":
-        return replace(self, lambda_points=n)
-
     def with_extra_lambdas(self, extras: tuple[float, ...]) -> "SumSpec":
         merged = tuple(sorted(set(self.extra_lambdas) | set(extras)))
         return replace(self, extra_lambdas=merged)
@@ -375,9 +372,10 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     i alone, so at a scalar lam the output index on an axis is a function
     of the pair of unique axis coordinates.  Per row chunk and lam, each
     axis gets one table over (unique a coordinate, unique b coordinate)
-    holding the snapped, clipped index times the row-major output stride;
-    a cell pair's flat output index is the sum over axes of
-    ``table[ia][:, ib]``, where ia and ib map cells to unique coordinates.
+    holding the snapped index times the row-major output stride; a cell
+    pair's flat output index is the sum over axes of ``table[ia][:, ib]``,
+    where ia and ib map cells to unique coordinates.  An index off the
+    output grid raises ResolutionError: no image is clamped to an edge.
     The injected per-pair maximizer gives every height pair its own
     (C, D), so that pass snaps every cell pair directly.  The unique
     coordinates do not depend on lam and are computed once per call; the
@@ -399,7 +397,8 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
 
     def snap(z, ax):
         k = np.floor((z - out_grid.origin[ax]) / h_out + _SNAP).astype(np.int64)
-        np.clip(k, 0, shape[ax] - 1, out=k)
+        if k.size and (k.min() < 0 or k.max() >= shape[ax]):
+            raise ResolutionError(f"output grid does not cover the sum on axis {ax}")
         k *= strides[ax]
         return k
 
@@ -563,8 +562,8 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
     lam_arr = _lambda_values(spec, a, b)
     c, d = spec.coefficients(lam_arr)
     # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order
-    ab = a.as_array()[:, None, None]
-    bb = b.as_array()[None, :, None]
+    ab = a.boxes[:, None, None]
+    bb = b.boxes[None, :, None]
     img = np.empty((len(a.boxes), len(b.boxes), lam_arr.size, 2, dim))
     for ax in range(dim):
         img[..., ax] = combine(ab[..., ax], bb[..., ax], c[:, None], d[:, None], alphas[ax])
@@ -731,14 +730,7 @@ def scalar_dilate(c: float, x, spec: SumSpec):
     if isinstance(x, BoxUnion):
         if x.dim != len(factors):
             raise DomainError("power vector does not match box dimension")
-        boxes = tuple(
-            (
-                tuple(l * f for l, f in zip(lo, factors)),
-                tuple(h * f for h, f in zip(hi, factors)),
-            )
-            for lo, hi in x.boxes
-        )
-        return BoxUnion(x.dim, boxes)
+        return BoxUnion(x.dim, x.boxes * np.asarray(factors))
     if isinstance(x, GridPointSet):
         if x.dim > len(factors):
             raise DomainError("power vector does not match point dimension")

@@ -1,4 +1,4 @@
-"""The supremal convolution of grid functions, and function file input.
+"""The supremal convolution of grid functions.
 
 A :class:`~curvilin.sets.GridFunction` is piecewise constant: one
 nonnegative value per cell of a uniform grid.  Its hypograph is a
@@ -11,13 +11,12 @@ values.  That makes the bridge identity
 
 exact by construction rather than a quadrature statement.  For the same
 reason the measure checks (``measures``) take a function pair as its pair
-of hypographs and run the set sums on them, and a function's marginal
-over its first k axes is ``sets.section_profile(f.hypograph(), k)``.
+of hypographs and run the set sums on them.  A function's marginal over
+its first k axes is ``sets.section_profile(f.hypograph(), k)``, and a
+function file (the "values" payload) is read by ``sets.load_set``.
 """
 
 from __future__ import annotations
-
-import json
 
 from .curvsum import CURVILINEAR, SumSpec, curvilinear_sum_grid
 from .errors import DomainError, RegimeError
@@ -47,16 +46,3 @@ def sup_convolve(
         raise DomainError("power vector does not match function dimension")
     s = curvilinear_sum_grid(f.hypograph(), g.hypograph(), spec, out_grid=out_grid)
     return GridFunction(s.grid, s.heights)
-
-
-def load_function(path: str) -> GridFunction:
-    """Read a GridFunction from a JSON file (StaircaseSet layout, "values" key)."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return function_from_json(data)
-
-
-def function_from_json(data: dict) -> GridFunction:
-    if "values" not in data:
-        raise DomainError("unrecognized function payload")
-    return GridFunction.from_json(data)

@@ -1,9 +1,10 @@
 """Finite set representations on the nonnegative orthant.
 
-Three concrete carriers:
+Three concrete carriers, each held in one form:
 
-* :class:`IntervalUnion` for subsets of the half line,
-* :class:`BoxUnion` for finite unions of axis-aligned boxes,
+* :class:`IntervalUnion` for subsets of the half line (a tuple of pairs),
+* :class:`BoxUnion` for finite unions of axis-aligned boxes (one read-only
+  (m, 2, dim) float64 array of (lo, hi) rows),
 * :class:`StaircaseSet` for vertically anchored cell stacks over a uniform
   base grid (the compressed normal form every summation routine consumes).
 
@@ -17,6 +18,10 @@ value per grid cell, whose hypograph is the staircase with those heights.
 Section profiles (a set's fiber heights integrated over its first k base
 axes) are grid functions on the remaining axes, down to a 0-dim function
 holding the total at k = n.
+
+Each carrier has one JSON payload, told apart by its key: "intervals",
+"boxes", "heights" or "values"; the two per-cell payloads share one
+codec.  ``set_from_json`` and ``load_set`` are the one reader of all four.
 """
 
 from __future__ import annotations
@@ -105,7 +110,10 @@ class IntervalUnion:
 
     @property
     def volume(self) -> float:
-        return sum(b - a for a, b in normalize(self).intervals)
+        total = 0.0  # left to right, as compress adds; builtin sum compensates from 3.12
+        for a, b in normalize(self).intervals:
+            total += b - a
+        return total
 
     def to_json(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
@@ -132,21 +140,22 @@ def normalize(u: IntervalUnion) -> IntervalUnion:
 # box unions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxUnion:
     """Finite union of axis-aligned boxes in the nonnegative orthant.
 
     ``boxes`` may be given as any (m, 2, dim) nested sequence or array of
-    (lo, hi) corners; it is stored as a tuple of (lo, hi) tuples of floats.
+    (lo, hi) corners; it is stored as one read-only (m, 2, dim) float64
+    array.  ``==`` is identity: compare ``boxes`` with ``np.array_equal``.
     """
 
     dim: int
-    boxes: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
+    boxes: np.ndarray
 
     def __post_init__(self) -> None:
         shape = (len(self.boxes), 2, self.dim)
         try:
-            arr = np.asarray(self.boxes, dtype=float)
+            arr = np.array(self.boxes, dtype=float)
         except ValueError:
             if any(len(lo) != self.dim or len(hi) != self.dim for lo, hi in self.boxes):
                 raise DomainError("box dimension mismatch") from None
@@ -159,12 +168,8 @@ class BoxUnion:
         if bad.size:
             blo, bhi = arr[bad[0]].tolist()
             raise DomainError(f"bad box {tuple(blo)}..{tuple(bhi)}")
-        boxes = tuple((tuple(blo), tuple(bhi)) for blo, bhi in arr.tolist())
-        object.__setattr__(self, "boxes", boxes)
-
-    def as_array(self) -> np.ndarray:
-        """The boxes as one (m, 2, dim) float array of (lo, hi) rows."""
-        return np.asarray(self.boxes, dtype=float).reshape(len(self.boxes), 2, self.dim)
+        arr.setflags(write=False)
+        object.__setattr__(self, "boxes", arr)
 
     @cached_property
     def volume(self) -> float:
@@ -174,13 +179,12 @@ class BoxUnion:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "boxes": [{"lo": list(lo), "hi": list(hi)} for lo, hi in self.boxes],
+            "boxes": [{"lo": lo, "hi": hi} for lo, hi in self.boxes.tolist()],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxUnion":
-        boxes = tuple((tuple(b["lo"]), tuple(b["hi"])) for b in data["boxes"])
-        return cls(int(data["dim"]), boxes)
+        return cls(int(data["dim"]), [(b["lo"], b["hi"]) for b in data["boxes"]])
 
 
 def box_union_volume(u: BoxUnion) -> float:
@@ -192,8 +196,7 @@ def box_union_volume(u: BoxUnion) -> float:
     cover counts.  Beyond that grid, memory is one float64 cell volume
     and one bool per cell.
     """
-    boxes = u.as_array()
-    boxes = boxes[(boxes[:, 1] > boxes[:, 0]).all(axis=1)]
+    boxes = u.boxes[(u.boxes[:, 1] > u.boxes[:, 0]).all(axis=1)]
     if not len(boxes):
         return 0.0
     d = u.dim
@@ -221,7 +224,8 @@ def box_union_volume(u: BoxUnion) -> float:
 
 def box_union_volume_ie(u: BoxUnion) -> float:
     """Inclusion-exclusion over box subsets; oracle for small unions."""
-    boxes = [b for b in u.boxes if all(h > l for l, h in zip(*b))]
+    # Python floats, so the result is a float and not a numpy scalar
+    boxes = [b for b in u.boxes.tolist() if all(h > l for l, h in zip(*b))]
     m = len(boxes)
     if m > 20:
         raise DomainError("inclusion-exclusion oracle limited to 20 boxes")
@@ -254,6 +258,18 @@ def _cell_values(grid: Grid, values, name: str) -> np.ndarray:
     v = v.copy()
     v.setflags(write=False)
     return v
+
+
+def _grid_payload(grid: Grid, key: str, values: np.ndarray) -> dict:
+    """The one wire form of per-cell values: the grid, then a flat ``key`` list."""
+    return {"origin": list(grid.origin), "spacing": grid.spacing,
+            "shape": list(grid.shape), key: values.ravel().tolist()}
+
+
+def _from_grid_payload(data: dict, key: str) -> tuple[Grid, np.ndarray]:
+    """(grid, values) of a payload written by ``_grid_payload``."""
+    grid = Grid(tuple(data["origin"]), float(data["spacing"]), tuple(data["shape"]))
+    return grid, np.asarray(data[key], dtype=float).reshape(grid.shape)
 
 
 def _split_cells(values: np.ndarray, factor: int) -> np.ndarray:
@@ -315,18 +331,11 @@ class StaircaseSet:
         return BoxUnion(n + 1, boxes)
 
     def to_json(self) -> dict:
-        return {
-            "origin": list(self.grid.origin),
-            "spacing": self.grid.spacing,
-            "shape": list(self.grid.shape),
-            "heights": [float(v) for v in self.heights.ravel()],
-        }
+        return _grid_payload(self.grid, "heights", self.heights)
 
     @classmethod
     def from_json(cls, data: dict) -> "StaircaseSet":
-        grid = Grid(tuple(data["origin"]), float(data["spacing"]), tuple(data["shape"]))
-        heights = np.asarray(data["heights"], dtype=float).reshape(grid.shape)
-        return cls(grid, heights)
+        return cls(*_from_grid_payload(data, "heights"))
 
 
 @dataclass(frozen=True)
@@ -360,18 +369,11 @@ class GridFunction:
         return GridFunction(self.grid.refined(factor), _split_cells(self.values, factor))
 
     def to_json(self) -> dict:
-        return {
-            "origin": list(self.grid.origin),
-            "spacing": self.grid.spacing,
-            "shape": list(self.grid.shape),
-            "values": [float(v) for v in self.values.ravel()],
-        }
+        return _grid_payload(self.grid, "values", self.values)
 
     @classmethod
     def from_json(cls, data: dict) -> "GridFunction":
-        grid = Grid(tuple(data["origin"]), float(data["spacing"]), tuple(data["shape"]))
-        values = np.asarray(data["values"], dtype=float).reshape(grid.shape)
-        return cls(grid, values)
+        return cls(*_from_grid_payload(data, "values"))
 
 
 @dataclass(frozen=True)
@@ -461,8 +463,7 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
     if a.dim < 2:
         raise DomainError("compress needs dim >= 2 (base plus vertical)")
     n = a.dim - 1
-    boxes = a.as_array()
-    boxes = boxes[(boxes[:, 1] > boxes[:, 0]).all(axis=1)]
+    boxes = a.boxes[(a.boxes[:, 1] > a.boxes[:, 0]).all(axis=1)]
     if not len(boxes):
         raise DegenerateInputError("cannot compress an empty union")
     h = _aligned_spacing(boxes[:, :, :n].ravel().tolist(), spacing)
@@ -554,8 +555,8 @@ def superlevel_masks(profile: GridFunction, rs) -> np.ndarray:
     """Flat masks of the cells where the profile reaches each fraction in rs.
 
     Row j of the (len(rs), cells) result flags the cells whose value is at
-    least rs[j] * sup less 1e-12 * sup: the one threshold rule, shared by
-    ``superlevel_mask`` and ``superlevel``.
+    least rs[j] * sup less 1e-12 * sup: the one threshold rule, also the
+    rule of ``superlevel``.
     """
     rs = np.asarray(rs, dtype=float)
     outside = ~((rs >= 0.0) & (rs <= 1.0))
@@ -569,14 +570,9 @@ def superlevel_masks(profile: GridFunction, rs) -> np.ndarray:
     return profile.values.ravel() >= (rs * sup)[:, None] - 1e-12 * sup
 
 
-def superlevel_mask(profile: GridFunction, r: float) -> np.ndarray:
-    """Flat mask of the cells where the profile reaches the fraction r of its sup."""
-    return superlevel_masks(profile, (r,))[0]
-
-
 def superlevel(profile: GridFunction, r: float) -> GridPointSet:
     """Cells where the profile reaches the fraction r of its sup."""
-    corners = profile.grid.cell_lower_corners()[superlevel_mask(profile, r)]
+    corners = profile.grid.cell_lower_corners()[superlevel_masks(profile, (r,))[0]]
     return GridPointSet(corners, profile.grid.spacing)
 
 
@@ -595,17 +591,16 @@ def normalized_compression(a: StaircaseSet, k: int) -> StaircaseSet:
 
 
 def load_set(path: str):
-    """Read a BoxUnion, StaircaseSet, or IntervalUnion from a JSON file."""
+    """Read a carrier from a JSON file; see ``set_from_json``."""
     with open(path) as f:
         data = json.load(f)
     return set_from_json(data)
 
 
 def set_from_json(data: dict):
-    if "boxes" in data:
-        return BoxUnion.from_json(data)
-    if "heights" in data:
-        return StaircaseSet.from_json(data)
-    if "intervals" in data:
-        return IntervalUnion.from_json(data)
+    """The carrier whose key the payload holds, looked for in this order."""
+    for key, carrier in (("boxes", BoxUnion), ("heights", StaircaseSet),
+                         ("values", GridFunction), ("intervals", IntervalUnion)):
+        if key in data:
+            return carrier.from_json(data)
     raise DomainError("unrecognized set payload")

@@ -132,8 +132,8 @@ class InstanceGen:
         for _ in range(m):
             lo = rng.integers(0, 7, size=self.dim) * 0.25
             hi = lo + rng.integers(1, 5, size=self.dim) * 0.25
-            boxes.append((tuple(map(float, lo)), tuple(map(float, hi))))
-        return BoxUnion(self.dim, tuple(boxes))
+            boxes.append((lo, hi))
+        return BoxUnion(self.dim, boxes)
 
     def _grid_values(self, rng):
         shape = tuple(
@@ -389,7 +389,7 @@ def _calibrate(seed: int) -> float:
         spec = SumSpec(p, PowerVector((1.0, alpha)), t, 9)
         coarse = curvilinear_sum_grid(a, b, spec).volume
         fine = sum_oracle(
-            a.refined(4), b.refined(4), spec.with_lambda_points(79)
+            a.refined(4), b.refined(4), replace(spec, lambda_points=79)
         ).volume
         worst = max(worst, abs(fine - coarse) / a.grid.spacing)
     return max(1.0, 2.0 * worst)
@@ -1011,7 +1011,7 @@ def _mutants(obj):
     elif isinstance(obj, BoxUnion):
         if len(obj.boxes) > 1:
             for i in range(len(obj.boxes)):
-                yield BoxUnion(obj.dim, obj.boxes[:i] + obj.boxes[i + 1:])
+                yield BoxUnion(obj.dim, np.delete(obj.boxes, i, axis=0))
     elif isinstance(obj, IntervalUnion):
         if len(obj.intervals) > 1:
             for i in range(len(obj.intervals)):

@@ -236,6 +236,37 @@ def test_sum_grid_on_interval_or_box_operands_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, a, b", [
+    ("conv", "a", "b"),  # staircase (heights) files
+    ("conv", "f", "a"),
+    ("sum", "f", "g"),  # function (values) files
+    ("sum", "a", "boxes"),
+    ("sum", "boxes", "a"),
+    ("surface", "f", "g"),
+    ("surface", "a", "boxes"),
+])
+def test_operands_of_the_wrong_or_mixed_carriers_exit_2(tmp_path, capsys,
+                                                       command, a, b):
+    paths = write_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--a", paths[a], "--b", paths[b],
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvilin: {command} needs two operands of one type")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_conv_grid_refines_function_operands(tmp_path):
+    paths = write_inputs(tmp_path)
+    out = tmp_path / "conv.json"
+    assert cli.main(["conv", "--a", paths["f"], "--b", paths["g"], "--grid", "1",
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    f = verify.InstanceGen(verify.GRID_FUNCTIONS, seed=2, dim=1, cells=5).draw(0)
+    assert payload["result"]["spacing"] == f.grid.spacing / 2
+
+
 @pytest.mark.parametrize("command, payload", [
     ("sum", {"dim": 2, "boxes": 5}),
     ("compress", {"dim": 2, "boxes": 5}),

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -247,7 +248,7 @@ def test_grid_sum_volume_grows_under_refinement():
         vols.append(curvilinear_sum_grid(a, b, spec).volume)
         a = a.refined(2)
         b = b.refined(2)
-        spec = spec.with_lambda_points(2 * spec.lambda_points + 1)
+        spec = replace(spec, lambda_points=2 * spec.lambda_points + 1)
     assert vols[0] <= vols[1] + 1e-12 and vols[1] <= vols[2] + 1e-12
 
 
@@ -266,8 +267,8 @@ def test_grid_sum_nested_lambda_grids_monotone():
     b = rng_staircase(rng)
     for mode in (CURVILINEAR, QUASI, CONVEX_QUASI):
         spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, mode=mode)
-        v16 = curvilinear_sum_grid(a, b, spec.with_lambda_points(16)).volume
-        v33 = curvilinear_sum_grid(a, b, spec.with_lambda_points(33)).volume
+        v16 = curvilinear_sum_grid(a, b, replace(spec, lambda_points=16)).volume
+        v33 = curvilinear_sum_grid(a, b, replace(spec, lambda_points=33)).volume
         assert v16 <= v33 + 1e-12
 
 
@@ -280,6 +281,20 @@ def test_grid_sum_out_grid_validation():
     with pytest.raises(DegenerateInputError):
         empty = StaircaseSet(Grid((0.0,), 0.25, (4,)), np.zeros(4))
         curvilinear_sum_grid(a, empty, spec)
+
+
+@pytest.mark.parametrize("p", [0.75, 1.0, 2.0])
+def test_grid_kernel_refuses_images_off_the_output_grid(p):
+    # a grid that passes the coverage check yet is too small must not pile
+    # the images beyond its edge into the edge cells
+    a = cube_staircase(1.0, 1.0, cells=4, base_dim=2)
+    b = cube_staircase(0.5, 2.0, cells=2, base_dim=2)
+    spec = SumSpec(p=p, alphas=vec(1, 0.5, 2), t=0.5, lambda_points=8)
+    halved = curvsum._extents
+    with mock.patch.object(curvsum, "_extents",
+                           lambda *args: [e / 2 for e in halved(*args)]):
+        with pytest.raises(ResolutionError, match="does not cover the sum"):
+            curvilinear_sum_grid(a, b, spec)
 
 
 def test_oracle_budget():
@@ -533,8 +548,8 @@ def _curvilinear_sum_boxes_loop(a, b, spec):
     lam_arr = np.unique(np.asarray(lams))
     c_arr, d_arr = spec.coefficients(lam_arr)
     boxes = []
-    for alo, ahi in a.boxes:
-        for blo, bhi in b.boxes:
+    for alo, ahi in a.boxes.tolist():
+        for blo, bhi in b.boxes.tolist():
             los = [
                 np.broadcast_to(
                     combine(alo[ax], blo[ax], c_arr, d_arr, alphas[ax]), lam_arr.shape
@@ -591,9 +606,9 @@ def test_box_sum_equals_loop_oracle(pair, p, t, form, lambda_points):
         # the oracle keeps every lam; at p = 1 they share one (C, D), so each
         # box pair yields n identical rows or none, and the fast path one
         n = spec.lambda_grid().size
-        assert got.boxes == want.boxes[::n]
+        assert np.array_equal(got.boxes, want.boxes[::n])
     else:
-        assert got == want
+        assert np.array_equal(got.boxes, want.boxes)
     assert got.volume == want.volume
 
 
@@ -1010,7 +1025,7 @@ def test_extra_lambda_reaches_new_cells():
     a = cube_staircase(1.0, 1.0, cells=20)
     b = cube_staircase(2.0, 1.0, cells=40)
     lean = SumSpec(p=2.0, alphas=vec(1, math.inf), t=0.5, lambda_points=1)
-    out_grid = derive_out_grid(a, b, lean.with_lambda_points(64))
+    out_grid = derive_out_grid(a, b, replace(lean, lambda_points=64))
     thin = curvilinear_sum_grid(a, b, lean, out_grid=out_grid)
     fat = curvilinear_sum_grid(a, b, lean.with_extra_lambdas((0.8,)),
                                out_grid=out_grid)

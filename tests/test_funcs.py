@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from curvilin import (
     RangeError,
     RegimeError,
     curvilinear_sum_grid,
-    function_from_json,
     lp_minkowski_sum_base,
     section_profile,
+    set_from_json,
     sup_convolve,
 )
 from curvilin.curvsum import QUASI, SumSpec
@@ -59,9 +60,10 @@ def test_json_roundtrip():
     back = GridFunction.from_json(f.to_json())
     assert back.grid == f.grid
     assert np.array_equal(back.values, f.values)
-    assert function_from_json(f.to_json()).grid == f.grid
-    with pytest.raises(DomainError):
-        function_from_json({"heights": [1.0]})
+    read = set_from_json(f.to_json())
+    assert type(read) is GridFunction and read.grid == f.grid
+    with pytest.raises(DomainError, match="unrecognized set payload"):
+        set_from_json({"value": [1.0]})
 
 
 def test_sup_convolve_is_segment_function_of_hypograph_sum():
@@ -168,7 +170,7 @@ def test_lambda_refinement_monotone():
     g = rng_gf(42, cells=6)
     base = SumSpec(p=2.0, alphas=vec(1, 2), t=0.3, lambda_points=16)
     # 17 divides 34, so the coarse lam grid embeds in the fine one
-    fine = base.with_lambda_points(33)
+    fine = replace(base, lambda_points=33)
     coarse_out = sup_convolve(f, g, base)
     fine_out = sup_convolve(f, g, fine, out_grid=coarse_out.grid)
     assert np.all(fine_out.values >= coarse_out.values)

@@ -27,12 +27,12 @@ from curvilin.sets import (
     box_union_volume,
     box_union_volume_ie,
     compress,
+    load_set,
     normalize,
     normalized_compression,
     section_profile,
     set_from_json,
     superlevel,
-    superlevel_mask,
     superlevel_masks,
 )
 
@@ -51,6 +51,20 @@ def test_normalize():
     assert u.volume == pytest.approx(2.5)
     with pytest.raises(DomainError):
         IntervalUnion(((2.0, 1.0),))
+
+
+def test_interval_volume_adds_left_to_right():
+    # a compensated builtin sum, as Python 3.12 has, must not reach the
+    # volume: compress heights are bitwise left-to-right fiber volumes
+    u = IntervalUnion(((0.1, 0.743625), (0.8868, 0.93), (1.66472, 2.6), (2.7074, 2.7459),
+                       (2.90341, 2.972587), (3.4, 3.7), (3.7566, 3.75667), (3.8, 3.89301)))
+    want = 0.0
+    for a, b in u.intervals:
+        want += b - a
+    assert math.fsum(b - a for a, b in u.intervals) != want
+    with mock.patch.object(sets, "sum", math.fsum, create=True):
+        assert u.volume == want
+    assert IntervalUnion(()).volume == 0.0
 
 
 def test_box_union_volume_overlap():
@@ -168,13 +182,21 @@ def test_box_union_volume_prefix_sums_stay_in_place():
 
 def test_box_union_validation():
     u = BoxUnion(2, (((0, 1), (2, 3)), ((-0.0, 0.5), (0.0, 0.5))))
-    assert u.boxes == (((0.0, 1.0), (2.0, 3.0)), ((0.0, 0.5), (0.0, 0.5)))
-    for lo, hi in u.boxes:
-        assert type(lo) is tuple and type(hi) is tuple
-        assert all(type(x) is float for x in lo + hi)
-    assert math.copysign(1.0, u.boxes[1][0][0]) == -1.0
-    assert BoxUnion(3, ()).boxes == ()
-    assert BoxUnion(1, np.asarray([[[0.5], [1.0]]])).boxes == (((0.5,), (1.0,)),)
+    # one read-only float64 (m, 2, dim) array; ints become floats
+    assert u.boxes.dtype == np.float64 and u.boxes.shape == (2, 2, 2)
+    assert u.boxes.tolist() == [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 0.5], [0.0, 0.5]]]
+    assert not u.boxes.flags.writeable
+    with pytest.raises(ValueError):
+        u.boxes[0, 0, 0] = 5.0
+    assert math.copysign(1.0, u.boxes[1, 0, 0]) == -1.0
+    assert BoxUnion(3, ()).boxes.shape == (0, 2, 3)
+    # an array argument is copied, so the caller keeps a writable array
+    given = np.asarray([[[0.5], [1.0]]])
+    v = BoxUnion(1, given)
+    given[0, 1, 0] = 2.0
+    assert v.boxes.tolist() == [[[0.5], [1.0]]]
+    # == is identity, not an elementwise array comparison
+    assert v == v and v != BoxUnion(1, v.boxes)
     with pytest.raises(DomainError, match="^box dimension mismatch$"):
         BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0))))
     with pytest.raises(DomainError, match="^box dimension mismatch$"):
@@ -226,6 +248,21 @@ def test_staircase_json_roundtrip():
     assert isinstance(s2, StaircaseSet)
     assert s2.grid == s.grid
     assert np.array_equal(s2.heights, s.heights)
+
+
+@pytest.mark.parametrize("carrier", [
+    IntervalUnion(((0.0, 0.5), (1.0, 1.25))),
+    BoxUnion(2, (((0.0, -0.0), (1.0, 0.5)), ((0.25, 0.25), (2.0, 1.0)))),
+    StaircaseSet(Grid((0.0, 0.5), 0.25, (2, 3)), np.arange(6.0).reshape(2, 3)),
+    GridFunction(Grid((0.0,), 0.125, (4,)), [0.5, 1.5, 0.0, 2.0]),
+])
+def test_one_reader_round_trips_every_payload(tmp_path, carrier):
+    text = json.dumps(carrier.to_json())
+    path = tmp_path / "carrier.json"
+    path.write_text(text)
+    for read in (set_from_json(json.loads(text)), load_set(str(path))):
+        assert type(read) is type(carrier)
+        assert json.dumps(read.to_json()) == text
 
 
 def test_compress_stacks_fibers():
@@ -455,7 +492,7 @@ def test_superlevel_masks_rows_equal_one_r_masks():
         masks = superlevel_masks(prof, rs)
         assert masks.shape == (rs.size, prof.values.size)
         for row, r in zip(masks, rs):
-            assert np.array_equal(row, superlevel_mask(prof, float(r)))
+            assert np.array_equal(row, superlevel_masks(prof, (float(r),))[0])
             assert np.array_equal(row, _superlevel_mask_scalar(prof, float(r)))
     # at the tolerance edge a cell counts, one ulp under it does not
     assert superlevel_masks(profiles[-1], [0.5])[0].tolist() == [True, True, False]
@@ -465,7 +502,7 @@ def test_superlevel_masks_errors_match_one_r():
     prof = GridFunction(Grid((0.0,), 1.0, (3,)), [0.0, 1.0, 2.0])
     for bad in (-0.25, 1.5, math.nan):
         with pytest.raises(RangeError, match=f"got {bad}"):
-            superlevel_mask(prof, bad)
+            superlevel(prof, bad)
         with pytest.raises(RangeError, match=f"got {bad}"):
             superlevel_masks(prof, [0.5, bad, 2.0])
     zero = GridFunction(Grid((0.0,), 1.0, (3,)), np.zeros(3))

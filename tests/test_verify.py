@@ -10,13 +10,14 @@ from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volum
 from curvilin.means import mean_alpha
 from curvilin.reports import FAIL, PASS, REFINE
 from curvilin.sets import (
+    BoxUnion,
     Grid,
     GridFunction,
     IntervalUnion,
     StaircaseSet,
     normalized_compression,
     superlevel,
-    superlevel_mask,
+    superlevel_masks,
 )
 
 
@@ -172,7 +173,7 @@ def test_layered_base_integral_equals_every_level_loop(monkeypatch, plateaus, di
         got = verify._layered_base_integral(profs[0], profs[1], p, t, lp)
         assert got == _layered_base_integral_loop(profs[0], profs[1], p, t, lp)
         levels = [
-            tuple(superlevel_mask(prof, j / 64).tobytes() for prof in profs)
+            tuple(superlevel_masks(prof, (j / 64,))[0].tobytes() for prof in profs)
             for j in range(1, 65)
         ]
         distinct = 1 + sum(x != y for x, y in zip(levels, levels[1:]))
@@ -248,6 +249,13 @@ def test_shrink_preserves_failure_on_cell_instances(monkeypatch):
     small = verify.shrink(rep)
     assert small.verdict == FAIL
     assert small.params["shrunk_size"] <= 6
+
+
+def test_box_union_mutants_drop_one_box_each():
+    u = BoxUnion(2, [((0, 0), (1, 1)), ((1, 0), (2, 1)), ((0, 1), (1, 3))])
+    rows = u.boxes.tolist()
+    assert [m.boxes.tolist() for m in verify._mutants(u)] == [
+        rows[:i] + rows[i + 1:] for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
