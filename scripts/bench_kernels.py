@@ -13,8 +13,10 @@ done, then ``CALLS`` times; the report gives the median and the quartiles
 of those calls in milliseconds.  Inputs come from fixed seeds, so the two
 sides see the same values.
 
-The kernels: the grid sum, the exact envelope (region build plus
-envelope), ``box_union_volume``, ``compress``, ``curvilinear_sum_1d``,
+The kernels: the grid sum, the exact envelope
+(``staircase_sum_volume_exact`` on the operands of a surface quotient: a
+dilated b and the reach lam values), ``box_union_volume``, ``compress``,
+``curvilinear_sum_1d``,
 ``sup_convolve``, ``surface_area_sets``, the recipe behind
 ``calibrate_grid_constant``, the layered base integral and the density-tag
 spot check.  The calibration recipe has one fixed size (3-cell operands),
@@ -24,6 +26,11 @@ a 2-D profile pair, with the base-sum coefficient cache cleared inside every
 call, because each fresh ``curvilin verify`` process starts with it empty.
 The spot check is timed on the Lebesgue and the tent density of the
 suite's 48x48 density grid.
+
+Beside the kernels, a fixed numpy workload (sort then cumsum of seeded
+floats, at two lengths) is timed as ``reference``.  Host speed moves every
+timing between two reports; a kernel's time divided by the reference's
+can be compared across them.
 """
 
 from __future__ import annotations
@@ -49,12 +56,18 @@ def _cases():
         SumSpec,
         curvilinear_sum_1d,
         curvilinear_sum_grid,
-        envelope_segments,
-        staircase_sum_regions,
+        scalar_dilate,
+        staircase_sum_volume_exact,
     )
     from curvilin.funcs import sup_convolve
     from curvilin.means import PowerVector
-    from curvilin.measures import DensityMeasure, lebesgue, surface_area_sets, tent_density
+    from curvilin.measures import (
+        DensityMeasure,
+        _reach_extras,
+        lebesgue,
+        surface_area_sets,
+        tent_density,
+    )
     from curvilin.sets import (
         BoxUnion,
         Grid,
@@ -73,20 +86,26 @@ def _cases():
     def spec(dim, lams):
         return SumSpec(2.0, PowerVector((1.0,) * dim), 0.5, lams)
 
-    def envelope(a, b, s):
-        return envelope_segments(*staircase_sum_regions(a, b, s))
-
     cases = []
+    for n in (1 << 16, 1 << 18):
+        x = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        cases.append(("reference", f"numpy sort then cumsum of {n} floats",
+                      lambda x=x: np.cumsum(np.sort(x))))
     for n in (10, 20):
         rng = np.random.default_rng(n)
         a, b = stair(rng, n, 2), stair(rng, n, 2)
         cases.append(("grid_sum", f"2-D staircases {n}x{n}, p=2, 16 lam",
                       lambda a=a, b=b: curvilinear_sum_grid(a, b, spec(3, 16))))
     for n in (14, 28):
+        # one surface quotient's sum: t-free, b dilated, reach lam values added
         rng = np.random.default_rng(n)
         a, b = stair(rng, n, 1), stair(rng, n, 1)
-        cases.append(("envelope", f"1-D staircases of {n} cells, p=2, 64 lam",
-                      lambda a=a, b=b: envelope(a, b, spec(2, 64))))
+        s = SumSpec(2.0, PowerVector((1.0, 1.0)), None, 64, coefficient_form="t_free")
+        eb = scalar_dilate(2.0**-7, b, s)
+        s = s.with_extra_lambdas(_reach_extras(a, eb, s))
+        cases.append(("envelope", f"1-D staircases of {n} cells, b dilated by 2^-7, "
+                      "p=2, 64 lam and the reach lam values",
+                      lambda a=a, eb=eb, s=s: staircase_sum_volume_exact(a, eb, s)))
     for m in (50, 100):
         lo = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 3))
         hi = lo + np.random.default_rng(m + 1).uniform(0.05, 0.5, size=(m, 3))

@@ -52,6 +52,19 @@ def _inv(x: float) -> float:
     return 1.0 / x
 
 
+def _harmonic(alphas) -> float:
+    """1 / (sum of 1/alpha) with 1/(+-inf) = 0, and inf when the sum is 0.
+
+    Added left to right: builtin ``sum`` is compensated from Python 3.12.
+    """
+    s = 0.0
+    for a in alphas:
+        s += _inv(a)
+    if s == 0.0:
+        return _INF
+    return 1.0 / s
+
+
 @dataclass(frozen=True)
 class MeanParams:
     """Coefficient parameters (p, t, lam) with p > 0 and t, lam in (0, 1)."""
@@ -323,10 +336,7 @@ class PowerVector:
         # a zero entry dominates: the combination degenerates to 0
         if any(a == 0.0 for a in self.alphas):
             return 0.0
-        s = sum(_inv(a) for a in self.alphas)
-        if s == 0.0:
-            return _INF
-        return 1.0 / s
+        return _harmonic(self.alphas)
 
     @property
     def base_gamma(self) -> float:
@@ -335,10 +345,7 @@ class PowerVector:
             raise RangeError("base_gamma needs at least one base coordinate")
         if any(a == 0.0 for a in self.alphas[:-1]):
             return 0.0
-        s = sum(_inv(a) for a in self.alphas[:-1])
-        if s == 0.0:
-            return _INF
-        return 1.0 / s
+        return _harmonic(self.alphas[:-1])
 
     def uses_min_branch(self) -> bool:
         """True when the vertical power sits below -base_gamma."""

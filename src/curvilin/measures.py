@@ -45,6 +45,7 @@ from .sets import (
     GridPointSet,
     StaircaseSet,
     _integrate_leading,
+    _sorted_unique,
 )
 
 EPS_SCHEDULE = tuple(2.0**-j for j in range(4, 11))
@@ -405,11 +406,11 @@ def _reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> tuple:
     alphas = spec.alphas.alphas
     found = []
     for ax in range(a.base_dim):
-        u = np.unique(ca[:, ax]) + a.grid.spacing
-        v = np.unique(cb[:, ax]) + b.grid.spacing
+        u = _sorted_unique(ca[:, ax]) + a.grid.spacing
+        v = _sorted_unique(cb[:, ax]) + b.grid.spacing
         lam = spec.pair_lambda_star(u[:, None], v[None, :], alphas[ax])
-        found.append(np.unique(lam))
-    return tuple(float(x) for x in np.unique(np.concatenate(found)))
+        found.append(_sorted_unique(lam))
+    return tuple(float(x) for x in _sorted_unique(np.concatenate(found)))
 
 
 def surface_area_sets(

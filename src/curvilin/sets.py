@@ -48,6 +48,22 @@ _COMPRESS_CELL_BUDGET = 1 << 22
 _COMPRESS_CHUNK = 1 << 18
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """Sorted distinct values of ``x``, flattened: one sort and a neighbour mask.
+
+    A plain ``np.unique`` call imports ``numpy.ma`` on first use (about
+    15 ms per process under numpy 2.4).  For NaN-free float input this is
+    its copy, in-place sort and mask, so it equals ``np.unique`` bit for
+    bit, the sign of a kept zero included.
+    """
+    s = np.asarray(x).flatten()
+    s.sort()
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    return s[new]
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -200,7 +216,7 @@ def box_union_volume(u: BoxUnion) -> float:
     if not len(boxes):
         return 0.0
     d = u.dim
-    edges = [np.unique(boxes[:, :, ax]) for ax in range(d)]
+    edges = [_sorted_unique(boxes[:, :, ax]) for ax in range(d)]
     # column 0 indexes the lo edge of each box, column 1 the hi edge
     ends = [np.searchsorted(edges[ax], boxes[:, :, ax]) for ax in range(d)]
     counts_shape = tuple(len(e) - 1 + 1 for e in edges)  # +1 slot absorbs hi deltas

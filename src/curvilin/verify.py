@@ -55,6 +55,7 @@ from .sets import (
     GridPointSet,
     IntervalUnion,
     StaircaseSet,
+    _sorted_unique,
     box_union_volume,
     compress,
     normalized_compression,
@@ -278,7 +279,7 @@ def _base_reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
         ca, _ = a.support_cells()
         cb, _ = b.support_cells()
         lam = spec.pair_lambda_star(ca[:, 0][:, None], cb[None, :, 0], 1.0)
-        extras.extend(float(x) for x in np.unique(lam))
+        extras.extend(float(x) for x in _sorted_unique(lam))
     return tuple(extras)
 
 
@@ -752,7 +753,9 @@ def _params_bm(rng, instance):
         base = (1.0,) * n
     else:
         base = tuple(float(x) for x in rng.uniform(0.4, 1.0, size=n))
-    s = sum(1.0 / x for x in base)
+    s = 0.0  # left to right; builtin sum is compensated from Python 3.12
+    for x in base:
+        s += 1.0 / x
     u = rng.random()
     if u < 0.5:
         last = float(rng.uniform(0.15, 1.0))

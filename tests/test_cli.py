@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -400,3 +401,56 @@ def test_module_help_without_runpy_warning(module):
 def test_main_rejects_bad_alphas_text():
     assert cli.main(["sum", "--a", "x", "--b", "y",
                      "--alphas", "one,two"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+
+# sha256 of what a change must not move without a CHANGES.md note.  The
+# bitwise paths rest on numpy's scalar versus SIMD pow, so a miss on another
+# numpy build or CPU (CI prints numpy.show_runtime()) is a finding about
+# that dependence, not a digest to update.
+_DEFAULT_SUITE_DIGESTS = {
+    "reports.jsonl": "939cf6eb19dbd5f449506c922b7bf638a26bfdf346b86e933d43dadc76fe94a1",
+    "summary.csv": "bea37d22631b04356fb7989a161491eed23ab405c8c65323dab725ce690fd19b",
+}
+_SURFACE_DIGEST = "e447dbcba853f1a959f877495ee19ec63f3c4e5d151651cdd0faf215950bf9c3"
+
+
+def _surface_argv(tmp_path):
+    """A seeded p=2 surface call on two 14-cell one-base-axis staircases."""
+    rng = np.random.default_rng(20)
+    paths = []
+    for tag in ("a", "b"):
+        path = tmp_path / f"surface_{tag}.json"
+        path.write_text(json.dumps({"origin": [0.0], "spacing": 0.25, "shape": [14],
+                                    "heights": rng.uniform(0.2, 2.0, 14).tolist()}))
+        paths.append(str(path))
+    return ["surface", "--a", paths[0], "--b", paths[1], "--p", "2",
+            "--out", str(tmp_path / "surface.json")]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_default_suite_reports_are_pinned(tmp_path):
+    assert cli.main(["verify", "--workers", "1", "--out", str(tmp_path)]) == 0
+    assert {name: _sha256(tmp_path / name) for name in _DEFAULT_SUITE_DIGESTS} \
+        == _DEFAULT_SUITE_DIGESTS
+
+
+def test_seeded_surface_output_is_pinned(tmp_path):
+    assert cli.main(_surface_argv(tmp_path)) == 0
+    assert _sha256(tmp_path / "surface.json") == _SURFACE_DIGEST
+
+
+def test_surface_call_leaves_numpy_ma_unimported(tmp_path):
+    # a plain np.unique imports numpy.ma, about 15 ms of a fresh process
+    code = ("import sys\n"
+            "from curvilin import cli\n"
+            f"assert cli.main({_surface_argv(tmp_path)!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -805,6 +805,94 @@ def test_regions_equal_loop_oracle(case):
         assert np.array_equal(g, w, equal_nan=True)
 
 
+def _assert_lattice_equals_flat(a, b, spec):
+    """The lattice-ranked envelope against the flat rows, bit for bit."""
+    flat = staircase_sum_regions(a, b, spec)
+    want_bps, want_vals = envelope_segments(*flat)
+    ranked = curvsum._lattice_ranks(a, b, spec)
+    if ranked is None:
+        assert want_vals.size == 0
+    else:
+        bps, parts = ranked
+        assert np.array_equal(bps, want_bps)
+        assert np.array_equal(curvsum._envelope(bps, parts), want_vals)
+    assert staircase_sum_volume_exact(a, b, spec) == envelope_volume(*flat)
+
+
+def _gapped_pair():
+    # support gaps and zero heights on both sides; on b's spacing a cell's
+    # x + h and the next cell's x round apart (after cells 5 and 6), as a
+    # dilated operand's do, so b has more distinct edges than cells + 1
+    a = StaircaseSet(Grid((0.0,), 0.25, (7,)),
+                     np.asarray([0.5, 0.0, 1.25, 2.0, 0.0, 0.0, 0.75]))
+    b = StaircaseSet(Grid((0.0,), 0.3, (8,)),
+                     np.asarray([1.0, 0.0, 0.3, 1.7, 0.9, 0.6, 1.2, 0.4]))
+    return a, b
+
+
+# every base power each mode admits: quasi needs a nonzero one, the convex
+# combination form a base power of 1
+_LATTICE_CASES = [
+    (mode, alpha0)
+    for mode in (CURVILINEAR, QUASI, CONVEX_QUASI)
+    for alpha0 in (1.0, 0.5, 2.0, -1.0, 0.0, math.inf, -math.inf)
+    if not (mode == QUASI and alpha0 == 0.0) and not (mode == CONVEX_QUASI and alpha0 != 1.0)
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("mode, alpha0", _LATTICE_CASES)
+def test_lattice_volume_equals_flat_regions(mode, alpha0, p):
+    a, b = _gapped_pair()
+    for alpha1, extras in ((1.0, ()), (-0.5, (0.013, 0.5, 0.987))):
+        spec = SumSpec(p=p, alphas=vec(alpha0, alpha1), t=0.35, lambda_points=9,
+                       mode=mode, extra_lambdas=extras)
+        _assert_lattice_equals_flat(a, b, spec)
+        _assert_lattice_equals_flat(b, a, spec)
+
+
+@pytest.mark.parametrize("alphas, a_heights", [
+    # C^(1/alpha0) underflows at a tiny base power and rectangles lose their
+    # width: some grid and maximizer rows, every maximizer row, every one
+    ((0.002, 1.0), None),
+    ((0.001, 1.0), None),
+    ((1e-6, 1.0), None),
+    # the height underflows over the 1e-250 cells alone: a dropped
+    # rectangle keeps its width, and no kept one shares some of its ends;
+    # at the smaller power half the maximizer rows' heights underflow too
+    ((1.0, 0.003), [1.0, 1e-250, 1.0, 1e-250, 1e-250, 1.0]),
+    ((1.0, 0.001), [1.0, 1e-250, 1.0, 1e-250, 1e-250, 1.0]),
+])
+def test_lattice_drops_rectangles_as_the_flat_rows_do(alphas, a_heights):
+    a, b = _gapped_pair()
+    if a_heights is not None:
+        a = StaircaseSet(Grid((0.0,), 0.25, (len(a_heights),)), np.asarray(a_heights))
+    spec = SumSpec(p=2.0, alphas=vec(*alphas), t=0.35, lambda_points=16, mode=QUASI)
+    z_lo, z_hi, v = staircase_sum_regions(a, b, spec)
+    assert not ((z_hi > z_lo) & (v > 0)).all()
+    _assert_lattice_equals_flat(a, b, spec)
+
+
+def test_lattice_volume_equals_flat_regions_on_surface_operands():
+    # the surface path: a t-free sum with a dilated b and its reach extras
+    from curvilin.measures import _reach_extras
+
+    rng = np.random.default_rng(14)
+    a = StaircaseSet(Grid((0.0,), 0.25, (14,)), rng.uniform(0.2, 2.0, 14))
+    b = StaircaseSet(Grid((0.0,), 0.25, (14,)), rng.uniform(0.2, 2.0, 14))
+    spec = SumSpec(p=2.0, alphas=vec(1, 1), lambda_points=64, coefficient_form=T_FREE)
+    for eps in (2.0**-4, 2.0**-7, 2.0**-10):
+        eb = scalar_dilate(eps, b, spec)
+        _assert_lattice_equals_flat(a, eb, spec.with_extra_lambdas(_reach_extras(a, eb, spec)))
+
+
+@given(_region_case())
+@settings(max_examples=150, deadline=None)
+def test_lattice_volume_equals_flat_regions_random(case):
+    spec, a, b = case
+    _assert_lattice_equals_flat(a, b, spec)
+
+
 def test_surface_closed_form_square():
     # [0,1]^2 plus its eps-dilation: exact volume (1 + eps)^(2/p)
     for p in (1.0, 2.0, 3.0):

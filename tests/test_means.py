@@ -200,6 +200,25 @@ def test_gamma_pair_conventions():
     assert gamma_pair(INF, INF) == INF
 
 
+def test_power_vector_gammas_add_left_to_right():
+    # a compensated builtin sum, as Python 3.12 has, must not reach gamma:
+    # reports carry it, and they must not depend on the interpreter
+    from unittest import mock
+
+    from curvilin import means
+
+    alphas = (0.492, 2.192, 1.624, 1.0)
+    want = 0.0
+    for a in alphas:
+        want += 1.0 / a
+    assert 1.0 / math.fsum(1.0 / a for a in alphas) != 1.0 / want
+    with mock.patch.object(means, "sum", math.fsum, create=True):
+        assert PowerVector(alphas).gamma == 1.0 / want
+        assert PowerVector(alphas + (2.0,)).base_gamma == 1.0 / want
+    assert PowerVector((INF, INF)).gamma == INF
+    assert PowerVector((1.0, 0.0)).gamma == 0.0
+
+
 nonzero_alpha = st.floats(-3, -0.01) | st.floats(0.01, 3)
 
 

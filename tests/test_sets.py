@@ -44,6 +44,27 @@ def staircase(heights, spacing=0.25, origin=None):
     return StaircaseSet(Grid(origin, spacing, h.shape), h)
 
 
+@pytest.mark.parametrize("values", [
+    [],
+    [0.0, -0.0],
+    [-0.0, 0.0],
+    [1.5, -0.0, 0.0, 2.0, 0.0, 1.5, -0.0],
+    [[3.0, 1.0], [3.0, 2.0]],
+    # duplicates with both zeros scattered among them, past the small-sort size
+    np.where(np.random.default_rng(3).random(1000) < 0.1, -0.0,
+             np.random.default_rng(4).integers(0, 9, 1000) * 0.5),
+    np.random.default_rng(5).integers(0, 50, 1000),
+])
+def test_sorted_unique_equals_np_unique(values):
+    values = np.asarray(values)
+    got = sets._sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    # the same sort keeps the same zero
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_normalize():
     u = IntervalUnion(((1.0, 2.0), (1.5, 3.0), (5.0, 5.0), (4.0, 4.5)))
     n = normalize(u)
@@ -166,7 +187,7 @@ def test_box_union_volume_prefix_sums_stay_in_place():
     edges = [np.unique(np.concatenate([lo[:, ax], hi[:, ax]])).size for ax in range(3)]
     cells = math.prod(e - 1 for e in edges)
     assert cells > 900_000
-    # a first call imports what np.unique loads lazily (about 1 MB)
+    # a first call does any lazy set-up outside the measured peak
     box_union_volume(BoxUnion(3, (((0.0,) * 3, (1.0,) * 3),)))
     tracemalloc.start()
     try:
