@@ -7,13 +7,16 @@ Run from the repository root:
 
 The first form times the ``src`` tree next to this script.  The second
 also times the ``src`` tree of the checkout at PATH, with the same inputs,
-and reports both sides as ``before`` and ``after``, each from a fresh
-process.  Every call is made once untimed, so imports and lazy set-up are
-done, then ``CALLS`` times; the report gives the median and the quartiles
-of those calls in milliseconds.  Inputs come from fixed seeds, so the two
-sides see the same values.
+and reports both sides as ``before`` and ``after``.  Each side runs in a
+process of its own, and the two take turns case by case, the side that
+goes first alternating too, so a drift of the host's speed falls on both
+sides alike.  Every call is made once untimed, so imports and lazy set-up
+are done, then ``CALLS`` times; the report gives the median and the
+quartiles of those calls in milliseconds.  Inputs come from fixed seeds,
+so the two sides see the same values.
 
-The kernels: the grid sum, the exact envelope
+The kernels: the grid sum (a union at p=2 and an intersection at
+p=0.75), the exact envelope
 (``staircase_sum_volume_exact`` on the operands of a surface quotient: a
 dilated b and the reach lam values), ``box_union_volume``, ``compress``,
 ``curvilinear_sum_1d``,
@@ -96,6 +99,9 @@ def _cases():
         a, b = stair(rng, n, 2), stair(rng, n, 2)
         cases.append(("grid_sum", f"2-D staircases {n}x{n}, p=2, 16 lam",
                       lambda a=a, b=b: curvilinear_sum_grid(a, b, spec(3, 16))))
+        cases.append(("grid_sum_intersection", f"2-D staircases {n}x{n}, p=0.75, 16 lam",
+                      lambda a=a, b=b: curvilinear_sum_grid(
+                          a, b, SumSpec(0.75, PowerVector((1.0,) * 3), 0.5, 16))))
     for n in (14, 28):
         # one surface quotient's sum: t-free, b dilated, reach lam values added
         rng = np.random.default_rng(n)
@@ -159,30 +165,73 @@ def _cases():
     return cases
 
 
+def _time(call) -> dict:
+    """One untimed call, then the median and quartiles of ``CALLS`` timed ones."""
+    call()
+    times = []
+    for _ in range(CALLS):
+        t0 = time.perf_counter()
+        call()
+        times.append(1e3 * (time.perf_counter() - t0))
+    q1, med, q3 = np.percentile(times, [25, 50, 75])
+    return {"calls": CALLS, "median_ms": round(float(med), 4),
+            "q1_ms": round(float(q1), 4), "q3_ms": round(float(q3), 4)}
+
+
+def _host() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpus": os.cpu_count()}
+
+
 def measure(src: str) -> dict:
-    """Median and quartiles, in ms, of ``CALLS`` warm calls per case."""
+    """Timings of every case on the ``src`` tree, in this process."""
     sys.path.insert(0, src)
     kernels: dict = {}
     for kernel, size, call in _cases():
-        call()
-        times = []
-        for _ in range(CALLS):
-            t0 = time.perf_counter()
-            call()
-            times.append(1e3 * (time.perf_counter() - t0))
-        q1, med, q3 = np.percentile(times, [25, 50, 75])
-        kernels.setdefault(kernel, []).append(
-            {"size": size, "calls": CALLS, "median_ms": round(float(med), 4),
-             "q1_ms": round(float(q1), 4), "q3_ms": round(float(q3), 4)})
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "cpus": os.cpu_count(), "kernels": kernels}
+        kernels.setdefault(kernel, []).append({"size": size, **_time(call)})
+    return {**_host(), "kernels": kernels}
 
 
-def _side(checkout: str) -> dict:
-    src = os.path.join(os.path.abspath(checkout), "src")
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def serve(src: str) -> None:
+    """Time, on the ``src`` tree, the case whose index each stdin line holds.
+
+    The first stdout line lists the cases; each later one holds the
+    timings of one requested case, as JSON.
+    """
+    sys.path.insert(0, src)
+    cases = _cases()
+    print(json.dumps({**_host(), "cases": [[kernel, size] for kernel, size, _ in cases]}),
+          flush=True)
+    for line in sys.stdin:
+        print(json.dumps(_time(cases[int(line)][2])), flush=True)
+
+
+def compare(before: str) -> dict:
+    """Timings of both trees, taking turns case by case."""
+    sides = {}
+    for side, checkout in (("before", before), ("after", ROOT)):
+        src = os.path.join(os.path.abspath(checkout), "src")
+        sides[side] = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--serve", "--src", src],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    report = {side: json.loads(proc.stdout.readline()) for side, proc in sides.items()}
+    cases = report["before"].pop("cases")
+    if report["after"].pop("cases") != cases:
+        raise SystemExit("the two trees list different cases")
+    for side in sides:
+        report[side]["kernels"] = {}
+    for i, (kernel, size) in enumerate(cases):
+        for side in ("before", "after") if i % 2 == 0 else ("after", "before"):
+            proc = sides[side]
+            proc.stdin.write(f"{i}\n")
+            proc.stdin.flush()
+            timing = json.loads(proc.stdout.readline())
+            report[side]["kernels"].setdefault(kernel, []).append({"size": size, **timing})
+    for proc in sides.values():
+        proc.stdin.close()
+        if proc.wait():
+            raise SystemExit("a timing process failed")
+    return report
 
 
 def main(argv=None) -> int:
@@ -190,11 +239,13 @@ def main(argv=None) -> int:
     parser.add_argument("--before", help="another checkout, timed as 'before'")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the source tree to time in this process")
+    parser.add_argument("--serve", action="store_true",
+                        help="time the cases whose indices stdin names (used by --before)")
     args = parser.parse_args(argv)
-    if args.before:
-        report = {"before": _side(args.before), "after": _side(ROOT)}
-    else:
-        report = measure(args.src)
+    if args.serve:
+        serve(args.src)
+        return 0
+    report = compare(args.before) if args.before else measure(args.src)
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import time
@@ -436,13 +437,22 @@ def _grid_sum_case(draw):
         sets.append(StaircaseSet(Grid((0.0,) * base_dim, spacing, heights.shape), heights))
     supplied = draw(st.booleans())
     pair_chunk = draw(st.sampled_from([None, 1, 5, 40]))
-    return spec, sets[0], sets[1], supplied, pair_chunk
+    # these operands are far below the run path's size rule; a zero rule
+    # takes it wherever both sides' sparse tables fit the chunk
+    runs = draw(st.booleans())
+    return spec, sets[0], sets[1], supplied, pair_chunk, runs
+
+
+def _force_runs():
+    """Patches that make the run path's size rule admit every chunk."""
+    return [mock.patch.object(curvsum, name, 0)
+            for name in ("_RUN_ELEMENT", "_RUN_TABLE_ENTRY", "_RUN_FIXED")]
 
 
 @given(_grid_sum_case())
 @settings(max_examples=250, deadline=None)
 def test_grid_kernel_equals_pairwise_oracle(case):
-    spec, a, b, supplied, pair_chunk = case
+    spec, a, b, supplied, pair_chunk, runs = case
     out_grid = None
     if supplied:
         # a finer grid reaching past the derived one
@@ -452,13 +462,84 @@ def test_grid_kernel_equals_pairwise_oracle(case):
         )
     with mock.patch.object(curvsum, "_accumulate", _pairwise_every_lam):
         want = curvilinear_sum_grid(a, b, spec, out_grid)
-    if pair_chunk is None:
+    with contextlib.ExitStack() as stack:
+        if pair_chunk is not None:
+            stack.enter_context(mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk))
+        for patch in _force_runs() if runs else ():
+            stack.enter_context(patch)
         got = curvilinear_sum_grid(a, b, spec, out_grid)
-    else:
-        with mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk):
-            got = curvilinear_sum_grid(a, b, spec, out_grid)
     assert got.grid == want.grid
     assert np.array_equal(got.heights, want.heights)
+
+
+def _run_path_stair(rng, shape, zeros=0.0, adjacent=False, spacing=0.25):
+    """A staircase with uniform heights, or heights a few ulps apart; a
+    share ``zeros`` of its cells is dropped from the support."""
+    if adjacent:
+        # consecutive floats: a box's images differ in their last bits
+        heights = 1.3 + np.spacing(1.3) * rng.integers(0, 6, shape)
+    else:
+        heights = rng.uniform(0.2, 2.0, shape)
+    heights[rng.random(shape) < zeros] = 0.0
+    heights.flat[0] = 1.0
+    return StaircaseSet(Grid((0.0,) * len(shape), spacing, shape), heights)
+
+
+def test_run_path_equals_pairwise_oracle():
+    rng = np.random.default_rng(17)
+    reduced = []  # per run-path image pass: whether the a side was reduced
+    plan = curvsum._run_plan
+
+    def recording(*args):
+        got = plan(*args)
+        if got:
+            reduced.append(got[3])
+        return got
+
+    def check(a, b, spec, forced=False, pair_chunk=None):
+        with mock.patch.object(curvsum, "_accumulate", _pairwise_every_lam):
+            want = curvilinear_sum_grid(a, b, spec)
+        reduced.clear()
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(curvsum, "_run_plan", recording))
+            if pair_chunk is not None:
+                stack.enter_context(mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk))
+            for patch in _force_runs() if forced else ():
+                stack.enter_context(patch)
+            got = curvilinear_sum_grid(a, b, spec)
+        assert reduced, "the run path did not run"
+        assert np.array_equal(got.heights, want.heights)
+        return set(reduced)
+
+    # lam near 0 reduces b, near 1 reduces a
+    ends = (0.002, 0.998)
+    a, b = _run_path_stair(rng, (20, 20)), _run_path_stair(rng, (20, 20))
+    for p in (2.0, 0.75):
+        spec = SumSpec(p, vec(1, 1, 1), 0.5, 6, extra_lambdas=ends)
+        # full 20x20 operands: the size rule as it stands takes the path
+        assert check(a, b, spec) == {True, False}
+    # 40,000 pairs a chunk, four chunks
+    assert check(a, b, SumSpec(2.0, vec(1, 1, 1), 0.5, 6, extra_lambdas=ends),
+                 pair_chunk=40_000) == {True, False}
+    spec3 = SumSpec(2.0, vec(1, 0.5, 2, 1), 0.3, 4, extra_lambdas=ends)
+    check(_run_path_stair(rng, (6, 6, 6)), _run_path_stair(rng, (5, 5, 5), zeros=0.2), spec3)
+    check(_run_path_stair(rng, (60,), zeros=0.3), _run_path_stair(rng, (45,), zeros=0.3),
+          SumSpec(2.0, vec(1, 1), 0.5, 6, extra_lambdas=ends), forced=True)
+    # sparse supports: grid cells off the support on both sides
+    check(_run_path_stair(rng, (14, 14), zeros=0.4), _run_path_stair(rng, (12, 12), zeros=0.5),
+          SumSpec(1.5, vec(1, 1, 1), 0.5, 6, extra_lambdas=ends), forced=True)
+    # every vertical power each mode admits, on heights a few ulps apart
+    inf = math.inf
+    for mode, base, ps in ((CURVILINEAR, (0.5, -1), (2.0, 0.75)), (QUASI, (1, -1), (2.0, 0.75)),
+                           (CONVEX_QUASI, (1, 1), (2.0, 1.5))):
+        for alpha in (1, -1, 0.5, 2, 0, -2.5, inf, -inf):
+            if alpha == 0 and mode != CURVILINEAR:
+                continue
+            for p in ps:
+                spec = SumSpec(p, vec(*base, alpha), 0.4, 4, mode=mode, extra_lambdas=ends)
+                a = _run_path_stair(rng, (8, 8), zeros=0.2, adjacent=True)
+                b = _run_path_stair(rng, (7, 7), adjacent=True, spacing=0.5)
+                check(a, b, spec, forced=True)
 
 
 def test_p1_evaluates_one_lambda():
@@ -972,6 +1053,29 @@ def test_lp_minkowski_base_frozen():
     assert out2.count >= out.count
     with pytest.raises(GridAlignmentError):
         lp_minkowski_sum_base(x, GridPointSet(np.asarray([[0.0]]), 0.5), 1.0, 0.5)
+
+
+def test_coefficient_memo_equals_fresh_coefficients():
+    lams = np.concatenate([SumSpec(2.0, vec(1, 1), 0.5, 64).lambda_grid(),
+                           [1e-300, 1e-9, 0.37, 1 - 1e-9, 1 - 1e-16]])
+    for p in (0.6, 1.0, 1.5, 2.0, 3.0):
+        for t, form in ((0.2, WITH_T), (0.5, WITH_T), (0.73, WITH_T), (None, T_FREE)):
+            spec = SumSpec(p, vec(1, 1), t, 8, coefficient_form=form)
+            for _ in range(2):  # the second pass reads the memo
+                for lam, cd in zip(lams, curvsum._coefficient_list(spec, lams)):
+                    for got, want in zip(cd, spec.coefficients(lam)):
+                        assert type(got) is type(want)
+                        assert np.array_equal(got, want)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                        if isinstance(got, np.ndarray):
+                            assert not got.flags.writeable
+    # a t-free spec's memo entry ignores t; a with-t spec's does not
+    one = curvsum._coefficient_list(SumSpec(2.0, vec(1, 1), 0.3, 8, coefficient_form=T_FREE), [0.4])
+    two = curvsum._coefficient_list(SumSpec(2.0, vec(1, 1), 0.6, 8, coefficient_form=T_FREE), [0.4])
+    assert one[0] is two[0]
+    c3, _ = curvsum._coefficient_list(SumSpec(2.0, vec(1, 1), 0.3, 8), [0.4])[0]
+    c6, _ = curvsum._coefficient_list(SumSpec(2.0, vec(1, 1), 0.6, 8), [0.4])[0]
+    assert c3 != c6
 
 
 def test_base_sum_table_is_read_only_and_scalar_exact():
