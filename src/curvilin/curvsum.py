@@ -81,15 +81,14 @@ _RUN_ELEMENT = 0.75
 _RUN_TABLE_ENTRY = 1.0
 _RUN_FIXED = 9_000
 # most (interval pair, lam) pieces of a 1-D sum, and most bytes of the
-# flat region rows (24 B a rectangle) together with the envelope's working
-# set over those rows
+# exact envelope's working set
 _INTERVAL_PIECES = 1 << 20
 _REGION_BUDGET = 1 << 30
-# envelope bytes per rectangle.  The tracemalloc peak per rectangle, the
-# rows included, is 85-89 B for staircase_sum_volume_exact and 115-116 B
-# for envelope_volume of the flat rows; 24 + 128 B was the flat path's peak
-# with np.unique, and is kept so that the refusal threshold does not move
-_ENVELOPE_BYTES = 128
+# envelope bytes charged per rectangle: a 24 B row of ends and height and
+# a 128 B working set, the peak of the former flat-row envelope.  The
+# tracemalloc peak of staircase_sum_volume_exact is 85-89 B a rectangle;
+# the charge stays at 152 B so that the refusal threshold does not move
+_RECT_BYTES = 24 + 128
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
@@ -597,12 +596,12 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
         k *= strides[ax]
         return k
 
-    b_axes = [np.unique(xb[:, ax], return_inverse=True) for ax in range(n)]
+    b_axes = [_ranks(xb[:, ax]) for ax in range(n)]
     b_side = None
     chunks = []
     for start in range(0, ma, chunk):
         stop = min(ma, start + chunk)
-        a_axes = [np.unique(xa[start:stop, ax], return_inverse=True) for ax in range(n)]
+        a_axes = [_ranks(xa[start:stop, ax]) for ax in range(n)]
         pairs = (stop - start) * mb
         # the run path's cost per lam apart from its range-max elements.
         # Planning a lam costs about 2,000 pairs' time whether or not the
@@ -792,107 +791,13 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
 # exact envelope path (one base axis)
 
 
-def _region_lattice(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
-    """(z, a_ends, b_ends, v, star): the sum's rectangles on the corner lattice.
-
-    Each (cell pair, lam) yields the base interval [m(x_lo, y_lo),
-    m(x_hi, y_hi)] at height m(h_a, h_b).  The base ends are kernel values
-    of one a-cell edge and one b-cell edge, so at a scalar lam every end
-    lies on the lattice of distinct a-edges by distinct b-edges: ``z`` has
-    shape (a-edges, b-edges, lam), and ``a_ends`` (``b_ends``) has shape
-    (2, cells), holding each cell's lo (row 0) and hi (row 1) edge index.
-    ``v`` holds the heights as (a-cells, b-cells, lam).  lam comes last so
-    that picking cells off the lattice gives C-ordered arrays.  The
-    per-pair maximizer gives every cell pair its own (C, D), so its ends
-    and height are kept explicitly: ``star`` is the (lo, hi, height)
-    stack of shape (3, a-cells, b-cells), or None when no maximizer is
-    injected.
-
-    (C, D) is computed per lam as scalars.  Where C and D only scale
-    (``combine`` at alpha != 0) one broadcast covers every lam; a power of
-    C or D (``combine_quasi``, or ``combine`` at alpha = 0) stays one
-    scalar call per lam, because array powers can round differently.  The
-    budget counts what the flat rows of ``staircase_sum_regions`` and their
-    envelope would take, a 24-byte buffer row and ``_ENVELOPE_BYTES`` per
-    rectangle: above ``_REGION_BUDGET`` bytes in all, BudgetError is raised
-    before any coefficient is computed.
-    """
-    if a.base_dim != 1 or b.base_dim != 1:
-        raise DomainError("region path needs one base axis")
-    if spec.alphas.n != 1:
-        raise DomainError("power vector must have one base entry")
-    if spec.p < 1.0:
-        raise RegimeError("region path supports p >= 1 only")
-    xa, ha = _support(a)
-    xb, hb = _support(b)
-    alpha0 = spec.alphas.alphas[0]
-    alpha1 = spec.alphas.last
-    base_kernel, vert_kernel = spec.kernels
-    lams = _lambda_values(spec, a, b)
-    injects = _injects(spec)
-    need = (len(lams) + injects) * len(ha) * len(hb) * (3 * 8 + _ENVELOPE_BYTES)
-    if need > _REGION_BUDGET:
-        raise BudgetError(
-            f"region buffer and envelope for {len(lams)} lam values and "
-            f"{len(ha)} x {len(hb)} cells need {need} bytes, budget {_REGION_BUDGET}"
-        )
-    cd_list = _coefficient_list(spec, lams)
-    c_row, d_row = np.asarray(cd_list).T
-
-    def rows(kernel, x, y, alpha):
-        shape = np.broadcast_shapes(x.shape, y.shape) + (len(cd_list),)
-        if kernel is combine and alpha != 0.0:
-            # at alpha = +-inf combine ignores (C, D) and drops the lam axis
-            return np.broadcast_to(combine(x[..., None], y[..., None], c_row, d_row, alpha),
-                                   shape)
-        out = np.empty(shape)
-        for i, (c, d) in enumerate(cd_list):
-            out[..., i] = kernel(x, y, c, d, alpha)
-        return out
-
-    # (lo, hi) edges of every cell, the distinct edges, each cell's edge indices
-    a_cells = np.stack([xa[:, 0], xa[:, 0] + a.grid.spacing])
-    b_cells = np.stack([xb[:, 0], xb[:, 0] + b.grid.spacing])
-    ea, eb = _sorted_unique(a_cells), _sorted_unique(b_cells)
-    a_ends, b_ends = np.searchsorted(ea, a_cells), np.searchsorted(eb, b_cells)
-    u = ha[:, None]
-    v = hb[None, :]
-    star = None
-    if injects:
-        c, d = spec.coefficients(_lambda_star(spec, u, v))
-        star = np.stack([base_kernel(a_cells[k][:, None], b_cells[k][None, :], c, d, alpha0)
-                         for k in (0, 1)] + [vert_kernel(u, v, c, d, alpha1)])
-    return (rows(base_kernel, ea[:, None], eb[None, :], alpha0), a_ends, b_ends,
-            rows(vert_kernel, u, v, alpha1), star)
-
-
-def staircase_sum_regions(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
-    """(z_lo, z_hi, v) region arrays of the sum for one-base-axis staircases.
-
-    Each (cell pair, lam) yields the base interval [m(x_lo, y_lo),
-    m(x_hi, y_hi)] at height m(h_a, h_b); the anchored union of these
-    rectangles is exactly the sum restricted to the lam set.  Rows come in
-    (lam, a-cell, b-cell) order, then one row per cell pair at its own
-    maximizer.  The ends are picked off the corner lattice of
-    ``_region_lattice``, so they are bit for bit the kernel values of the
-    cell edges.  ``envelope_volume`` of these flat rows is the oracle of
-    ``staircase_sum_volume_exact``, which ranks the lattice instead.
-    """
-    z, a_ends, b_ends, v, star = _region_lattice(a, b, spec)
-    # (lo/hi, lam, a-cell, b-cell)
-    ends = np.moveaxis(z[a_ends[:, :, None], b_ends[:, None, :]], -1, 1)
-    rows = (ends[0], ends[1], np.moveaxis(v, -1, 0))
-    if star is None:
-        return tuple(r.ravel() for r in rows)
-    return tuple(np.concatenate([r.ravel(), s.ravel()]) for r, s in zip(rows, star))
-
-
 def _ranks(values):
-    """(bps, rank): the distinct ``values`` sorted, and each value's index in bps.
+    """(uniq, rank): the distinct ``values`` sorted, and each value's index in uniq.
 
-    One argsort, the one ``np.unique`` runs, and a neighbour mask give the
-    breakpoints; one scatter of the mask's running count ranks every
-    value.  ``values`` must not be empty.
+    ``np.unique(values, return_inverse=True)`` for NaN-free 1-D input, by
+    the same steps: one argsort and a neighbour mask give the distinct
+    values, and one scatter of the mask's running count ranks every value.
+    ``values`` must not be empty.
     """
     order = np.argsort(values)
     ranked = values[order]
@@ -947,48 +852,78 @@ def _envelope(bps, parts):
     return above
 
 
-def envelope_segments(z_lo, z_hi, v):
-    """Max envelope of anchored rectangles as (breakpoints, values).
-
-    Returns (bps, vals) with len(vals) = len(bps) - 1; the envelope is
-    vals[i] on [bps[i], bps[i+1]), or 0 where no rectangle covers it.
-    Rectangles with z_hi <= z_lo or v <= 0 are dropped first, and the
-    breakpoints are every distinct end of a rectangle kept.  This is the
-    generic case of the one envelope core: ``_ranks`` sorts the kept lo
-    ends followed by the kept hi ends, and ``_envelope`` takes the maxima.
-    """
-    z_lo = np.asarray(z_lo, dtype=float)
-    z_hi = np.asarray(z_hi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    keep = (z_hi > z_lo) & (v > 0)
-    n = int(np.count_nonzero(keep))
-    if n == 0:
-        return np.asarray([0.0]), np.asarray([])
-    bps, rank = _ranks(np.concatenate([z_lo[keep], z_hi[keep]]))
-    return bps, _envelope(bps, [(rank[:n], rank[n:], v[keep])])
-
-
-def _segments_volume(bps, vals) -> float:
-    if vals.size == 0:
-        return 0.0
-    return float(np.sum(np.diff(bps) * vals))
-
-
-def envelope_volume(z_lo, z_hi, v) -> float:
-    return _segments_volume(*envelope_segments(z_lo, z_hi, v))
-
-
 def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     """(bps, parts) of the sum's kept rectangles, ranked on the corner lattice.
 
-    The arguments of ``_envelope``, or None when no rectangle is kept.
-    Only the lattice nodes of ``_region_lattice`` that a kept rectangle
-    uses, and the maximizer row's kept ends, go through the sort of
-    ``_ranks``.  A grid rectangle reads its ends' ranks off the lattice
-    through its cells' edge indices, so no per-rectangle inverse is built,
-    and a dropped one gets zero width instead of being filtered out.
+    Each (cell pair, lam) yields the base interval [m(x_lo, y_lo),
+    m(x_hi, y_hi)] at height m(h_a, h_b); the anchored union of these
+    rectangles is exactly the sum restricted to the lam set.  The base ends
+    are kernel values of one a-cell edge and one b-cell edge, so at a
+    scalar lam every end lies on the lattice of distinct a-edges by
+    distinct b-edges: ``z`` has shape (a-edges, b-edges, lam), and each
+    cell's lo and hi edge index picks its ends off it.  The heights ``v``
+    have shape (a-cells, b-cells, lam); lam comes last so that picking
+    cells off the lattice gives C-ordered arrays.  The per-pair maximizer
+    gives every cell pair its own (C, D), so its ends and heights are
+    computed per pair.
+
+    (C, D) is computed per lam as scalars.  Where C and D only scale
+    (``combine`` at alpha != 0) one broadcast covers every lam; a power of
+    C or D (``combine_quasi``, or ``combine`` at alpha = 0) stays one
+    scalar call per lam, because array powers can round differently.
+
+    Only the lattice nodes that a kept rectangle uses, and the maximizer
+    row's kept ends, go through the sort of ``_ranks``.  A grid rectangle
+    reads its ends' ranks off the lattice through its cells' edge indices,
+    so no per-rectangle inverse is built, and a dropped one (zero width or
+    height) gets zero width instead of being filtered out.  Returns the
+    arguments of ``_envelope``, or None when no rectangle is kept.
+
+    Above ``_REGION_BUDGET`` bytes at ``_RECT_BYTES`` a rectangle,
+    BudgetError is raised before any coefficient is computed.
     """
-    z, a_ends, b_ends, v, star = _region_lattice(a, b, spec)
+    if a.base_dim != 1 or b.base_dim != 1:
+        raise DomainError("region path needs one base axis")
+    if spec.alphas.n != 1:
+        raise DomainError("power vector must have one base entry")
+    if spec.p < 1.0:
+        raise RegimeError("region path supports p >= 1 only")
+    xa, ha = _support(a)
+    xb, hb = _support(b)
+    alpha0 = spec.alphas.alphas[0]
+    alpha1 = spec.alphas.last
+    base_kernel, vert_kernel = spec.kernels
+    lams = _lambda_values(spec, a, b)
+    injects = _injects(spec)
+    need = (len(lams) + injects) * len(ha) * len(hb) * _RECT_BYTES
+    if need > _REGION_BUDGET:
+        raise BudgetError(
+            f"region buffer and envelope for {len(lams)} lam values and "
+            f"{len(ha)} x {len(hb)} cells need {need} bytes, budget {_REGION_BUDGET}"
+        )
+    cd_list = _coefficient_list(spec, lams)
+    c_row, d_row = np.asarray(cd_list).T
+
+    def rows(kernel, x, y, alpha):
+        shape = np.broadcast_shapes(x.shape, y.shape) + (len(cd_list),)
+        if kernel is combine and alpha != 0.0:
+            # at alpha = +-inf combine ignores (C, D) and drops the lam axis
+            return np.broadcast_to(combine(x[..., None], y[..., None], c_row, d_row, alpha),
+                                   shape)
+        out = np.empty(shape)
+        for i, (c, d) in enumerate(cd_list):
+            out[..., i] = kernel(x, y, c, d, alpha)
+        return out
+
+    # (lo, hi) edges of every cell, the distinct edges, each cell's edge indices
+    a_cells = np.stack([xa[:, 0], xa[:, 0] + a.grid.spacing])
+    b_cells = np.stack([xb[:, 0], xb[:, 0] + b.grid.spacing])
+    ea, eb = _sorted_unique(a_cells), _sorted_unique(b_cells)
+    a_ends, b_ends = np.searchsorted(ea, a_cells), np.searchsorted(eb, b_cells)
+    u = ha[:, None]
+    w = hb[None, :]
+    z = rows(base_kernel, ea[:, None], eb[None, :], alpha0)
+    v = rows(vert_kernel, u, w, alpha1)
     # each grid rectangle's lo and hi ends as (a-cell, b-cell, lam) picks;
     # a cell's lo (hi) edge is its own, so each pick is one to one
     lo_at = (a_ends[0][:, None], b_ends[0])
@@ -999,9 +934,13 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     used[hi_at] |= keep
     nodes = np.flatnonzero(used)
     values = [z.ravel()[nodes]]
-    if star is not None:
-        star_keep = (star[1] > star[0]) & (star[2] > 0)
-        values += [star[0][star_keep], star[1][star_keep]]
+    if injects:
+        c, d = spec.coefficients(_lambda_star(spec, u, w))
+        star_lo, star_hi = (base_kernel(a_cells[k][:, None], b_cells[k][None, :], c, d, alpha0)
+                            for k in (0, 1))
+        star_v = vert_kernel(u, w, c, d, alpha1)
+        star_keep = (star_hi > star_lo) & (star_v > 0)
+        values += [star_lo[star_keep], star_hi[star_keep]]
     values = np.concatenate(values)
     if values.size == 0:
         return None
@@ -1011,28 +950,25 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     lo, hi = node_rank[lo_at], node_rank[hi_at]
     np.copyto(hi, lo, where=~keep)
     parts = [(lo.ravel(), hi.ravel(), v.ravel())]
-    if star is not None:
+    if injects:
         star_rank = rank[nodes.size :].reshape(2, -1)
-        parts.append((star_rank[0], star_rank[1], star[2][star_keep]))
+        parts.append((star_rank[0], star_rank[1], star_v[star_keep]))
     return bps, parts
 
 
 def staircase_sum_volume_exact(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> float:
     """Exact volume of the lam-set sum for one-base-axis staircases.
 
-    Equal, bit for bit, to ``envelope_volume(*staircase_sum_regions(a, b,
-    spec))``, but the ends are ranked on the corner lattice
-    (``_lattice_ranks``) instead of one by one: with 15 edges a side that
-    sorts at most 225 values per lam, against 392 ends of 14 x 14 cell
-    pairs.  The breakpoints are still every distinct end of a kept
-    rectangle, sorted by the same argsort, and the range-max sees the same
-    rectangles, so breakpoints, values and volume do not change.
+    The integral of the max envelope of the sum's rectangles: the
+    breakpoints are every distinct end of a kept rectangle
+    (``_lattice_ranks``), and the value on each segment between two of
+    them is the largest height over it (``_envelope``).
     """
     ranked = _lattice_ranks(a, b, spec)
     if ranked is None:
         return 0.0
     bps, parts = ranked
-    return _segments_volume(bps, _envelope(bps, parts))
+    return float(np.sum(np.diff(bps) * _envelope(bps, parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -1197,7 +1133,8 @@ def sum_oracle(
     including the injected maximizers, but shares none of its array
     machinery.  At p = 1 it keeps every lam of the grid, where the fast
     path evaluates one.  Intended for tiny operands; raises BudgetError beyond the
-    evaluation budget.
+    evaluation budget, and ResolutionError, as the fast path does, for an
+    image off the output grid.
     """
     if spec.mode != CURVILINEAR or spec.p < 1.0:
         raise RegimeError("oracle covers the curvilinear p >= 1 regime")
@@ -1257,7 +1194,9 @@ def sum_oracle(
                 for ax in range(n):
                     z = scalar_combine(xa[i, ax], xb[j, ax], cc, dd, alphas[ax])
                     k = int(math.floor((z - out_grid.origin[ax]) / h_out + _SNAP))
-                    k = min(max(k, 0), out_grid.shape[ax] - 1)
+                    if not 0 <= k < out_grid.shape[ax]:
+                        raise ResolutionError(
+                            f"output grid does not cover the sum on axis {ax}")
                     idx.append(k)
                 vert = scalar_combine(ha[i], hb[j], cc, dd, a_last)
                 key = tuple(idx)

@@ -34,11 +34,8 @@ from curvilin.curvsum import (
     curvilinear_sum_boxes,
     curvilinear_sum_grid,
     derive_out_grid,
-    envelope_segments,
-    envelope_volume,
     lp_minkowski_sum_base,
     scalar_dilate,
-    staircase_sum_regions,
     staircase_sum_volume_exact,
     sum_oracle,
 )
@@ -287,7 +284,8 @@ def test_grid_sum_out_grid_validation():
 @pytest.mark.parametrize("p", [0.75, 1.0, 2.0])
 def test_grid_kernel_refuses_images_off_the_output_grid(p):
     # a grid that passes the coverage check yet is too small must not pile
-    # the images beyond its edge into the edge cells
+    # the images beyond its edge into the edge cells, in the kernel or in
+    # the brute-force oracle (which covers p >= 1 only)
     a = cube_staircase(1.0, 1.0, cells=4, base_dim=2)
     b = cube_staircase(0.5, 2.0, cells=2, base_dim=2)
     spec = SumSpec(p=p, alphas=vec(1, 0.5, 2), t=0.5, lambda_points=8)
@@ -296,6 +294,8 @@ def test_grid_kernel_refuses_images_off_the_output_grid(p):
                            lambda *args: [e / 2 for e in halved(*args)]):
         with pytest.raises(ResolutionError, match="does not cover the sum"):
             curvilinear_sum_grid(a, b, spec)
+        with pytest.raises(RegimeError if p < 1.0 else ResolutionError):
+            sum_oracle(a, b, spec)
 
 
 def test_oracle_budget():
@@ -551,13 +551,14 @@ def test_p1_evaluates_one_lambda():
     spec = SumSpec(p=1.0, alphas=vec(2, -1), t=0.3, lambda_points=64)
     assert _lambda_values(spec, a, b).size == 1
     pairs = len(a.support_cells()[1]) * len(b.support_cells()[1])
-    regions = staircase_sum_regions(a, b, spec)
-    assert regions[0].size == pairs
+    bps, parts = curvsum._lattice_ranks(a, b, spec)
+    assert [lo.size for lo, _, _ in parts] == [pairs]
     with mock.patch.object(curvsum, "_lambda_values", lambda s, a, b: s.lambda_grid()):
-        every = staircase_sum_regions(a, b, spec)
+        every = _regions_loop(a, b, spec)
     assert every[0].size == 64 * pairs
-    for got, want in zip(envelope_segments(*regions), envelope_segments(*every)):
-        assert np.array_equal(got, want)
+    want_bps, want_vals = _envelope_heap(*every)
+    assert np.array_equal(bps, want_bps)
+    assert np.array_equal(curvsum._envelope(bps, parts), want_vals)
 
 
 @st.composite
@@ -693,14 +694,31 @@ def test_box_sum_equals_loop_oracle(pair, p, t, form, lambda_points):
     assert got.volume == want.volume
 
 
+def _segments(z_lo, z_hi, v):
+    """Max envelope (bps, vals) of anchored rectangles, by ``_ranks`` and ``_envelope``.
+
+    Rectangles with z_hi <= z_lo or v <= 0 are dropped; the breakpoints
+    are the kept lo ends followed by the kept hi ends, ranked.
+    """
+    z_lo, z_hi, v = (np.asarray(x, dtype=float) for x in (z_lo, z_hi, v))
+    keep = (z_hi > z_lo) & (v > 0)
+    n = int(np.count_nonzero(keep))
+    if n == 0:
+        return np.asarray([0.0]), np.asarray([])
+    bps, rank = curvsum._ranks(np.concatenate([z_lo[keep], z_hi[keep]]))
+    return bps, curvsum._envelope(bps, [(rank[:n], rank[n:], v[keep])])
+
+
 def test_envelope_volume_basic():
-    vol = envelope_volume([0.0, 1.0], [2.0, 3.0], [2.0, 1.0])
-    assert vol == pytest.approx(2 * 2 + 1 * 1, abs=1e-15)
-    assert envelope_volume([], [], []) == 0.0
+    bps, vals = _segments([0.0, 1.0], [2.0, 3.0], [2.0, 1.0])
+    assert np.array_equal(bps, [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(vals, [2.0, 2.0, 1.0])
+    assert float(np.sum(np.diff(bps) * vals)) == pytest.approx(2 * 2 + 1 * 1, abs=1e-15)
+    assert _segments([], [], [])[1].size == 0
 
 
 def _envelope_heap(z_lo, z_hi, v):
-    """Oracle for ``envelope_segments``: a linear sweep with a lazy-deletion heap."""
+    """Oracle for the max envelope: a linear sweep with a lazy-deletion heap."""
     import heapq
 
     z_lo = np.asarray(z_lo, dtype=float)
@@ -734,7 +752,7 @@ def _heap_volume(z_lo, z_hi, v):
 
 
 def assert_matches_heap(z_lo, z_hi, v):
-    bps, vals = envelope_segments(z_lo, z_hi, v)
+    bps, vals = _segments(z_lo, z_hi, v)
     want_bps, want_vals = _envelope_heap(z_lo, z_hi, v)
     assert np.array_equal(bps, want_bps)
     assert np.array_equal(vals, want_vals)
@@ -791,14 +809,15 @@ def test_envelope_volume_equals_oracle_on_staircase_regions(seed, p):
     a = rng_staircase(rng, cells=16, spacing=1 / 16)
     b = rng_staircase(rng, cells=16, spacing=1 / 16)
     spec = SumSpec(p=p, alphas=vec(1, 2), t=0.35, lambda_points=32)
-    regions = staircase_sum_regions(a, b, spec)
+    regions = _regions_loop(a, b, spec)
     if p > 1.0:
-        # the per-pair maximizer adds one lam per cell pair
+        # the per-pair maximizer adds one lam per cell pair, as a part of its own
         pairs = len(a.support_cells()[1]) * len(b.support_cells()[1])
         n_lam = len(_lambda_values(spec, a, b))
         assert regions[0].size == pairs * (n_lam + 1)
+        _, parts = curvsum._lattice_ranks(a, b, spec)
+        assert len(parts) == 2 and parts[0][0].size == pairs * n_lam
     assert_matches_heap(*regions)
-    assert envelope_volume(*regions) == _heap_volume(*regions)
     assert staircase_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
 
 
@@ -807,14 +826,18 @@ def test_convex_quasi_volume_equals_oracle_on_regions():
     a = rng_staircase(rng, cells=16, spacing=1 / 16)
     b = rng_staircase(rng, cells=16, spacing=1 / 16)
     spec = SumSpec(p=1.5, alphas=vec(1, -0.5), t=0.3, lambda_points=32, mode=CONVEX_QUASI)
-    regions = staircase_sum_regions(a, b, spec)
+    regions = _regions_loop(a, b, spec)
     assert_matches_heap(*regions)
-    assert envelope_volume(*regions) == _heap_volume(*regions)
     assert staircase_sum_volume_exact(a, b, spec) == _heap_volume(*regions)
 
 
 def _regions_loop(a, b, spec):
-    """Oracle for ``staircase_sum_regions``: one scalar (C, D) per kernel call."""
+    """The sum's rectangles as flat (z_lo, z_hi, v) rows, one scalar (C, D) per kernel call.
+
+    Each (cell pair, lam) yields the base interval [m(x_lo, y_lo),
+    m(x_hi, y_hi)] at height m(h_a, h_b).  Rows come in (lam, a-cell,
+    b-cell) order, then one row per cell pair at its own maximizer.
+    """
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
     if spec.alphas.n != 1:
@@ -876,20 +899,10 @@ def _region_case(draw):
     return spec, sets[0], sets[1]
 
 
-@given(_region_case())
-@settings(max_examples=300, deadline=None)
-def test_regions_equal_loop_oracle(case):
-    spec, a, b = case
-    got = staircase_sum_regions(a, b, spec)
-    want = _regions_loop(a, b, spec)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w, equal_nan=True)
-
-
-def _assert_lattice_equals_flat(a, b, spec):
-    """The lattice-ranked envelope against the flat rows, bit for bit."""
-    flat = staircase_sum_regions(a, b, spec)
-    want_bps, want_vals = envelope_segments(*flat)
+def _assert_lattice_equals_heap(a, b, spec):
+    """The lattice-ranked envelope against the heap sweep of the loop rows, bit for bit."""
+    rows = _regions_loop(a, b, spec)
+    want_bps, want_vals = _envelope_heap(*rows)
     ranked = curvsum._lattice_ranks(a, b, spec)
     if ranked is None:
         assert want_vals.size == 0
@@ -897,7 +910,14 @@ def _assert_lattice_equals_flat(a, b, spec):
         bps, parts = ranked
         assert np.array_equal(bps, want_bps)
         assert np.array_equal(curvsum._envelope(bps, parts), want_vals)
-    assert staircase_sum_volume_exact(a, b, spec) == envelope_volume(*flat)
+    assert staircase_sum_volume_exact(a, b, spec) == _heap_volume(*rows)
+
+
+@given(_region_case())
+@settings(max_examples=300, deadline=None)
+def test_regions_equal_loop_oracle(case):
+    spec, a, b = case
+    _assert_lattice_equals_heap(a, b, spec)
 
 
 def _gapped_pair():
@@ -928,8 +948,8 @@ def test_lattice_volume_equals_flat_regions(mode, alpha0, p):
     for alpha1, extras in ((1.0, ()), (-0.5, (0.013, 0.5, 0.987))):
         spec = SumSpec(p=p, alphas=vec(alpha0, alpha1), t=0.35, lambda_points=9,
                        mode=mode, extra_lambdas=extras)
-        _assert_lattice_equals_flat(a, b, spec)
-        _assert_lattice_equals_flat(b, a, spec)
+        _assert_lattice_equals_heap(a, b, spec)
+        _assert_lattice_equals_heap(b, a, spec)
 
 
 @pytest.mark.parametrize("alphas, a_heights", [
@@ -949,9 +969,9 @@ def test_lattice_drops_rectangles_as_the_flat_rows_do(alphas, a_heights):
     if a_heights is not None:
         a = StaircaseSet(Grid((0.0,), 0.25, (len(a_heights),)), np.asarray(a_heights))
     spec = SumSpec(p=2.0, alphas=vec(*alphas), t=0.35, lambda_points=16, mode=QUASI)
-    z_lo, z_hi, v = staircase_sum_regions(a, b, spec)
+    z_lo, z_hi, v = _regions_loop(a, b, spec)
     assert not ((z_hi > z_lo) & (v > 0)).all()
-    _assert_lattice_equals_flat(a, b, spec)
+    _assert_lattice_equals_heap(a, b, spec)
 
 
 def test_lattice_volume_equals_flat_regions_on_surface_operands():
@@ -964,14 +984,7 @@ def test_lattice_volume_equals_flat_regions_on_surface_operands():
     spec = SumSpec(p=2.0, alphas=vec(1, 1), lambda_points=64, coefficient_form=T_FREE)
     for eps in (2.0**-4, 2.0**-7, 2.0**-10):
         eb = scalar_dilate(eps, b, spec)
-        _assert_lattice_equals_flat(a, eb, spec.with_extra_lambdas(_reach_extras(a, eb, spec)))
-
-
-@given(_region_case())
-@settings(max_examples=150, deadline=None)
-def test_lattice_volume_equals_flat_regions_random(case):
-    spec, a, b = case
-    _assert_lattice_equals_flat(a, b, spec)
+        _assert_lattice_equals_heap(a, eb, spec.with_extra_lambdas(_reach_extras(a, eb, spec)))
 
 
 def test_surface_closed_form_square():

@@ -38,3 +38,19 @@ def test_package_exports_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(curvilin, name)]
     assert missing == []
+
+
+def test_no_module_calls_np_unique():
+    # sets._sorted_unique and curvsum._ranks run np.unique's sort and
+    # neighbour mask without importing numpy.ma on first use
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "unique"
+                 and isinstance(node.func.value, ast.Name)
+                 and node.func.value.id in ("np", "numpy")]
+        if lines:
+            calls[path.name] = lines
+    assert calls == {}

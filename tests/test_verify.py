@@ -88,7 +88,8 @@ def test_refined_run_tightens_lambda_grid():
 
 
 def test_region_buffer_refused_before_allocating():
-    # level 5 of this draw asks the envelope path for a 7.25 GiB region buffer
+    # level 5 of this draw has 7.25 GiB of rectangles at 24 B each; the
+    # exact envelope refuses it before computing a coefficient
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="budget"):
@@ -100,8 +101,9 @@ def test_region_buffer_refused_before_allocating():
 
 
 def test_envelope_working_set_refused_before_allocating():
-    # level 4 of the same draw needs a 0.47 GiB region buffer, under the
-    # budget alone, but the envelope over its rows peaks above 2.5 GiB
+    # level 4 of the same draw has 0.47 GiB of rectangles at 24 B each,
+    # under the budget alone, but at the 152 B a rectangle that the
+    # envelope is charged it needs 3.0 GiB
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError, match="region buffer and envelope"):
