@@ -1,4 +1,4 @@
-"""Warm-call timings of the north-star kernels, each at two fixed seeded sizes.
+"""Warm-call timings of the north-star kernels, each at two or more fixed seeded sizes.
 
 Run from the repository root:
 
@@ -18,8 +18,9 @@ so the two sides see the same values.
 The kernels: the grid sum (a union at p=2 and an intersection at
 p=0.75), the exact envelope
 (``staircase_sum_volume_exact`` on the operands of a surface quotient: a
-dilated b and the reach lam values), ``box_union_volume``, ``compress``,
-``curvilinear_sum_1d``,
+dilated b and the reach lam values), ``box_union_volume`` (the image union
+of a 2-D box sum, as the benchmark's ``operators`` workload makes it, and two
+unions of 3-D boxes), ``compress``, ``curvilinear_sum_1d``,
 ``sup_convolve``, ``surface_area_sets``, the recipe behind
 ``calibrate_grid_constant``, the layered base integral and the density-tag
 spot check.  The calibration recipe has one fixed size (3-cell operands),
@@ -58,6 +59,7 @@ def _cases():
     from curvilin.curvsum import (
         SumSpec,
         curvilinear_sum_1d,
+        curvilinear_sum_boxes,
         curvilinear_sum_grid,
         scalar_dilate,
         staircase_sum_volume_exact,
@@ -112,6 +114,16 @@ def _cases():
         cases.append(("envelope", f"1-D staircases of {n} cells, b dilated by 2^-7, "
                       "p=2, 64 lam and the reach lam values",
                       lambda a=a, eb=eb, s=s: staircase_sum_volume_exact(a, eb, s)))
+    # the image union of a 2-D box sum: two 8-box unions at p=2, 16 lam,
+    # 1,088 boxes with distinct edges, about 4.7 M occupancy cells
+    rng = np.random.default_rng(8)
+    operands = []
+    for _ in range(2):
+        lo = rng.uniform(0.0, 1.5, (8, 2))
+        operands.append(BoxUnion(2, np.stack([lo, lo + rng.uniform(0.25, 1.0, (8, 2))], axis=1)))
+    u = curvilinear_sum_boxes(*operands, spec(2, 16))
+    cases.append(("box_union_volume", f"{len(u.boxes)} boxes in 2-D, the image union "
+                  "of two 8-box unions at p=2, 16 lam", lambda u=u: box_union_volume(u)))
     for m in (50, 100):
         lo = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 3))
         hi = lo + np.random.default_rng(m + 1).uniform(0.05, 0.5, size=(m, 3))

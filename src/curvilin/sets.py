@@ -169,6 +169,8 @@ class BoxUnion:
     boxes: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise DomainError(f"box dimension must be at least 1, got {self.dim}")
         shape = (len(self.boxes), 2, self.dim)
         try:
             arr = np.array(self.boxes, dtype=float)
@@ -206,36 +208,51 @@ class BoxUnion:
 def box_union_volume(u: BoxUnion) -> float:
     """Exact volume of a box union by coordinate-sweep occupancy.
 
-    Edge coordinates are compressed per axis, each box marks its covered
-    cell range with a corner delta of alternating sign, and a prefix sum
-    per axis, run in place on the int32 delta grid, recovers per-cell
-    cover counts.  Beyond that grid, memory is one float64 cell volume
-    and one bool per cell.
+    Edge coordinates are compressed per axis and the axes are ordered by
+    edge count, ties in input order, so the longest axis is innermost.
+    Each box marks its covered cell range in an int32 grid with a corner
+    delta of alternating sign, and prefix sums run in place on that grid
+    recover per-cell cover counts: on each outer axis as adds of
+    neighbouring hyperplanes, which read whole contiguous rows, and on
+    the innermost axis as one ``cumsum``.  The volume is then summed in a
+    fixed order: the innermost widths over each row's covered cells (a
+    masked row sum), then the row sums contracted with each outer axis's
+    widths by ``@``, innermost outer axis first.
+
+    Memory is 4 B a cell for the grid (one spare slot per axis takes the
+    hi deltas) and 1 B a cell for the covered mask; beyond that only
+    per-row floats.  The grid is the first and largest allocation, so an
+    input too large for memory fails there, before any work is done.
     """
     boxes = u.boxes[(u.boxes[:, 1] > u.boxes[:, 0]).all(axis=1)]
     if not len(boxes):
         return 0.0
     d = u.dim
     edges = [_sorted_unique(boxes[:, :, ax]) for ax in range(d)]
+    order = sorted(range(d), key=lambda ax: len(edges[ax]))
+    edges = [edges[ax] for ax in order]
     # column 0 indexes the lo edge of each box, column 1 the hi edge
-    ends = [np.searchsorted(edges[ax], boxes[:, :, ax]) for ax in range(d)]
-    counts_shape = tuple(len(e) - 1 + 1 for e in edges)  # +1 slot absorbs hi deltas
-    delta = np.zeros(counts_shape, dtype=np.int32)
-    # bit ax of corner k picks the hi end on axis ax; odd corners subtract
+    ends = [np.searchsorted(e, boxes[:, :, ax]) for e, ax in zip(edges, order)]
+    delta = np.zeros(tuple(len(e) for e in edges), dtype=np.int32)
+    # bit k of corner c picks the hi end on axis k; odd corners subtract
     bits = np.arange(1 << d)[:, None] >> np.arange(d) & 1
     sign = np.where(bits.sum(axis=1) % 2, -1, 1).astype(np.int32)
     # flat indices with one value each: numpy 2.4's add.at misreads values
     # broadcast against a 2-D index on a 1-D target
-    idx = tuple(ends[ax][:, bits[:, ax]].ravel() for ax in range(d))
+    idx = tuple(ends[k][:, bits[:, k]].ravel() for k in range(d))
     np.add.at(delta, idx, np.tile(sign, len(boxes)))
-    for ax in range(d):
-        np.cumsum(delta, axis=ax, out=delta)
-    occ = delta[tuple(slice(0, len(e) - 1) for e in edges)]
+    for k in range(d - 1):
+        planes = np.moveaxis(delta, k, 0)
+        # the spare last slot is never read, so its sum is skipped
+        for i in range(1, len(edges[k]) - 1):
+            np.add(planes[i - 1], planes[i], out=planes[i])
+    np.cumsum(delta, axis=-1, out=delta)
+    covered = delta[tuple(slice(0, len(e) - 1) for e in edges)] > 0
     widths = [np.diff(e) for e in edges]
-    cellvol = widths[0]
-    for w in widths[1:]:
-        cellvol = np.multiply.outer(cellvol, w)
-    return float(np.sum(cellvol, where=occ > 0))
+    vol = np.einsum("...i,i->...", covered, widths[-1])
+    for w in reversed(widths[:-1]):
+        vol = vol @ w
+    return float(vol)
 
 
 def box_union_volume_ie(u: BoxUnion) -> float:

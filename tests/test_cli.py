@@ -272,6 +272,7 @@ def test_conv_grid_refines_function_operands(tmp_path):
     ("sum", {"dim": 2, "boxes": 5}),
     ("compress", {"dim": 2, "boxes": 5}),
     ("verify", {"checks": ["lemma_1d"]}),
+    ("sum", {"dim": -1, "boxes": []}),
 ])
 def test_malformed_structure_exits_2_without_traceback(tmp_path, capsys,
                                                        command, payload):
@@ -411,7 +412,7 @@ def test_main_rejects_bad_alphas_text():
 # numpy build or CPU (CI prints numpy.show_runtime()) is a finding about
 # that dependence, not a digest to update.
 _DEFAULT_SUITE_DIGESTS = {
-    "reports.jsonl": "939cf6eb19dbd5f449506c922b7bf638a26bfdf346b86e933d43dadc76fe94a1",
+    "reports.jsonl": "4eae74195e366b872ca5e56e36f854287cd1b872488f6bc6282ec9932efa3803",
     "summary.csv": "bea37d22631b04356fb7989a161491eed23ab405c8c65323dab725ce690fd19b",
 }
 _SURFACE_DIGEST = "e447dbcba853f1a959f877495ee19ec63f3c4e5d151651cdd0faf215950bf9c3"

@@ -109,8 +109,33 @@ def test_box_union_volume_matches_inclusion_exclusion(nboxes, data):
     assert u.volume == pytest.approx(box_union_volume_ie(u), abs=1e-12)
 
 
+@st.composite
+def _general_box_unions(draw, max_boxes=10):
+    """Box unions with continuous corners and widths from 1e-9 to 1."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    width = st.one_of(st.floats(1e-9, 1.0), st.sampled_from([1e-9, 1e-6]))
+    boxes = []
+    for _ in range(draw(st.integers(1, max_boxes))):
+        lo = [draw(coord) for _ in range(dim)]
+        boxes.append((tuple(lo), tuple(l + draw(width) for l in lo)))
+    return BoxUnion(dim, tuple(boxes))
+
+
+@given(_general_box_unions())
+@settings(max_examples=150, deadline=None)
+def test_box_union_volume_matches_inclusion_exclusion_in_general_position(u):
+    assert u.volume == pytest.approx(box_union_volume_ie(u), rel=1e-12)
+
+
 def _box_union_volume_loop(u: BoxUnion) -> float:
-    """Oracle for ``box_union_volume``: per-box corner marking on the dense grid."""
+    """Oracle for ``box_union_volume``: per-box corner marking on the dense grid.
+
+    Counts come from per-box Python marking and ``np.cumsum`` along every
+    axis; the volume is summed in the kernel's order (axes by edge count,
+    the longest innermost, masked row sums of the innermost widths, then
+    ``@`` with each outer axis's widths), so the two agree bit for bit.
+    """
     boxes = [b for b in u.boxes if all(h > l for l, h in zip(*b))]
     if not boxes:
         return 0.0
@@ -119,26 +144,28 @@ def _box_union_volume_loop(u: BoxUnion) -> float:
     for ax in range(d):
         vals = sorted({b[0][ax] for b in boxes} | {b[1][ax] for b in boxes})
         edges.append(np.asarray(vals))
+    order = sorted(range(d), key=lambda ax: len(edges[ax]))
+    edges = [edges[ax] for ax in order]
     counts_shape = tuple(len(e) - 1 + 1 for e in edges)  # +1 slot absorbs hi deltas
     delta = np.zeros(counts_shape, dtype=np.int32)
     for lo, hi in boxes:
-        ilo = [int(np.searchsorted(edges[ax], lo[ax])) for ax in range(d)]
-        ihi = [int(np.searchsorted(edges[ax], hi[ax])) for ax in range(d)]
+        ilo = [int(np.searchsorted(edges[k], lo[ax])) for k, ax in enumerate(order)]
+        ihi = [int(np.searchsorted(edges[k], hi[ax])) for k, ax in enumerate(order)]
         for corner in range(1 << d):
             idx = tuple(
-                ihi[ax] if corner >> ax & 1 else ilo[ax] for ax in range(d)
+                ihi[k] if corner >> k & 1 else ilo[k] for k in range(d)
             )
             sign = -1 if bin(corner).count("1") % 2 else 1
             delta[idx] += sign
     occ = delta
-    for ax in range(d):
-        occ = np.cumsum(occ, axis=ax)
+    for k in range(d):
+        occ = np.cumsum(occ, axis=k)
     occ = occ[tuple(slice(0, len(e) - 1) for e in edges)]
     widths = [np.diff(e) for e in edges]
-    cellvol = widths[0]
-    for w in widths[1:]:
-        cellvol = np.multiply.outer(cellvol, w)
-    return float(np.sum(cellvol, where=occ > 0))
+    vol = np.einsum("...i,i->...", occ > 0, widths[-1])
+    for w in reversed(widths[:-1]):
+        vol = vol @ w
+    return float(vol)
 
 
 _COORDS = st.one_of(
@@ -163,6 +190,17 @@ def _box_unions(draw):
 @settings(max_examples=300, deadline=None)
 def test_box_union_volume_equals_loop_oracle(u):
     assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+@given(st.one_of(_box_unions(), _general_box_unions()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_box_union_volume_ignores_the_axis_order(u, data):
+    # the kernel orders axes by edge count, so a permutation changes which
+    # axis is innermost and the order of the sums, not the volume; lattice
+    # corners give axes of unequal edge counts, general ones equal counts
+    perm = data.draw(st.permutations(range(u.dim)))
+    moved = BoxUnion(u.dim, u.boxes[:, :, perm])
+    assert box_union_volume(moved) == pytest.approx(box_union_volume(u), rel=1e-12)
 
 
 def test_box_union_volume_is_computed_once(monkeypatch):
@@ -195,9 +233,12 @@ def test_box_union_volume_prefix_sums_stay_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int32 delta grid (one spare slot per axis), a float64 volume and
-    # a bool mask per cell; an int64 copy of the grid would add 8 B per cell
-    assert peak < 1.1 * (4 * math.prod(edges) + 8 * cells + cells)
+    # the int32 delta grid (one spare slot per axis), one bool mask per
+    # cell, and per-row floats (the masked row sums and their contraction)
+    # plus a fixed allowance for numpy's cast buffers; any further array
+    # per cell, even a 1 B one, overshoots this
+    rows = cells // (max(edges) - 1)
+    assert peak < 4 * math.prod(edges) + cells + 16 * rows + (1 << 18)
     assert got == _box_union_volume_loop(u)
 
 
@@ -228,6 +269,11 @@ def test_box_union_validation():
     with pytest.raises(DomainError) as flipped:
         BoxUnion(1, (((0.5,), (0.25,)),))
     assert str(flipped.value) == "bad box (0.5,)..(0.25,)"
+    # a box has at least one axis
+    with pytest.raises(DomainError, match="^box dimension must be at least 1, got 0$"):
+        BoxUnion(0, [((), ())])
+    with pytest.raises(DomainError, match="^box dimension must be at least 1, got -1$"):
+        BoxUnion(-1, [])
 
 
 def test_box_union_volume_monte_carlo():
