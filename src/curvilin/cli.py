@@ -20,9 +20,11 @@ function operands only.  Defaults: ``--suite default``, ``--seed 0``,
 and ``--lambda-points`` the manifest's values for ``verify`` and 0 (no
 refinement) and 64 for the operators, ``--p 1``, ``--t 0.5``,
 ``--alphas`` all 1, ``--out`` stdout, ``--format`` csv for ``verify`` and
-json otherwise.  Outputs are deterministic for a fixed command line: JSON
-is dumped with sorted keys, suites order their reports by check id and
-seed, and nothing here stamps times or hostnames into artifacts.
+json otherwise.  An operator's CSV is read off its result carrier, one row
+per cell, box or interval (``surface``: one per quotient); its JSON holds
+the carrier's payload.  Outputs are deterministic for a fixed command
+line: JSON is dumped with sorted keys, suites order their reports by check
+id and seed, and nothing here stamps times or hostnames into artifacts.
 
 Exit codes: 0 when no check failed (refine verdicts allowed), 1 when any
 suite check reports a fail verdict, 2 on malformed input files or flags.
@@ -118,36 +120,22 @@ def _dump_json(payload: dict, stream) -> None:
     stream.write("\n")
 
 
-def _grid_rows(origin, spacing, values) -> list[list[float]]:
-    arr = np.asarray(values)
-    rows = []
-    for cell in np.ndindex(arr.shape):
-        corner = [o + i * spacing for o, i in zip(origin, cell)]
-        rows.append([*corner, float(arr[cell])])
-    return rows
+def _carrier_rows(out) -> tuple[list[str], list[list[float]]]:
+    """CSV header and rows of a result carrier, one row per cell or piece."""
+    if isinstance(out, (StaircaseSet, GridFunction)):
+        name, values = (("height", out.heights) if isinstance(out, StaircaseSet)
+                        else ("value", out.values))
+        header = [f"x{i}" for i in range(out.grid.ndim)] + [name]
+        rows = np.column_stack([out.grid.cell_lower_corners(), values.ravel()])
+        return header, rows.tolist()
+    if isinstance(out, BoxUnion):
+        header = [f"lo{i}" for i in range(out.dim)] + [f"hi{i}" for i in range(out.dim)]
+        return header, out.boxes.reshape(len(out.boxes), 2 * out.dim).tolist()
+    return ["lo", "hi"], [list(iv) for iv in out.intervals]
 
 
-def _payload_rows(payload: dict) -> tuple[list[str], list[list]]:
-    kind = payload["kind"]
-    if kind == "surface":
-        return (["eps", "quotient"],
-                [[e, q] for e, q in payload["quotients"]])
-    result = payload["result"]
-    if "heights" in result or "values" in result:
-        key = "heights" if "heights" in result else "values"
-        dim = len(result["shape"])
-        header = [f"x{i}" for i in range(dim)] + [key[:-1]]
-        vals = np.asarray(result[key]).reshape(result["shape"])
-        return header, _grid_rows(result["origin"], result["spacing"], vals)
-    if "boxes" in result:
-        dim = result["dim"]
-        header = [f"lo{i}" for i in range(dim)] + [f"hi{i}" for i in range(dim)]
-        return header, [[*b["lo"], *b["hi"]] for b in result["boxes"]]
-    header = ["lo", "hi"]
-    return header, [[a, b] for a, b in result["intervals"]]
-
-
-def _emit(payload: dict, args: argparse.Namespace) -> None:
+def _emit(payload: dict, args: argparse.Namespace, out) -> None:
+    """``payload`` as JSON, or ``out`` as CSV: a carrier or (header, rows)."""
     if args.out:
         target = open(args.out, "w", encoding="ascii", newline="")
     else:
@@ -156,7 +144,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         if (args.format or "json") == "json":
             _dump_json(payload, fh)
         else:
-            header, rows = _payload_rows(payload)
+            header, rows = out if isinstance(out, tuple) else _carrier_rows(out)
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
@@ -210,7 +198,7 @@ def _run_sum(args: argparse.Namespace) -> int:
     out = kernel(a, b, spec)
     payload = {"kind": "sum", "spec": spec.to_json(),
                "result": out.to_json(), "volume": out.volume}
-    _emit(payload, args)
+    _emit(payload, args, out)
     return 0
 
 
@@ -220,7 +208,7 @@ def _run_conv(args: argparse.Namespace) -> int:
     out = sup_convolve(f, g, spec)
     payload = {"kind": "convolution", "spec": spec.to_json(),
                "result": out.to_json(), "integral": out.integral}
-    _emit(payload, args)
+    _emit(payload, args, out)
     return 0
 
 
@@ -235,7 +223,7 @@ def _run_compress(args: argparse.Namespace) -> int:
     out = compress(boxes, spacing)
     payload = {"kind": "compression", "result": out.to_json(),
                "volume": out.volume, "source_volume": boxes.volume}
-    _emit(payload, args)
+    _emit(payload, args, out)
     return 0
 
 
@@ -267,7 +255,7 @@ def _run_surface(args: argparse.Namespace) -> int:
         "unsettled": est.unsettled,
         "quotients": [[e, q] for e, q in est.quotients],
     }
-    _emit(payload, args)
+    _emit(payload, args, (["eps", "quotient"], payload["quotients"]))
     return 0
 
 

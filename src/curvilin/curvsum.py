@@ -110,8 +110,8 @@ class SumSpec:
     extra_lambdas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise RangeError(f"p must be positive, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise RangeError(f"p must be finite and positive, got {self.p}")
         if self.mode not in (CURVILINEAR, QUASI, CONVEX_QUASI):
             raise RangeError(f"unknown mode {self.mode!r}")
         if self.coefficient_form not in (WITH_T, T_FREE):
@@ -201,18 +201,6 @@ class SumSpec:
             "coefficient_form": self.coefficient_form,
             "extra_lambdas": list(self.extra_lambdas),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SumSpec":
-        return cls(
-            p=float(data["p"]),
-            alphas=PowerVector(tuple(data["alphas"])),
-            t=None if data.get("t") is None else float(data["t"]),
-            lambda_points=int(data.get("lambda_points", 64)),
-            mode=data.get("mode", CURVILINEAR),
-            coefficient_form=data.get("coefficient_form", WITH_T),
-            extra_lambdas=tuple(float(x) for x in data.get("extra_lambdas", ())),
-        )
 
 
 # ---------------------------------------------------------------------------

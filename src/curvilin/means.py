@@ -322,6 +322,9 @@ class PowerVector:
         if len(self.alphas) < 1:
             raise RangeError("PowerVector needs at least one entry")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        # +-inf stand for max and min; NaN stands for nothing
+        if any(math.isnan(a) for a in self.alphas):
+            raise RangeError(f"powers must not be NaN, got {self.alphas}")
 
     @property
     def n(self) -> int:

@@ -42,7 +42,6 @@ from .reports import InequalityReport
 from .sets import (
     Grid,
     GridFunction,
-    GridPointSet,
     StaircaseSet,
     _integrate_leading,
     _sorted_unique,
@@ -119,16 +118,6 @@ class DensityMeasure:
                         f"declared {alpha}-concavity fails at cells {tuple(i[k])}, "
                         f"{tuple(j[k])}, s={s}: {float(have[k, num - 1])} < {want}"
                     )
-
-    def to_json(self) -> dict:
-        out = self.density.to_json()
-        out["alpha_concavity"] = self.alpha_concavity
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DensityMeasure":
-        tag = data.get("alpha_concavity")
-        return cls(GridFunction.from_json(data), None if tag is None else float(tag))
 
 
 def _midpoints(grid: Grid) -> np.ndarray:
@@ -216,18 +205,10 @@ def _column_masses(a: StaircaseSet, mu: DensityMeasure) -> np.ndarray:
 
 
 def measure_of(a, mu: DensityMeasure) -> float:
-    """mu-measure of a staircase set or a grid point set."""
+    """mu-measure of a staircase set."""
     if isinstance(a, StaircaseSet):
         col = _column_masses(a, mu)
         return float(np.sum(col)) * a.grid.spacing**a.base_dim
-    if isinstance(a, GridPointSet):
-        if a.count == 0:
-            return 0.0
-        if mu.grid.ndim != a.dim:
-            raise DomainError("density dimension does not match point set")
-        mids = a.coords + a.spacing / 2.0
-        phi = mu.density.values[_cell_indices(mids, mu.grid, a.dim)]
-        return float(np.sum(phi)) * a.spacing**a.dim
     raise DomainError(f"cannot integrate over {type(a).__name__}")
 
 

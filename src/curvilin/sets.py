@@ -330,6 +330,13 @@ class StaircaseSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "heights", _cell_values(self.grid, self.heights, "heights"))
+        # a grid below 0 may carry zero heights there, never a cell of the set
+        if min(self.grid.origin, default=0.0) < 0.0:
+            corners = self.grid.cell_lower_corners()
+            bad = np.flatnonzero((corners < 0.0).any(axis=1) & (self.heights.ravel() > 0.0))
+            if bad.size:
+                raise DomainError(f"staircase cell at {tuple(corners[bad[0]].tolist())} "
+                                  "leaves the nonnegative orthant")
 
     @property
     def base_dim(self) -> int:

@@ -31,7 +31,7 @@ from .curvsum import (
     staircase_sum_volume_exact,
     sum_oracle,
 )
-from .errors import CurvilinError, RangeError
+from .errors import CurvilinError, DomainError, RangeError
 from .funcs import sup_convolve
 from .means import PowerVector, mean_alpha, sup_lambda_min_form
 from .measures import (
@@ -1108,6 +1108,15 @@ def _run_job(job):
                              start_level=level)
 
 
+def _entry_int(k: int, field: str, value) -> int:
+    """``field`` of manifest entry ``k`` as an int; whole numbers only."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise RangeError(f"manifest entry {k}: {field} must be an integer, got {value!r}")
+
+
 def run_suite(manifest: dict, workers: int = 1) -> SuiteResult:
     """Run a manifest; reports come back sorted and order-insensitive."""
     lam = manifest.get("lambda_points")
@@ -1115,12 +1124,20 @@ def run_suite(manifest: dict, workers: int = 1) -> SuiteResult:
     level = int(manifest.get("grid", 0))
     if not 0 <= level <= REFINE_BUDGET:
         raise RangeError(f"grid level {level} outside [0, {REFINE_BUDGET}]")
+    checks = manifest["checks"]
+    if not isinstance(checks, list):
+        raise DomainError("manifest checks must be a list of entries")
     jobs = []
-    for entry in manifest["checks"]:
+    for k, entry in enumerate(checks):
+        if not isinstance(entry, dict) or "check" not in entry:
+            raise DomainError(f"manifest entry {k} needs a check field")
         cid = entry["check"]
         _row(cid)
-        seed = int(entry.get("seed", manifest.get("seed", 0)))
-        jobs.extend((cid, seed, i, lam, level) for i in range(int(entry["count"])))
+        count = _entry_int(k, "count", entry.get("count"))
+        if count < 0:
+            raise RangeError(f"manifest entry {k}: count must be >= 0, got {count}")
+        seed = _entry_int(k, "seed", entry.get("seed", manifest.get("seed", 0)))
+        jobs.extend((cid, seed, i, lam, level) for i in range(count))
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_job, jobs, chunksize=4))

@@ -12,7 +12,7 @@ import pytest
 from curvilin import cli, verify
 from curvilin.curvsum import SumSpec, curvilinear_sum_grid
 from curvilin.means import PowerVector, mean_alpha
-from curvilin.sets import Grid, StaircaseSet
+from curvilin.sets import Grid, IntervalUnion, StaircaseSet
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -273,6 +273,10 @@ def test_conv_grid_refines_function_operands(tmp_path):
     ("compress", {"dim": 2, "boxes": 5}),
     ("verify", {"checks": ["lemma_1d"]}),
     ("sum", {"dim": -1, "boxes": []}),
+    ("verify", {"checks": [{"check": "lemma_1d", "count": -1}]}),
+    ("verify", {"checks": [{"check": "lemma_1d", "count": 1.5}]}),
+    ("verify", {"checks": [{"check": "lemma_1d"}]}),
+    ("verify", {"checks": "x"}),
 ])
 def test_malformed_structure_exits_2_without_traceback(tmp_path, capsys,
                                                        command, payload):
@@ -285,6 +289,33 @@ def test_malformed_structure_exits_2_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("curvilin: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sum", "surface"])
+def test_staircase_below_the_orthant_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"origin": [-1.0], "spacing": 0.25, "shape": [8],
+                                "heights": [1.0] * 8}))
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--a", str(path), "--b", str(path), "--p", "2",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "curvilin: staircase cell at (-1.0,) leaves the nonnegative orthant\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "nan"], "p must be finite and positive, got nan"),
+    (["--p", "inf"], "p must be finite and positive, got inf"),
+    (["--alphas", "1,nan"], "powers must not be NaN, got (1.0, nan)"),
+])
+def test_non_finite_p_or_nan_powers_exit_2(tmp_path, capsys, flags, message):
+    paths = write_inputs(tmp_path)
+    out = tmp_path / "sum.json"
+    assert cli.main(["sum", "--a", paths["a"], "--b", paths["b"], *flags,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"curvilin: {message}\n"
+    assert not out.exists()
 
 
 def test_bad_manifest_exits_2(tmp_path):
@@ -435,6 +466,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# --format csv of each operator command, one case per row layout
+_CSV_DIGESTS = {
+    "sum_stair1": "cd84db55f5e63987a9bd108c6cb61eb03ccc23daa05555f8853bf211771be1d6",
+    "sum_stair2": "e7f69e274473965470839516c3dfa900afd934b8b9bb8ac89215c8f02859fa0b",
+    "sum_intervals": "0f3cc591867d3243e4b1678464c2d63a5d4aee1ff3bb58e72a20933ff0fb0cb5",
+    "sum_boxes": "3873aaf1f3c1a0c5f394d1ab0aed9e8f7c1992d3da453bb9cfa0aa2e584ea6b8",
+    "conv": "4f357571d2daedc0e875abfdfa3e69f7a1b6e8427c9c02f579236995acf0a3d4",
+    "compress": "923905ad2d6633bf0566683f4c510f406f49ccca9019ec9ffe1703519bd70807",
+    "surface": "c87cb4d854758f98844eed7d348d17a9a4f30084a63bf765b97293a7eab0e6e7",
+}
+
+
+def _csv_argv(tmp_path, case):
+    paths = write_inputs(tmp_path)
+    rng = np.random.default_rng(12)
+    grid = Grid((0.0, 0.0), 0.25, (3, 3))
+    for tag, obj in (
+            ("iv_a", IntervalUnion(((0.0, 0.1), (3.0, 3.2)))),
+            ("iv_b", IntervalUnion(((0.0, 0.1), (5.0, 5.1)))),
+            ("sq_a", StaircaseSet(grid, rng.uniform(0.2, 2.0, (3, 3)))),
+            ("sq_b", StaircaseSet(grid, rng.uniform(0.2, 2.0, (3, 3))))):
+        paths[tag] = str(tmp_path / f"{tag}.json")
+        Path(paths[tag]).write_text(json.dumps(obj.to_json()))
+    pair = {"sum_stair1": ("a", "b"), "sum_stair2": ("sq_a", "sq_b"),
+            "sum_intervals": ("iv_a", "iv_b"), "sum_boxes": ("boxes", "boxes")}
+    if case in pair:
+        a, b = pair[case]
+        return ["sum", "--a", paths[a], "--b", paths[b], "--p", "2",
+                "--lambda-points", "16"]
+    if case == "conv":
+        return ["conv", "--a", paths["f"], "--b", paths["g"], "--p", "2"]
+    if case == "compress":
+        return ["compress", "--a", paths["a"]]
+    return _surface_argv(tmp_path)[:-2]
+
+
 def test_default_suite_reports_are_pinned(tmp_path):
     assert cli.main(["verify", "--workers", "1", "--out", str(tmp_path)]) == 0
     assert {name: _sha256(tmp_path / name) for name in _DEFAULT_SUITE_DIGESTS} \
@@ -444,6 +511,14 @@ def test_default_suite_reports_are_pinned(tmp_path):
 def test_seeded_surface_output_is_pinned(tmp_path):
     assert cli.main(_surface_argv(tmp_path)) == 0
     assert _sha256(tmp_path / "surface.json") == _SURFACE_DIGEST
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_DIGESTS))
+def test_csv_output_is_pinned(tmp_path, case):
+    out = tmp_path / "out.csv"
+    assert cli.main([*_csv_argv(tmp_path, case), "--out", str(out),
+                     "--format", "csv"]) == 0
+    assert _sha256(out) == _CSV_DIGESTS[case]
 
 
 def test_surface_call_leaves_numpy_ma_unimported(tmp_path):

@@ -269,6 +269,19 @@ def test_power_vector():
     assert z.delta(2.0, 1) == 0.0
 
 
+def test_power_vector_refuses_nan_but_keeps_infinities():
+    with pytest.raises(RangeError, match="powers must not be NaN"):
+        PowerVector((1.0, math.nan))
+    # +-inf stand for max and min
+    assert PowerVector((math.inf, -math.inf)).alphas == (math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_sum_spec_refuses_a_non_finite_p(p):
+    with pytest.raises(RangeError, match="p must be finite and positive"):
+        SumSpec(p=p, alphas=PowerVector((1.0, 1.0)), t=0.5)
+
+
 def test_mean_params_validation():
     with pytest.raises(RangeError):
         MeanParams(p=2.0, t=0.0, lam=0.5)

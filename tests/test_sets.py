@@ -308,6 +308,21 @@ def test_staircase_basics():
     assert b.volume == pytest.approx(s.volume)
 
 
+def test_staircase_support_stays_in_the_orthant():
+    # as BoxUnion and IntervalUnion, a staircase refuses a cell below 0
+    with pytest.raises(DomainError, match=r"cell at \(-1.0,\) leaves"):
+        staircase(np.ones(8), origin=(-1.0,))
+    with pytest.raises(DomainError, match=r"cell at \(0.25, -0.25\) leaves"):
+        staircase([[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]], origin=(0.0, -0.25))
+    # a grid may start below 0 with zero heights there
+    s = staircase([0.0, 0.0, 0.0, 0.0, 1.0, 2.0], origin=(-1.0,))
+    assert s.volume == pytest.approx(0.75)
+    # a function on such a grid is legal; its hypograph is not
+    f = GridFunction(Grid((-1.0,), 0.25, (8,)), np.ones(8))
+    with pytest.raises(DomainError, match="leaves the nonnegative orthant"):
+        f.hypograph()
+
+
 def test_staircase_json_roundtrip():
     s = staircase([0.5, 1.5, 0.0], spacing=0.125)
     data = json.loads(json.dumps(s.to_json()))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curvilin import BudgetError, PowerVector
+from curvilin import BudgetError, DomainError, PowerVector, RangeError
 from curvilin import verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
@@ -348,6 +348,34 @@ def test_reports_jsonl_lines_are_valid(tmp_path):
         row = json.loads(line)
         for key in ("check", "lhs", "rhs", "slack", "verdict", "params"):
             assert key in row
+
+
+@pytest.mark.parametrize("checks, error, message", [
+    ([{"check": "lemma_1d", "count": -1}], RangeError,
+     "manifest entry 0: count must be >= 0, got -1"),
+    ([{"check": "lemma_1d", "count": 1}, {"check": "lemma_1d", "count": 1.5}],
+     RangeError, "manifest entry 1: count must be an integer, got 1.5"),
+    ([{"check": "lemma_1d"}], RangeError,
+     "manifest entry 0: count must be an integer, got None"),
+    ([{"check": "lemma_1d", "count": True}], RangeError,
+     "manifest entry 0: count must be an integer, got True"),
+    ([{"check": "lemma_1d", "count": 1, "seed": "7"}], RangeError,
+     "manifest entry 0: seed must be an integer, got '7'"),
+    ([{"count": 1}], DomainError, "manifest entry 0 needs a check field"),
+    (["lemma_1d"], DomainError, "manifest entry 0 needs a check field"),
+    ("x", DomainError, "manifest checks must be a list of entries"),
+])
+def test_malformed_manifest_entries_are_named(checks, error, message):
+    with pytest.raises(error) as info:
+        verify.run_suite({"seed": 0, "checks": checks})
+    assert str(info.value) == message
+
+
+def test_whole_number_counts_and_zero_counts_run():
+    man = {"seed": 0, "checks": [{"check": "lemma_1d", "count": 2.0},
+                                 {"check": "bm_curvilinear", "count": 0}]}
+    res = verify.run_suite(man)
+    assert [r.check_id for r in res.reports] == ["lemma_1d", "lemma_1d"]
 
 
 def test_unknown_check_is_rejected():
