@@ -264,6 +264,8 @@ def _load_manifest(args: argparse.Namespace) -> dict:
         return verify.default_suite(seed=args.seed)
     with open(args.suite) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise DomainError("manifest must be a JSON object")
     if "checks" not in manifest:
         raise DomainError("manifest has no checks list")
     manifest.setdefault("seed", args.seed)

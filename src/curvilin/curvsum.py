@@ -992,14 +992,6 @@ def scalar_dilate(c: float, x, spec: SumSpec):
         if x.dim != len(factors):
             raise DomainError("power vector does not match box dimension")
         return BoxUnion(x.dim, x.boxes * np.asarray(factors))
-    if isinstance(x, GridPointSet):
-        if x.dim > len(factors):
-            raise DomainError("power vector does not match point dimension")
-        base = factors[: x.dim]
-        if any(abs(f - base[0]) > 1e-12 * base[0] for f in base):
-            raise GridAlignmentError("unequal powers need per-axis spacings")
-        f = base[0]
-        return GridPointSet(x.coords * f, x.spacing * f)
     raise DomainError(f"cannot dilate {type(x).__name__}")
 
 

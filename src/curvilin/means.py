@@ -1,24 +1,23 @@
-"""Weighted power means with two-parameter coefficients.
+"""Scalar power means and the power vector of a curvilinear sum.
 
-The objects here are scalar: the classical weighted mean
+What the sums and the inequality checks call lives here:
 
-    M_alpha^t(a, b) = ((1-t) a^alpha + t b^alpha)^(1/alpha),
+* the Hoelder conjugate q with 1/p + 1/q = 1 (q = inf for p = 1),
+* the classical weighted mean
 
-its coefficient-weighted variant
+      M_alpha^t(a, b) = ((1-t) a^alpha + t b^alpha)^(1/alpha),
 
-    M_{p,alpha}^{(t,lam)}(a, b) = (C a^alpha + D b^alpha)^(1/alpha),
-    C = (1-t)^(1/p) (1-lam)^(1/q),   D = t^(1/p) lam^(1/q),   1/p + 1/q = 1,
+* the closed-form supremum over lam of the min-form bound
+  min(C^(1/gamma) a, D^(1/gamma) b), with the coefficient pair
+  C = (1-t)^(1/p) (1-lam)^(1/q),  D = t^(1/p) lam^(1/q),
+* :class:`PowerVector`, the coordinate powers of an (n+1)-dim sum.
 
-the closed-form maximizer of the lam family, and the product lower bound
-that the inequality checks lean on.  Conventions used throughout:
-
-* both means are 0 whenever a*b == 0 (the degenerate convention),
-* alpha = 0 is the geometric limit, alpha = +/-inf are max / min,
-* p = 1 gives q = inf, so C = 1-t and D = t independently of lam.
-
-All functions take and return plain floats; the array kernels used by the
-set-summation code live in :mod:`curvilin.curvsum` and are cross-validated
-against these scalars in ``tests/test_means.py``.
+Conventions: both means are 0 whenever a*b == 0, alpha = 0 is the
+geometric limit and alpha = +/-inf are max / min.  The coefficient pair,
+the lam maximizer and the coefficient-weighted mean are computed as array
+kernels in :mod:`curvilin.curvsum`; their plain-float reference copies,
+with the Hoelder product bound and a brute-force lam search, live in
+``tests/scalar_oracles.py`` and the tests check the kernels against them.
 """
 
 from __future__ import annotations
@@ -26,14 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, RangeError
 
 _INF = math.inf
-
-SUM_NONNEG = "sum_nonneg"
-MIXED_SIGN = "mixed_sign"
 
 
 def conjugate(p: float) -> float:
@@ -65,50 +59,6 @@ def _harmonic(alphas) -> float:
     return 1.0 / s
 
 
-@dataclass(frozen=True)
-class MeanParams:
-    """Coefficient parameters (p, t, lam) with p > 0 and t, lam in (0, 1)."""
-
-    p: float
-    t: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise RangeError(f"p must be positive, got {self.p}")
-        if not 0.0 < self.t < 1.0:
-            raise RangeError(f"t must lie in (0, 1), got {self.t}")
-        if not 0.0 < self.lam < 1.0:
-            raise RangeError(f"lam must lie in (0, 1), got {self.lam}")
-
-    @property
-    def q(self) -> float:
-        return conjugate(self.p)
-
-    def coefficients(self) -> tuple[float, float]:
-        return lp_coefficients(self.p, self.lam, self.t)
-
-
-def lp_coefficients(p: float, lam: float, t: float) -> tuple[float, float]:
-    """The coefficient pair (C, D) for given (p, lam, t).
-
-    For p = 1 the conjugate exponent is infinite and the lam factors
-    collapse to 1, so (C, D) = (1-t, t).
-    """
-    if p <= 0:
-        raise RangeError(f"p must be positive, got {p}")
-    if not 0.0 < lam < 1.0:
-        raise RangeError(f"lam must lie in (0, 1), got {lam}")
-    if not 0.0 < t < 1.0:
-        raise RangeError(f"t must lie in (0, 1), got {t}")
-    if p == 1.0:
-        return 1.0 - t, t
-    invq = 1.0 - 1.0 / p
-    c = (1.0 - t) ** (1.0 / p) * (1.0 - lam) ** invq
-    d = t ** (1.0 / p) * lam**invq
-    return c, d
-
-
 def _weighted_mean(a: float, b: float, wa: float, wb: float, alpha: float) -> float:
     # Both arguments strictly positive here; the zero convention is
     # handled by the callers.
@@ -134,140 +84,6 @@ def mean_alpha(a: float, b: float, t: float, alpha: float) -> float:
     if a == 0.0 or b == 0.0:
         return 0.0
     return _weighted_mean(a, b, 1.0 - t, t, alpha)
-
-
-def mean_p_alpha(a: float, b: float, params: MeanParams, alpha: float) -> float:
-    """Coefficient-weighted mean M_{p,alpha}^{(t,lam)}(a, b), zero if a*b == 0."""
-    if a < 0 or b < 0:
-        raise DomainError("mean arguments must be nonnegative")
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    c, d = params.coefficients()
-    return _weighted_mean(a, b, c, d, alpha)
-
-
-def optimal_lambda(a: float, b: float, p: float, t: float, alpha: float) -> float:
-    """The lam in (0, 1) at which lam -> M_{p,alpha}^{(t,lam)}(a, b) is extremal.
-
-    Solves the Hoelder equality condition; at the returned lam the
-    coefficient-weighted mean equals M_{p*alpha}^t(a, b) (a maximum for
-    alpha > 0, a minimum for alpha < 0).  Requires a, b > 0 and finite
-    nonzero alpha.
-    """
-    if a <= 0 or b <= 0:
-        raise DomainError("optimal_lambda needs strictly positive arguments")
-    if alpha == 0.0 or math.isinf(alpha):
-        raise DomainError("optimal_lambda needs finite nonzero alpha")
-    if not 0.0 < t < 1.0:
-        raise RangeError(f"t must lie in (0, 1), got {t}")
-    if p <= 0:
-        raise RangeError(f"p must be positive, got {p}")
-    # 1 / (1 + ((1-t)/t) (a/b)^(p*alpha)); the ratio form cannot produce
-    # nan, and the clamp keeps extreme ratios inside the open interval.
-    r = (1.0 - t) / t * (a / b) ** (p * alpha)
-    lam = 1.0 / (1.0 + r)
-    return min(max(lam, 1e-300), 1.0 - 1e-16)
-
-
-def sup_mean_over_lambda(a: float, b: float, p: float, t: float, alpha: float) -> float:
-    """sup over lam in (0,1) of M_{p,alpha}^{(t,lam)}(a, b) for alpha > 0.
-
-    Equals M_{p*alpha}^t(a, b).  For alpha < 0 the same value is the
-    infimum of the family; the formula is returned unchanged.
-    """
-    if a < 0 or b < 0:
-        raise DomainError("mean arguments must be nonnegative")
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    if alpha == 0.0:
-        return mean_alpha(a, b, t, 0.0)
-    if math.isinf(alpha):
-        return mean_alpha(a, b, t, alpha)
-    return mean_alpha(a, b, t, p * alpha)
-
-
-def lambda_grid_sup(
-    a: float, b: float, p: float, t: float, alpha: float, num: int = 10_000
-) -> tuple[float, float]:
-    """Brute-force sup of lam -> M_{p,alpha}^{(t,lam)}(a, b) over a uniform grid.
-
-    Returns (value, argmax lam).  This is the reference the closed forms
-    are validated against; it makes no use of optimal_lambda.
-    """
-    if a <= 0 or b <= 0:
-        raise DomainError("lambda_grid_sup needs strictly positive arguments")
-    lam = np.arange(1, num + 1, dtype=float) / (num + 1)
-    if p == 1.0:
-        c = np.full_like(lam, 1.0 - t)
-        d = np.full_like(lam, t)
-    else:
-        invq = 1.0 - 1.0 / p
-        c = (1.0 - t) ** (1.0 / p) * (1.0 - lam) ** invq
-        d = t ** (1.0 / p) * lam**invq
-    if alpha == 0.0:
-        vals = a**c * b**d
-    elif alpha == _INF:
-        vals = np.full_like(lam, max(a, b))
-    elif alpha == -_INF:
-        vals = np.full_like(lam, min(a, b))
-    else:
-        vals = (c * a**alpha + d * b**alpha) ** (1.0 / alpha)
-    k = int(np.argmax(vals))
-    return float(vals[k]), float(lam[k])
-
-
-def gamma_pair(alpha: float, beta: float) -> float:
-    """Combined exponent gamma with 1/gamma = 1/alpha + 1/beta.
-
-    Conventions: gamma = 0 if either exponent is 0; gamma = -inf when
-    beta = -alpha (the reciprocals cancel); 1/(+-inf) counts as 0.
-    """
-    if alpha == 0.0 or beta == 0.0:
-        return 0.0
-    s = _inv(alpha) + _inv(beta)
-    if s == 0.0:
-        if alpha == _INF or beta == _INF:
-            return _INF
-        return -_INF
-    return 1.0 / s
-
-
-def holder_product_bound(
-    a: float,
-    b: float,
-    c: float,
-    d: float,
-    params: MeanParams,
-    alpha: float,
-    beta: float,
-) -> tuple[float, float, str]:
-    """Product inequality M_{p,alpha}(a,b) * M_{p,beta}(c,d) >= rhs.
-
-    Returns (lhs, rhs, branch).  For alpha + beta >= 0 the bound is the
-    combined mean M_{p,gamma}(ac, bd) with 1/gamma = 1/alpha + 1/beta
-    (branch ``sum_nonneg``).  For alpha + beta < 0 with alpha*beta < 0 the
-    bound is min(C^(1/gamma) ac, D^(1/gamma) bd) where gamma > 0
-    (branch ``mixed_sign``).  Other sign patterns are out of domain.
-    """
-    for v in (a, b, c, d):
-        if v < 0:
-            raise DomainError("mean arguments must be nonnegative")
-    if (alpha == _INF and beta == -_INF) or (alpha == -_INF and beta == _INF):
-        raise DomainError("alpha + beta undefined for opposite infinities")
-    lhs = mean_p_alpha(a, b, params, alpha) * mean_p_alpha(c, d, params, beta)
-    s = alpha + beta
-    gamma = gamma_pair(alpha, beta)
-    if s >= 0:
-        return lhs, mean_p_alpha(a * c, b * d, params, gamma), SUM_NONNEG
-    if alpha * beta < 0:
-        # Here gamma = alpha*beta / (alpha+beta) > 0.
-        cc, dd = params.coefficients()
-        rhs = min(cc ** (1.0 / gamma) * a * c, dd ** (1.0 / gamma) * b * d)
-        return lhs, rhs, MIXED_SIGN
-    raise DomainError(
-        f"no product bound for alpha={alpha}, beta={beta}: "
-        "alpha + beta < 0 requires opposite signs"
-    )
 
 
 def sup_lambda_min_form(a: float, b: float, p: float, t: float, gamma: float) -> float:

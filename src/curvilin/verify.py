@@ -1108,20 +1108,21 @@ def _run_job(job):
                              start_level=level)
 
 
-def _entry_int(k: int, field: str, value) -> int:
-    """``field`` of manifest entry ``k`` as an int; whole numbers only."""
+def _manifest_int(field: str, value) -> int:
+    """A manifest ``field`` as an int; whole numbers only."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise RangeError(f"manifest entry {k}: {field} must be an integer, got {value!r}")
+    raise RangeError(f"{field} must be an integer, got {value!r}")
 
 
 def run_suite(manifest: dict, workers: int = 1) -> SuiteResult:
     """Run a manifest; reports come back sorted and order-insensitive."""
     lam = manifest.get("lambda_points")
-    lam = int(lam) if lam is not None else None
-    level = int(manifest.get("grid", 0))
+    if lam is not None:
+        lam = _manifest_int("manifest lambda_points", lam)
+    level = _manifest_int("manifest grid", manifest.get("grid", 0))
     if not 0 <= level <= REFINE_BUDGET:
         raise RangeError(f"grid level {level} outside [0, {REFINE_BUDGET}]")
     checks = manifest["checks"]
@@ -1133,10 +1134,11 @@ def run_suite(manifest: dict, workers: int = 1) -> SuiteResult:
             raise DomainError(f"manifest entry {k} needs a check field")
         cid = entry["check"]
         _row(cid)
-        count = _entry_int(k, "count", entry.get("count"))
+        count = _manifest_int(f"manifest entry {k}: count", entry.get("count"))
         if count < 0:
             raise RangeError(f"manifest entry {k}: count must be >= 0, got {count}")
-        seed = _entry_int(k, "seed", entry.get("seed", manifest.get("seed", 0)))
+        seed = _manifest_int(f"manifest entry {k}: seed",
+                             entry.get("seed", manifest.get("seed", 0)))
         jobs.extend((cid, seed, i, lam, level) for i in range(count))
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -277,6 +277,9 @@ def test_conv_grid_refines_function_operands(tmp_path):
     ("verify", {"checks": [{"check": "lemma_1d", "count": 1.5}]}),
     ("verify", {"checks": [{"check": "lemma_1d"}]}),
     ("verify", {"checks": "x"}),
+    ("verify", ["checks"]),
+    ("verify", {"lambda_points": 2.5, "checks": [{"check": "lemma_1d", "count": 1}]}),
+    ("verify", {"grid": 0.9, "checks": [{"check": "lemma_1d", "count": 1}]}),
 ])
 def test_malformed_structure_exits_2_without_traceback(tmp_path, capsys,
                                                        command, payload):

@@ -1031,14 +1031,6 @@ def test_dilate_staircase_unequal_base_powers_rejected():
         scalar_dilate(0.5, cube, spec)
 
 
-def test_dilate_point_set():
-    spec = SumSpec(p=4.0, alphas=vec(1, 1), t=0.5)
-    pts = GridPointSet(np.asarray([[0.0], [0.5]]), 0.5)
-    out = scalar_dilate(16.0, pts, spec)
-    assert out.spacing == pytest.approx(0.5 * 2.0)
-    assert out.volume == pytest.approx(pts.volume * 16.0 ** (1.0 / 4.0))
-
-
 def test_tfree_dilation_matches_with_t_coefficients():
     # coefficient-level identity behind splitting t out of the sum
     for p in (1.5, 2.0, 4.0):

@@ -16,8 +16,9 @@ from curvilin import (
     sup_convolve,
 )
 from curvilin.curvsum import QUASI, SumSpec
-from curvilin.means import MeanParams, PowerVector, mean_p_alpha
+from curvilin.means import PowerVector
 from curvilin.sets import Grid, GridPointSet, StaircaseSet
+from scalar_oracles import MeanParams, mean_p_alpha
 
 
 def vec(*alphas):

@@ -7,22 +7,24 @@ from hypothesis import strategies as st
 
 from curvilin import (
     DomainError,
-    MeanParams,
     PowerVector,
     RangeError,
     SumSpec,
     conjugate,
+    mean_alpha,
+    sup_lambda_min_form,
+)
+from scalar_oracles import (
+    MIXED_SIGN,
+    SUM_NONNEG,
+    MeanParams,
     gamma_pair,
     holder_product_bound,
     lambda_grid_sup,
     lp_coefficients,
-    mean_alpha,
     mean_p_alpha,
     optimal_lambda,
-    sup_lambda_min_form,
-    sup_mean_over_lambda,
 )
-from curvilin.means import MIXED_SIGN, SUM_NONNEG
 
 INF = math.inf
 
@@ -109,7 +111,7 @@ def test_mean_p_alpha_values():
 def test_mean_p_alpha_below_sup(a, b, p, t, lam, alpha):
     params = MeanParams(p=p, t=t, lam=lam)
     val = mean_p_alpha(a, b, params, alpha)
-    sup = sup_mean_over_lambda(a, b, p, t, alpha)
+    sup = mean_alpha(a, b, t, p * alpha)
     assert val <= sup * (1 + 1e-12)
 
 
@@ -152,7 +154,6 @@ def test_sup_identity(a, b, p, t, alpha):
     lam_star = optimal_lambda(a, b, p, t, alpha)
     val_star = mean_p_alpha(a, b, MeanParams(p, t, lam_star), alpha)
     assert val_star == pytest.approx(mean_alpha(a, b, t, p * alpha), rel=1e-10)
-    assert sup_mean_over_lambda(a, b, p, t, alpha) == pytest.approx(val_star, rel=1e-10)
 
 
 @given(a=pos, b=pos, p=p_range, t=unit_open, alpha=st.floats(-2.0, -0.05))

@@ -40,6 +40,83 @@ def test_package_exports_resolve_once():
     assert missing == []
 
 
+# Changing what the package exports is a deliberate act: edit this list and
+# name each added or removed name in CHANGES.md.
+EXPORTS = [
+    "BoxUnion",
+    "BudgetError",
+    "CHECK_IDS",
+    "CoverageError",
+    "CurvilinError",
+    "DegenerateInputError",
+    "DensityMeasure",
+    "DomainError",
+    "EPS_SCHEDULE",
+    "FSpec",
+    "Grid",
+    "GridAlignmentError",
+    "GridFunction",
+    "GridPointSet",
+    "InequalityReport",
+    "InstanceGen",
+    "IntervalUnion",
+    "PowerVector",
+    "RangeError",
+    "RegimeError",
+    "ResolutionError",
+    "StaircaseSet",
+    "SuiteResult",
+    "SumSpec",
+    "SurfaceEstimate",
+    "box_union_volume",
+    "combine",
+    "combine_quasi",
+    "compress",
+    "conjugate",
+    "curvilinear_sum_1d",
+    "curvilinear_sum_boxes",
+    "curvilinear_sum_grid",
+    "default_suite",
+    "derive_out_grid",
+    "f_concavity_check",
+    "gaussian_density",
+    "lebesgue",
+    "load_set",
+    "lp_minkowski_sum_base",
+    "mean_alpha",
+    "measure_of",
+    "minkowski_first_check",
+    "mixed_volume_check",
+    "mixed_volume_quantities",
+    "mu_section_quantities",
+    "normalize",
+    "normalized_compression",
+    "run_check",
+    "run_check_refined",
+    "run_suite",
+    "scalar_dilate",
+    "section_profile",
+    "set_from_json",
+    "shrink",
+    "staircase_sum_volume_exact",
+    "sum_oracle",
+    "sup_convolve",
+    "sup_lambda_min_form",
+    "superlevel",
+    "surface_area_sets",
+    "tent_density",
+    "verdict_for",
+    "write_reports_jsonl",
+    "write_summary_csv",
+]
+
+
+def test_package_exports_are_pinned():
+    import curvilin
+
+    assert sorted(curvilin.__all__) == EXPORTS
+
+
 def test_no_module_calls_np_unique():
     # sets._sorted_unique and curvsum._ranks run np.unique's sort and
     # neighbour mask without importing numpy.ma on first use
