@@ -10,10 +10,10 @@ values.  That makes the bridge identity
     integral(sup_convolve(f, g)) = volume(sum of hypographs)
 
 exact by construction rather than a quadrature statement.  For the same
-reason the measure checks (``measures``) take a function pair as its pair
-of hypographs and run the set sums on them.  A function's marginal over
-its first k axes is ``sets.section_profile(f.hypograph(), k)``, and a
-function file (the "values" payload) is read by ``sets.load_set``.
+reason the measure quantities (``measures``) take a function as its
+hypograph.  A function's marginal over its first k axes is
+``sets.section_profile(f.hypograph(), k)``, and a function file (the
+"values" payload) is read by ``sets.load_set``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Densities, weighted measures of sets, F-concavity, and surface quotients.
+"""Densities, weighted measures of sets, F-maps and surface quotients.
 
-The checks take a pair of sets or a pair of grid functions; a function
-enters as its hypograph, so both run the same set sums and measures.
+This module computes quantities of staircase sets: measures, surface
+quotients, the worst F-concavity gap and the dilation rate.  The
+inequality checks that compare them, and their reports, live in
+``verify``.  A grid function enters as its hypograph.
 
 A measure here is always d(mu) = phi dx with phi sampled per cell of a
 uniform grid (midpoint rule).  Staircase sets are integrated column by
@@ -38,7 +40,6 @@ from .errors import (
     RegimeError,
 )
 from .means import PowerVector, mean_alpha
-from .reports import InequalityReport
 from .sets import (
     Grid,
     GridFunction,
@@ -361,12 +362,11 @@ def _exact_sum_path(a: StaircaseSet, mu: DensityMeasure) -> bool:
     return a.base_dim == 1 and mu.is_lebesgue
 
 
-def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> tuple[float, float]:
-    """mu of the sum and its grid spacing (the operand's on the exact path)."""
+def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> float:
+    """mu of the sum: the exact envelope volume, or the grid sum measured."""
     if _exact_sum_path(a, mu):
-        return staircase_sum_volume_exact(a, b, spec), a.grid.spacing
-    s = curvilinear_sum_grid(a, b, spec)
-    return measure_of(s, mu), s.grid.spacing
+        return staircase_sum_volume_exact(a, b, spec)
+    return measure_of(curvilinear_sum_grid(a, b, spec), mu)
 
 
 def _reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> tuple:
@@ -420,184 +420,50 @@ def surface_area_sets(
     for eps in EPS_SCHEDULE:
         eb = scalar_dilate(float(eps), b, spec)
         spec_e = spec.with_extra_lambdas(_reach_extras(a, eb, spec))
-        val, _ = _mu_of_sum(a, eb, spec_e, mu)
+        val = _mu_of_sum(a, eb, spec_e, mu)
         qs.append((float(eps), (val - mu_a) / float(eps)))
     return SurfaceEstimate.build(qs)
 
 
 # ---------------------------------------------------------------------------
-# concavity and first-variation checks
+# concavity gap and dilation rate
 
 
-def _as_sets(a, b) -> tuple:
-    """(a, b, is_func): two grid functions become their hypographs.
+def f_concavity_gap(a: StaircaseSet, b: StaircaseSet, mu: DensityMeasure, F: FSpec,
+                    spec: SumSpec, t_samples: tuple) -> tuple[float, float, float]:
+    """(t, lhs, rhs) of the worst t sample of F-concavity of mu.
 
-    The sup convolution of two functions is the set sum of their
-    hypographs, and a function's integral against a base-space density is
-    its hypograph's column measure, so every check runs on the sets.
-    Any other pair, a mixed one included, raises DomainError.
-    """
-    if isinstance(a, GridFunction) and isinstance(b, GridFunction):
-        return a.hypograph(), b.hypograph(), True
-    if isinstance(a, StaircaseSet) and isinstance(b, StaircaseSet):
-        return a, b, False
-    raise DomainError(
-        "expected two staircase sets or two grid functions, got "
-        f"{type(a).__name__} and {type(b).__name__}"
-    )
-
-
-def f_concavity_check(
-    a,
-    b,
-    mu: DensityMeasure,
-    F: FSpec,
-    spec: SumSpec,
-    t_samples: tuple[float, ...] = (0.25, 0.5, 0.75),
-    tol: float = 1e-9,
-    seed: int = 0,
-    can_refine: bool = True,
-) -> InequalityReport:
-    """mu(sum at t) >= F^{-1}((1-t) F(mu A) + t F(mu B)) over sampled t.
-
-    Accepts a pair of staircase sets or a pair of grid functions, taken as
-    their hypographs; reports the worst slack over the t samples.
+    lhs is mu of the sum at t, rhs is F^{-1}((1-t) F(mu A) + t F(mu B));
+    the worst sample has the smallest lhs - rhs, the first one on a tie.
+    A function enters as its hypograph (``f.hypograph()``).
     """
     if not t_samples:
         raise RangeError("need at least one t sample")
-    a, b, is_func = _as_sets(a, b)
     mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    name = "f_concavity_funcs" if is_func else "f_concavity_sets"
-    if mu_a <= 0.0 or mu_b <= 0.0:
-        return InequalityReport.from_values(
-            name, seed, 0.0, 0.0, tol,
-            lambda_points=spec.lambda_points, can_refine=can_refine,
-            params={"zero_measure": True, "F": F.describe()},
-        )
     worst = None
     for t in t_samples:
         t = float(t)
-        spec_t = replace(spec, t=t, coefficient_form=WITH_T)
-        lhs_t, grid_h = _mu_of_sum(a, b, spec_t, mu)
-        rhs_t = F.inverse((1.0 - t) * F.value(mu_a) + t * F.value(mu_b))
-        if worst is None or (lhs_t - rhs_t) < (worst[1] - worst[2]):
-            worst = (t, lhs_t, rhs_t)
-    t_min, lhs, rhs = worst
-    return InequalityReport.from_values(
-        name, seed, lhs, rhs, tol,
-        grid_h=grid_h, lambda_points=spec.lambda_points, can_refine=can_refine,
-        params={"t": t_min, "t_samples": [float(t) for t in t_samples],
-                "F": F.describe()},
-    )
+        lhs = _mu_of_sum(a, b, replace(spec, t=t, coefficient_form=WITH_T), mu)
+        rhs = F.inverse((1.0 - t) * F.value(mu_a) + t * F.value(mu_b))
+        if worst is None or (lhs - rhs) < (worst[1] - worst[2]):
+            worst = (t, lhs, rhs)
+    return worst
 
 
-def minkowski_first_check(
-    a,
-    b,
-    mu: DensityMeasure,
-    F: FSpec,
-    p: float,
-    alphas: PowerVector,
-    lambda_points: int = 64,
-    t_samples: tuple[float, ...] = (0.25, 0.5, 0.75),
-    tol: float = 1e-9,
-    gate_tol: float | None = None,
-    seed: int = 0,
-    can_refine: bool = True,
-) -> InequalityReport:
-    """S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A).
+def dilation_rate(a: StaircaseSet, mu: DensityMeasure, p: float, alphas: PowerVector,
+                  lambda_points: int = 64) -> tuple[float, float]:
+    """(mu(A), one-sided derivative of eps -> mu(eps x A) at eps = 1).
 
-    The F-concavity hypothesis is sampled first on the same pair; when the
-    gate does not pass, the verdict is capped at refine because the
-    inequality's hypothesis is unverified, not falsified.
+    The derivative is the estimate of the quotients (mu(A) - mu((1-e) x A))
+    / e on the epsilon schedule, from below one.  Under a constant density
+    both measures are staircase volumes.
     """
-    a, b, is_func = _as_sets(a, b)
-    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    name = "minkowski_first_funcs" if is_func else "minkowski_first_sets"
-    gate_spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=lambda_points)
-    gate = f_concavity_check(
-        a, b, mu, F, gate_spec,
-        t_samples=t_samples, tol=tol if gate_tol is None else gate_tol,
-        seed=seed, can_refine=False,
-    )
-    s_ab = surface_area_sets(a, b, mu, p, alphas, lambda_points)
-    s_aa = surface_area_sets(a, a, mu, p, alphas, lambda_points)
-    lhs = s_ab.estimate
-    rhs = s_aa.estimate + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
-    report = InequalityReport.from_values(
-        name, seed, lhs, rhs, tol,
-        lambda_points=lambda_points, can_refine=can_refine,
-        params={
-            "F": F.describe(),
-            "gate": gate.verdict,
-            "trend_ab": s_ab.trend,
-            "trend_aa": s_aa.trend,
-            "unsettled": bool(s_ab.unsettled or s_aa.unsettled),
-        },
-    )
-    if gate.verdict != "pass":
-        # hypothesis unverified: the instance is inconclusive either way
-        return replace(report, verdict="refine")
-    return report
-
-
-def mixed_volume_quantities(
-    a: StaircaseSet,
-    b: StaircaseSet,
-    mu: DensityMeasure,
-    F: FSpec,
-    p: float,
-    alphas: PowerVector,
-    lambda_points: int = 64,
-) -> tuple[float, float]:
-    """First-variation pair (V, M).
-
-    V is F'(1) times the surface quotient of (A, B).  M subtracts the
-    one-sided derivative of eps -> mu(eps x A) at eps = 1 from mu(A)/F'(1);
-    the derivative is estimated from below-one dilations on the same
-    geometric schedule.
-    """
-    d1 = F.derivative_at_one
-    v = d1 * surface_area_sets(a, b, mu, p, alphas, lambda_points).estimate
     spec = _t_free_spec(p, alphas, lambda_points)
     exact = mu.is_lebesgue
     mu_a = a.volume if exact else measure_of(a, mu)
     qs = []
     for eps in EPS_SCHEDULE:
-        c = 1.0 - float(eps)
-        ca = scalar_dilate(c, a, spec)
+        ca = scalar_dilate(1.0 - float(eps), a, spec)
         val = ca.volume if exact else measure_of(ca, mu)
         qs.append((float(eps), (mu_a - val) / float(eps)))
-    deriv = SurfaceEstimate.build(qs).estimate
-    m = mu_a / d1 - deriv
-    return v, m
-
-
-def mixed_volume_check(
-    a,
-    b,
-    mu: DensityMeasure,
-    F: FSpec,
-    p: float,
-    alphas: PowerVector,
-    lambda_points: int = 64,
-    tol: float = 1e-9,
-    seed: int = 0,
-    can_refine: bool = True,
-) -> InequalityReport:
-    """V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A).
-
-    Accepts two staircase sets or two grid functions, taken as their
-    hypographs.
-    """
-    a, b, _ = _as_sets(a, b)
-    v, m = mixed_volume_quantities(a, b, mu, F, p, alphas, lambda_points)
-    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    d1 = F.derivative_at_one
-    lhs = v + d1 * m
-    rhs = d1 * (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a) + mu_a
-    return InequalityReport.from_values(
-        "mixed_volume_variation", seed, lhs, rhs, tol,
-        lambda_points=lambda_points, can_refine=can_refine,
-        params={"F": F.describe(), "V": v, "M": m},
-    )
+    return mu_a, SurfaceEstimate.build(qs).estimate

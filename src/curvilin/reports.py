@@ -1,8 +1,8 @@
-"""Shared report record for inequality checks.
+"""The report record of one checked inequality, and its verdict rule.
 
-Lives in its own module because both the measure-level checks and the
-theorem harness construct these; keeping the type at a leaf avoids an
-import cycle between them.
+``verify`` builds every report; the modules it draws on compute
+quantities only.  The record keeps its own module so that its fields and
+JSON shape read apart from the check code.
 """
 
 from __future__ import annotations

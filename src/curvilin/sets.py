@@ -77,13 +77,15 @@ class Grid:
     shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0:
-            raise RangeError(f"grid spacing must be positive, got {self.spacing}")
+        if not 0 < self.spacing < math.inf:
+            raise RangeError(f"grid spacing must be finite and positive, got {self.spacing}")
         if len(self.origin) != len(self.shape):
             raise RangeError("origin and shape dimensions differ")
         if any(s < 1 for s in self.shape):
             raise RangeError("grid shape entries must be >= 1")
         object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
+        if not all(map(math.isfinite, self.origin)):
+            raise RangeError(f"grid origin must be finite, got {self.origin}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
 
     @property
@@ -113,14 +115,14 @@ class Grid:
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Finite union of closed intervals in [0, inf), stored as given."""
+    """Finite union of closed bounded intervals in [0, inf), stored as given."""
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         ivs = tuple((float(a), float(b)) for a, b in self.intervals)
         for a, b in ivs:
-            if a < 0 or b < a:
+            if not 0 <= a <= b < math.inf:  # NaN fails every comparison
                 raise DomainError(f"bad interval [{a}, {b}]")
         object.__setattr__(self, "intervals", ivs)
 
@@ -182,7 +184,9 @@ class BoxUnion:
             raise DomainError("box dimension mismatch")
         arr = arr.reshape(shape)
         lo, hi = arr[:, 0], arr[:, 1]
-        bad = np.flatnonzero((lo < 0).any(axis=1) | (hi < lo).any(axis=1))
+        # NaN fails every comparison, so a NaN corner is bad too
+        ok = (lo >= 0) & (hi >= lo) & (hi < np.inf)
+        bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
             blo, bhi = arr[bad[0]].tolist()
             raise DomainError(f"bad box {tuple(blo)}..{tuple(bhi)}")

@@ -39,12 +39,13 @@ from .measures import (
     F_POWER,
     DensityMeasure,
     FSpec,
+    dilation_rate,
+    f_concavity_gap,
     gaussian_density,
     lebesgue,
     measure_of,
-    minkowski_first_check,
-    mixed_volume_check,
     mu_section_quantities,
+    surface_area_sets,
     tent_density,
 )
 from .reports import FAIL, PASS, REFINE, InequalityReport, verdict_for
@@ -653,29 +654,52 @@ def check_measure_bm(instance, params):
 
 
 def check_minkowski_first(instance, params):
-    """Surface-quotient inequalities, delegated to the measure ops.
+    """Surface-quotient inequalities of the first variation of mu.
 
-    Route "first" is the Minkowski first inequality with the concavity
-    gate; route "mixed" is the mixed-volume variation identity check.
-    An unverified gate caps the verdict at refine inside the delegate.
+    Route "first": S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A), after
+    an F-concavity gate on the same pair; a gate that does not pass caps
+    the verdict at refine (the hypothesis is unverified, not falsified).
+    Route "mixed": V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)
+    with V = F'(1) S(A,B) and M = mu(A) / F'(1) - the dilation rate.
     """
     a, b, mu = instance
     p, t = params["p"], params["t"]
     lp, can_refine = _levels(params)
     alphas = PowerVector(tuple(params["alphas"]))
-    if params["fkind"] == F_LOG:
-        fmap = FSpec(F_LOG)
-    else:
-        fmap = FSpec(F_POWER, params["fparam"])
-    kwargs = dict(lambda_points=lp, seed=params["run_seed"], can_refine=can_refine)
+    fmap = FSpec(F_LOG) if params["fkind"] == F_LOG else FSpec(F_POWER, params["fparam"])
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
+    shift = fmap.value(mu_b) - fmap.value(mu_a)
+    s_ab = surface_area_sets(a, b, mu, p, alphas, lp)
+    gate = PASS
     if params["route"] == "mixed":
-        inner = mixed_volume_check(a, b, mu, fmap, p, alphas, **kwargs)
+        d1 = fmap.derivative_at_one
+        v = d1 * s_ab.estimate
+        vol_a, rate = dilation_rate(a, mu, p, alphas, lp)
+        m = vol_a / d1 - rate
+        lhs = v + d1 * m
+        rhs = d1 * shift / fmap.derivative(mu_a) + mu_a
+        info = {"route_id": "mixed_volume_variation", "V": v, "M": m}
     else:
-        inner = minkowski_first_check(a, b, mu, fmap, p, alphas,
-                                      t_samples=(0.25, t, 0.75), **kwargs)
-    info = dict(params)
-    info.update(route_id=inner.check_id, **inner.params)
-    return replace(inner, check_id="minkowski_first", params=_clean(info))
+        gate_spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=lp)
+        _, gate_lhs, gate_rhs = f_concavity_gap(a, b, mu, fmap, gate_spec,
+                                                (0.25, t, 0.75))
+        gate = verdict_for(gate_lhs - gate_rhs, _EXACT_TOL, False)
+        s_aa = surface_area_sets(a, a, mu, p, alphas, lp)
+        lhs = s_ab.estimate
+        rhs = s_aa.estimate + shift / fmap.derivative(mu_a)
+        info = {"route_id": "minkowski_first_sets", "gate": gate,
+                "trend_ab": s_ab.trend, "trend_aa": s_aa.trend,
+                "unsettled": bool(s_ab.unsettled or s_aa.unsettled)}
+    # unlike _report, tol is not written into params
+    report = InequalityReport.from_values(
+        "minkowski_first", params["run_seed"], lhs, rhs, _EXACT_TOL,
+        lambda_points=lp, can_refine=can_refine,
+        params=_clean({**params, **info, "F": fmap.describe()}),
+    )
+    if gate != PASS:
+        # hypothesis unverified: the instance is inconclusive either way
+        return replace(report, verdict=REFINE)
+    return report
 
 
 def check_power_monotonicity(instance, params):

@@ -321,6 +321,34 @@ def test_non_finite_p_or_nan_powers_exit_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"intervals": [[_NAN, 1.0], [2.0, 3.0]]}, "bad interval [nan, 1.0]"),
+    ({"dim": 2, "boxes": [{"lo": [0.0, _NAN], "hi": [1.0, 1.0]}]},
+     "bad box (0.0, nan)..(1.0, 1.0)"),
+    ({"dim": 2, "boxes": [{"lo": [0.0, 0.0], "hi": [_INF, 1.0]}]},
+     "bad box (0.0, 0.0)..(inf, 1.0)"),
+    ({"origin": [0.0], "spacing": _NAN, "shape": [2], "heights": [1.0, 1.0]},
+     "grid spacing must be finite and positive, got nan"),
+    ({"origin": [0.0], "spacing": _INF, "shape": [2], "heights": [1.0, 1.0]},
+     "grid spacing must be finite and positive, got inf"),
+    ({"origin": [_NAN], "spacing": 0.25, "shape": [2], "heights": [1.0, 1.0]},
+     "grid origin must be finite, got (nan,)"),
+])
+def test_non_finite_coordinates_exit_2(tmp_path, capsys, payload, message):
+    # before the check a NaN piece was dropped, an inf corner was written
+    # out as Infinity, and a NaN spacing died in an integer conversion
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "sum.json"
+    assert cli.main(["sum", "--a", str(path), "--b", str(path), "--p", "2",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"curvilin: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_manifest_exits_2(tmp_path):
     man = tmp_path / "man.json"
     man.write_text('{"seed": 0}')

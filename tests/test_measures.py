@@ -9,6 +9,7 @@ from curvilin import (
     CoverageError,
     DomainError,
     GridFunction,
+    InequalityReport,
     PowerVector,
     RangeError,
 )
@@ -22,13 +23,11 @@ from curvilin.measures import (
     DensityMeasure,
     FSpec,
     SurfaceEstimate,
-    f_concavity_check,
+    dilation_rate,
+    f_concavity_gap,
     gaussian_density,
     lebesgue,
     measure_of,
-    minkowski_first_check,
-    mixed_volume_check,
-    mixed_volume_quantities,
     mu_section_quantities,
     surface_area_sets,
     tent_density,
@@ -315,7 +314,34 @@ def test_surface_quotient_nonnegative_random():
 
 
 # ---------------------------------------------------------------------------
-# concavity and first variation
+# concavity gap, dilation rate and the first-variation inequalities
+
+
+def first_sides(a, b, mu, F, p, alphas):
+    """Both sides of S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A)."""
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
+    lhs = surface_area_sets(a, b, mu, p, alphas).estimate
+    rhs = surface_area_sets(a, a, mu, p, alphas).estimate \
+        + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
+    return lhs, rhs
+
+
+def gate_gap(a, b, mu, F, p, alphas):
+    """Worst lhs - rhs of F-concavity over t = 1/4, 1/2, 3/4 at 64 lam points."""
+    spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=64)
+    _, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75))
+    return lhs - rhs
+
+
+def mixed_quantities(a, b, mu, F, p, alphas):
+    """(V, M, lhs, rhs) of V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)."""
+    d1 = F.derivative_at_one
+    v = d1 * surface_area_sets(a, b, mu, p, alphas).estimate
+    vol_a, rate = dilation_rate(a, mu, p, alphas)
+    m = vol_a / d1 - rate
+    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
+    rhs = d1 * (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a) + mu_a
+    return v, m, v + d1 * m, rhs
 
 
 def test_f_concavity_sets_power_branch():
@@ -325,10 +351,22 @@ def test_f_concavity_sets_power_branch():
     mu = line_density(slope=0.0)  # constant 1 on [0, 2.5]
     gamma = 0.5
     F = FSpec("power", 1.5 * gamma)
-    rep = f_concavity_check(a, b, mu, F, spec, tol=0.15)
-    assert rep.verdict == "pass"
-    assert rep.slack == rep.lhs - rep.rhs
-    assert rep.params["F"]["kind"] == "power"
+    t, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75))
+    assert t in (0.25, 0.5, 0.75)
+    assert lhs - rhs >= -0.15
+
+
+def test_f_concavity_gap_is_the_first_worst_sample(monkeypatch):
+    # equal gaps at every t: the first sample wins
+    monkeypatch.setattr(measures, "staircase_sum_volume_exact",
+                        lambda a, b, spec: 2.0)
+    a = cube()
+    spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=8)
+    got = f_concavity_gap(a, a, lebesgue(a.grid), FSpec("power", 1.0), spec,
+                          (0.75, 0.25, 0.5))
+    assert got == (0.75, 2.0, 1.0)
+    with pytest.raises(RangeError):
+        f_concavity_gap(a, a, lebesgue(a.grid), FSpec("power", 1.0), spec, ())
 
 
 def test_f_concavity_same_set_small_slack():
@@ -336,9 +374,8 @@ def test_f_concavity_same_set_small_slack():
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=32)
     mu = line_density(slope=0.0)
     F = FSpec("power", 1.0)
-    rep = f_concavity_check(a, a, mu, F, spec, tol=0.1)
-    assert rep.verdict == "pass"
-    assert abs(rep.slack) <= 0.1
+    _, lhs, rhs = f_concavity_gap(a, a, mu, F, spec, (0.25, 0.5, 0.75))
+    assert abs(lhs - rhs) <= 0.1
 
 
 def test_f_concavity_keeps_the_callers_extra_lambdas(monkeypatch):
@@ -353,72 +390,31 @@ def test_f_concavity_keeps_the_callers_extra_lambdas(monkeypatch):
     a, b = rng_staircase(31), rng_staircase(32)
     spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=8,
                    extra_lambdas=(0.001,))
-    f_concavity_check(a, b, line_density(slope=0.0), FSpec("power", 0.75), spec)
+    f_concavity_gap(a, b, line_density(slope=0.0), FSpec("power", 0.75), spec,
+                    (0.25, 0.5, 0.75))
     assert [s.t for s in seen] == [0.25, 0.5, 0.75]
     assert all(s.extra_lambdas == (0.001,) for s in seen)
 
 
-def test_f_concavity_zero_measure_passes():
-    a = cube()
-    zero = StaircaseSet(a.grid, np.zeros(8))
-    spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5)
-    mu = lebesgue(a.grid)
-    rep = f_concavity_check(a, zero, mu, FSpec("power", 1.0), spec)
-    assert rep.verdict == "pass"
-    assert rep.params.get("zero_measure") is True
+def test_dilation_rate_under_a_tagged_density_measures_the_dilates(monkeypatch):
+    # a 2-D hypograph under a tent density: mu(A) is measure_of, not the
+    # volume, and every dilate on the schedule is measured too
+    grid = Grid((0.0, 0.0), 0.25, (4, 4))
+    f = GridFunction(grid, np.random.default_rng(42).uniform(0.2, 1.0, grid.shape))
+    a = f.hypograph()
+    mu = tent_density(Grid((0.0, 0.0), 0.25, (16, 16)), (2.0, 2.0), 4.5)
+    measured = []
 
+    def recording(s, density):
+        measured.append(s)
+        return exact(s, density)
 
-def test_f_concavity_funcs_dispatch():
-    r = np.random.default_rng(77)
-    f = GridFunction(Grid((0.0,), 0.125, (8,)), r.uniform(0.2, 1.0, 8))
-    g = GridFunction(Grid((0.0,), 0.125, (8,)), r.uniform(0.2, 1.0, 8))
-    spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=24)
-    mu = line_density(slope=0.0)
-    F = FSpec("power", 0.75)
-    rep = f_concavity_check(f, g, mu, F, spec, tol=0.15)
-    assert rep.check_id == "f_concavity_funcs"
-    assert rep.verdict == "pass"
-
-
-def _function_pair(base_dim):
-    r = np.random.default_rng(40 + base_dim)
-    if base_dim == 1:
-        grid = Grid((0.0,), 0.125, (8,))
-        mu = lebesgue(Grid((0.0,), 0.125, (32,)))
-    else:
-        grid = Grid((0.0, 0.0), 0.25, (4, 4))
-        mu = tent_density(Grid((0.0, 0.0), 0.25, (16, 16)), (2.0, 2.0), 4.5)
-    f, g = (GridFunction(grid, r.uniform(0.2, 1.0, grid.shape)) for _ in range(2))
-    return f, g, mu, vec(*(1,) * (base_dim + 1))
-
-
-@pytest.mark.parametrize("base_dim", [1, 2])
-def test_function_checks_equal_their_hypograph_checks(base_dim):
-    # 1-D under Lebesgue takes the exact envelope, 2-D under a tagged
-    # density the grid sum; a function pair must report what its
-    # hypographs report, up to the check id's suffix; a mixed pair and a
-    # pair of grid point sets are refused
-    f, g, mu, alphas = _function_pair(base_dim)
-    cells = GridPointSet(f.grid.cell_lower_corners(), f.grid.spacing)
-    assert mu.is_lebesgue == (base_dim == 1)
-    F = FSpec("power", 0.5)
-    spec = SumSpec(p=2.0, alphas=alphas, t=0.5, lambda_points=12)
-    checks = (
-        lambda a, b: f_concavity_check(a, b, mu, F, spec, tol=0.05),
-        lambda a, b: minkowski_first_check(
-            a, b, mu, F, 2.0, alphas, lambda_points=12, tol=0.05, gate_tol=0.1),
-        lambda a, b: mixed_volume_check(
-            a, b, mu, F, 2.0, alphas, lambda_points=12, tol=0.05),
-    )
-    for check in checks:
-        via_funcs = check(f, g).to_json()
-        via_sets = check(f.hypograph(), g.hypograph()).to_json()
-        assert via_funcs.pop("check").replace("_funcs", "_sets") == via_sets.pop("check")
-        assert via_funcs == via_sets
-        with pytest.raises(DomainError):
-            check(f, g.hypograph())
-        with pytest.raises(DomainError):
-            check(cells, cells)
+    exact = measures.measure_of
+    monkeypatch.setattr(measures, "measure_of", recording)
+    mu_a, rate = dilation_rate(a, mu, 2.0, vec(1, 1, 1), lambda_points=12)
+    assert mu_a == exact(a, mu) != a.volume
+    assert len(measured) == 1 + len(EPS_SCHEDULE)
+    assert math.isfinite(rate) and rate > 0.0
 
 
 def test_minkowski_first_equality_on_cubes():
@@ -427,38 +423,34 @@ def test_minkowski_first_equality_on_cubes():
     mu = lebesgue(Grid((0.0,), 0.125, (32,)))
     # p = 2 makes the per-axis sup linear in eps: quotients are exact
     F = FSpec("power", 2.0 * 0.5)
-    rep = minkowski_first_check(
-        a, b, mu, F, 2.0, vec(1, 1), tol=1e-9, gate_tol=0.1
-    )
-    assert rep.verdict == "pass"
-    assert rep.params["gate"] == "pass"
-    assert abs(rep.slack) <= 1e-9
+    assert gate_gap(a, b, mu, F, 2.0, vec(1, 1)) >= -0.1
+    lhs, rhs = first_sides(a, b, mu, F, 2.0, vec(1, 1))
+    assert abs(lhs - rhs) <= 1e-9
     # p = 1 quotients carry curvature error of order the last eps
     F1 = FSpec("power", 1.0 * 0.5)
-    rep1 = minkowski_first_check(
-        a, b, mu, F1, 1.0, vec(1, 1), tol=0.02, gate_tol=0.1
-    )
-    assert rep1.verdict == "pass"
+    assert gate_gap(a, b, mu, F1, 1.0, vec(1, 1)) >= -0.1
+    lhs1, rhs1 = first_sides(a, b, mu, F1, 1.0, vec(1, 1))
+    assert lhs1 - rhs1 >= -0.02
 
 
 def test_minkowski_first_isoperimetric_same_set():
     a = cube()
     mu = lebesgue(a.grid)
     F = FSpec("power", 1.0)
-    rep = minkowski_first_check(a, a, mu, F, 2.0, vec(1, 1), tol=1e-9, gate_tol=0.1)
-    assert rep.verdict == "pass"
-    assert abs(rep.slack) <= 1e-9
+    assert gate_gap(a, a, mu, F, 2.0, vec(1, 1)) >= -0.1
+    lhs, rhs = first_sides(a, a, mu, F, 2.0, vec(1, 1))
+    assert abs(lhs - rhs) <= 1e-9
 
 
 def test_mixed_volume_cube_closed_forms():
     a = cube()
     mu = lebesgue(a.grid)
     # F = x: V = S(A,A) = 2/p = 1 at p = 2 and the dilation derivative is 1
-    v, m = mixed_volume_quantities(a, a, mu, FSpec("power", 1.0), 2.0, vec(1, 1))
+    v, m, _, _ = mixed_quantities(a, a, mu, FSpec("power", 1.0), 2.0, vec(1, 1))
     assert v == pytest.approx(1.0, abs=1e-9)
     assert m == pytest.approx(0.0, abs=1e-9)
     # F = x^2 reweights both slots
-    v2, m2 = mixed_volume_quantities(a, a, mu, FSpec("power", 2.0), 2.0, vec(1, 1))
+    v2, m2, _, _ = mixed_quantities(a, a, mu, FSpec("power", 2.0), 2.0, vec(1, 1))
     assert v2 == pytest.approx(2.0, abs=1e-9)
     assert m2 == pytest.approx(-0.5, abs=1e-9)
 
@@ -467,14 +459,12 @@ def test_mixed_volume_variation_equality_cases():
     a = cube()
     mu = lebesgue(a.grid)
     for F in (FSpec("power", 1.0), FSpec("power", 2.0)):
-        rep = mixed_volume_check(a, a, mu, F, 2.0, vec(1, 1), tol=1e-9)
-        assert rep.verdict == "pass"
-        assert abs(rep.slack) <= 1e-9
+        _, _, lhs, rhs = mixed_quantities(a, a, mu, F, 2.0, vec(1, 1))
+        assert abs(lhs - rhs) <= 1e-9
     b = cube(2.0, cells=16)
     mub = lebesgue(Grid((0.0,), 0.125, (16,)))
-    rep = mixed_volume_check(a, b, mub, FSpec("power", 1.0), 2.0, vec(1, 1), tol=1e-9)
-    assert rep.verdict == "pass"
-    assert abs(rep.slack) <= 1e-9
+    _, _, lhs, rhs = mixed_quantities(a, b, mub, FSpec("power", 1.0), 2.0, vec(1, 1))
+    assert abs(lhs - rhs) <= 1e-9
 
 
 def test_dilation_map_concavity_samples():
@@ -499,11 +489,12 @@ def test_report_json_shape():
     a = cube()
     mu = lebesgue(a.grid)
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5)
-    rep = f_concavity_check(a, a, mu, FSpec("power", 1.0), spec, tol=0.1)
-    payload = rep.to_json()
+    _, lhs, rhs = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75))
+    payload = InequalityReport.from_values("f_concavity", 0, lhs, rhs, 0.1).to_json()
     assert set(payload) == {
         "check", "seed", "params", "lhs", "rhs", "slack",
         "grid", "lambda_points", "verdict",
     }
     assert payload["slack"] == payload["lhs"] - payload["rhs"]
+    assert payload["verdict"] == "pass"
     assert len(EPS_SCHEDULE) == 7

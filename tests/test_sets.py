@@ -276,6 +276,26 @@ def test_box_union_validation():
         BoxUnion(-1, [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_carriers_refuse_non_finite_coordinates(bad):
+    # NaN fails every comparison, so the ordering tests alone let it through
+    for ivs in (((bad, 1.0), (2.0, 3.0)), ((0.5, bad),)):
+        with pytest.raises(DomainError, match="^bad interval "):
+            IntervalUnion(ivs)
+    for box in (((0.0, bad), (1.0, 1.0)), ((0.0, 0.0), (bad, 1.0))):
+        with pytest.raises(DomainError, match="^bad box "):
+            BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)), box))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_refuses_a_non_finite_origin_or_spacing(bad):
+    with pytest.raises(RangeError, match="^grid spacing must be finite and positive"):
+        Grid((0.0,), bad, (4,))
+    with pytest.raises(RangeError, match="^grid origin must be finite"):
+        Grid((0.0, bad), 0.25, (4, 4))
+    assert Grid((0.0, -1.5), 0.25, (4, 4)).upper() == (1.0, -0.5)
+
+
 def test_box_union_volume_monte_carlo():
     rng = np.random.default_rng(42)
     u = BoxUnion(

@@ -78,16 +78,12 @@ EXPORTS = [
     "curvilinear_sum_grid",
     "default_suite",
     "derive_out_grid",
-    "f_concavity_check",
     "gaussian_density",
     "lebesgue",
     "load_set",
     "lp_minkowski_sum_base",
     "mean_alpha",
     "measure_of",
-    "minkowski_first_check",
-    "mixed_volume_check",
-    "mixed_volume_quantities",
     "mu_section_quantities",
     "normalize",
     "normalized_compression",

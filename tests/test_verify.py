@@ -8,6 +8,7 @@ from curvilin import BudgetError, DomainError, PowerVector, RangeError
 from curvilin import verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
+from curvilin.measures import SurfaceEstimate
 from curvilin.reports import FAIL, PASS, REFINE
 from curvilin.sets import (
     BoxUnion,
@@ -121,6 +122,46 @@ def test_classical_reduction_keeps_verdicts():
     r2 = verify.run_check("lemma_1d", seed=3, index=4)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
         r2.to_json(), sort_keys=True)
+
+
+def _lower_cross_quotients(monkeypatch):
+    """Lower every quotient of S(A, B) with B not A by 100: the inequality fails."""
+    real = verify.surface_area_sets
+
+    def lowered(a, b, *args):
+        est = real(a, b, *args)
+        if b is a:
+            return est
+        return SurfaceEstimate.build([(e, q - 100.0) for e, q in est.quotients])
+
+    monkeypatch.setattr(verify, "surface_area_sets", lowered)
+
+
+@pytest.mark.parametrize("lowered", [False, True])
+def test_failed_gate_caps_the_first_route_at_refine(monkeypatch, lowered):
+    # seed 0, index 4 draws the first route; at the last level a failing
+    # inequality is a fail, so the cap shows on a pass and on a fail
+    if lowered:
+        _lower_cross_quotients(monkeypatch)
+    level = verify.REFINE_BUDGET
+    gated = verify.run_check("minkowski_first", 0, 4, level)
+    assert gated.params["route_id"] == "minkowski_first_sets"
+    assert (gated.params["gate"], gated.verdict) == (PASS, FAIL if lowered else PASS)
+    monkeypatch.setattr(verify, "f_concavity_gap", lambda *args: (0.5, 1.0, 2.0))
+    capped = verify.run_check("minkowski_first", 0, 4, level)
+    assert (capped.params["gate"], capped.verdict) == (FAIL, REFINE)
+    assert (capped.lhs, capped.rhs, capped.slack) == (gated.lhs, gated.rhs, gated.slack)
+
+
+def test_mixed_route_is_never_capped(monkeypatch):
+    # seed 0, index 0 draws the mixed route: it samples no gate, so its
+    # failing inequality stays a fail at the last level
+    _lower_cross_quotients(monkeypatch)
+    monkeypatch.setattr(verify, "f_concavity_gap", lambda *args: pytest.fail("gate sampled"))
+    rep = verify.run_check("minkowski_first", 0, 0, verify.REFINE_BUDGET)
+    assert rep.params["route_id"] == "mixed_volume_variation"
+    assert "gate" not in rep.params
+    assert rep.verdict == FAIL
 
 
 # ---------------------------------------------------------------------------
