@@ -16,7 +16,9 @@ quartiles of those calls in milliseconds.  Inputs come from fixed seeds,
 so the two sides see the same values.
 
 The kernels: the grid sum (a union at p=2 and an intersection at
-p=0.75), the exact envelope
+p=0.75, on 2-D operands of 10x10 and 20x20 cells and, as
+``grid_sum_suite``, on 1-D and 2-D operands of the default suite's
+sizes), the exact envelope
 (``staircase_sum_volume_exact`` on the operands of a surface quotient: a
 dilated b and the reach lam values), ``box_union_volume`` (the image union
 of a 2-D box sum, as the benchmark's ``operators`` workload makes it, and two
@@ -104,6 +106,18 @@ def _cases():
         cases.append(("grid_sum_intersection", f"2-D staircases {n}x{n}, p=0.75, 16 lam",
                       lambda a=a, b=b: curvilinear_sum_grid(
                           a, b, SumSpec(0.75, PowerVector((1.0,) * 3), 0.5, 16))))
+    # suite-sized grid sums (the default suite's median is 40 cell pairs,
+    # its largest 1,176): below the run path's size rule, so every lam
+    # takes the pair path
+    for dim, n in ((1, 6), (1, 24), (2, 3), (2, 5)):
+        rng = np.random.default_rng(200 + 10 * dim + n)
+        a, b = stair(rng, n, dim), stair(rng, n, dim)
+        size = f"{dim}-D staircases of {n ** dim} cells ({n ** (2 * dim)} pairs)"
+        cases.append(("grid_sum_suite", f"{size}, p=2, 16 lam",
+                      lambda a=a, b=b, dim=dim: curvilinear_sum_grid(a, b, spec(dim + 1, 16))))
+        cases.append(("grid_sum_suite_intersection", f"{size}, p=0.75, 16 lam",
+                      lambda a=a, b=b, dim=dim: curvilinear_sum_grid(
+                          a, b, SumSpec(0.75, PowerVector((1.0,) * (dim + 1)), 0.5, 16))))
     for n in (14, 28):
         # one surface quotient's sum: t-free, b dilated, reach lam values added
         rng = np.random.default_rng(n)

@@ -21,11 +21,11 @@ lam grid of the spec augmented with the closed-form maximizers for the
 volume pair and for each height pair, so suprema realized at isolated lam
 values are not lost to the grid.  Recorded volumes are exact cell sums of
 the recorded heights.  Coordinate i of a combined point depends only on the
-coordinate pair on axis i, so at a scalar lam each axis is snapped once per
-pair of unique axis coordinates, into a small per-axis table of output
-indices; a cell pair's output cell is a sum of table lookups.  Only the
-per-pair maximizers, whose (C, D) differ from pair to pair, are snapped
-pair by pair.
+coordinate pair on axis i, so each axis is snapped once per (lam, unique a
+coordinate, unique b coordinate), into a small per-axis table of output
+indices that covers a block of lam values in one broadcast; a cell pair's
+output cell is a sum of table lookups.  Only the per-pair maximizers, whose
+(C, D) differ from pair to pair, are snapped pair by pair.
 
 Every fast path (grid, interval, box and envelope) takes its lam set from
 one rule, ``_lambda_values``.  At p = 1, (C, D) does not depend on lam and
@@ -69,6 +69,14 @@ from .sets import (
 _INF = math.inf
 _SNAP = 1e-9  # floor snap guard, in cell units
 _PAIR_CHUNK = 1 << 22
+# most (cell pair, lam) images of one block of the pair path of
+# ``_accumulate``; a chunk with more pairs takes one lam per block.
+# Replaying the 113 grid sums of one default-suite pass (2 CPUs, numpy
+# 2.4.6; medians of 21 passes, the budgets in turns): 2^10 images took
+# 81.0 ms, 2^12 49.5 ms, 2^14 41.8 ms, 2^16 41.5 ms, 2^18 41.1 ms and
+# 2^20 46.6 ms, against 82.2 ms for one lam at a time.  2^16 is on the
+# flat part and keeps a block's index and height arrays at 512 KiB each
+_LAM_BLOCK = 1 << 16
 # the run path of ``_accumulate`` is taken where its predicted time is
 # below the pair path's.  In units of one pair of the pair path, it costs
 # this much per range-max element, per snapped-table entry and per lam.
@@ -89,6 +97,15 @@ _REGION_BUDGET = 1 << 30
 # tracemalloc peak of staircase_sum_volume_exact is 85-89 B a rectangle;
 # the charge stays at 152 B so that the refusal threshold does not move
 _RECT_BYTES = 24 + 128
+# most (pair, lam) images of one grid sum and of one box sum, and most lam
+# values of either (``_check_images``).  A grid sum's images bound its time
+# (its buffers are chunked); a box sum keeps every image, 16 B per axis.
+# The largest call of the tests, CI, perfbench and the default suite at
+# --grid 2 is a bm_curvilinear grid sum of 448 x 672 cells at up to 69 lam
+# values, 20.8 M images
+_GRID_IMAGES = 1 << 28
+_BOX_IMAGES = 1 << 22
+_SUM_LAMS = 1 << 20
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
@@ -332,16 +349,35 @@ def _lambda_values(spec: SumSpec, a, b, pairs=()) -> np.ndarray:
     Otherwise the spec's lam grid plus, when injecting, the maximizer for
     the volume pair and for each positive scalar pair of ``pairs``.  The
     volumes are only computed when injecting; a box union's costs a
-    union-volume pass.
+    union-volume pass.  At p = 1 the grid's first lam is returned without
+    building the grid.
     """
-    lams = spec.lambda_grid()
     if spec.p == 1.0:
-        return lams[:1]
+        return np.array([min((1.0 / (spec.lambda_points + 1), *spec.extra_lambdas))])
+    lams = spec.lambda_grid()
     if _injects(spec):
         stars = [float(_lambda_star(spec, u, v))
                  for u, v in ((a.volume, b.volume), *pairs) if u > 0 and v > 0]
         lams = np.concatenate([lams, stars])
     return _sorted_unique(lams)
+
+
+def _lam_bound(spec: SumSpec, maximizers: int = 0) -> int:
+    """Most lam values ``_lambda_values`` can return, with ``maximizers`` scalar pairs."""
+    if spec.p == 1.0:
+        return 1
+    return spec.lambda_points + len(spec.extra_lambdas) + (1 + maximizers) * _injects(spec)
+
+
+def _check_images(m: int, n: int, spec: SumSpec, what: str, budget: int) -> None:
+    """BudgetError, before any lam is built, above ``budget`` (pair, lam)
+    images or ``_SUM_LAMS`` lam values."""
+    lam_count = _lam_bound(spec)
+    if m * n * lam_count > budget or lam_count > _SUM_LAMS:
+        raise BudgetError(
+            f"{m} x {n} {what} at up to {lam_count} lam values give {m * n * lam_count} "
+            f"images, budget {budget} images and {_SUM_LAMS} lam values"
+        )
 
 
 def _coefficients(p: float, t: float | None, form: str, lam):
@@ -381,6 +417,38 @@ def _coefficient_list(spec: SumSpec, lams) -> list:
     """
     t = spec.t if spec.coefficient_form == WITH_T else None
     return [_scalar_coefficients(spec.p, t, spec.coefficient_form, float(lam)) for lam in lams]
+
+
+def _lam_rows(kernel, x, y, cd, alpha):
+    """``kernel(x, y, C, D, alpha)`` at every (C, D), lam on a new last axis.
+
+    ``cd`` holds the (C, D) scalars per lam and their (lam, 2) array, made
+    once per lam set by the caller.  Array powers, and powers of float64
+    scalars, can round differently, so no power of C or D is taken on an
+    array.  Where C and D only scale (``combine`` at alpha != 0) one
+    broadcast covers every lam; for ``combine_quasi`` C^(1/alpha) and
+    D^(1/alpha) are scalar powers per lam, then one broadcast; ``combine``
+    at alpha = 0 stays one scalar call per lam, and so does a single
+    (C, D).  Where the kernel ignores (C, D) (alpha = +-inf) the result is
+    a read-only broadcast view.
+    """
+    cd_list, cd_arr = cd
+    if len(cd_list) == 1:
+        return kernel(x, y, *cd_list[0], alpha)[..., None]
+    if kernel is combine and alpha == 0.0:
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape) + (len(cd_list),))
+        for i, (c, d) in enumerate(cd_list):
+            out[..., i] = combine(x, y, c, d, alpha)
+        return out
+    x, y = x[..., None], y[..., None]
+    if kernel is combine_quasi and not math.isinf(alpha):
+        e = 1.0 / alpha
+        ce, de = np.array([(c**e, d**e) for c, d in cd_list]).T
+        return np.minimum(ce * x, de * y)
+    out = kernel(x, y, cd_arr[:, 0], cd_arr[:, 1], alpha)
+    if out.shape[-1] != len(cd_list):
+        out = np.broadcast_to(out, out.shape[:-1] + (len(cd_list),))
+    return out
 
 
 def _range_max_table(axes, heights):
@@ -511,16 +579,23 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
 
     For p >= 1 every image is max-accumulated into ``out`` (the union over
     lam).  For 0 < p < 1 the images of each lam are max-accumulated into a
-    slice of their own and ``out`` receives the minimum over the slices
-    (the intersection over lam).
+    row of their own and ``out`` receives the minimum over the rows (the
+    intersection over lam).
 
     Coordinate i of a combined point depends on the coordinate pair on axis
     i alone, so at a scalar lam the output index on an axis is a function
-    of the pair of unique axis coordinates.  Per row chunk and lam, each
-    axis gets one table over (unique a coordinate, unique b coordinate)
-    holding the snapped index times the row-major output stride; a cell
-    pair's flat output index is the sum over axes of ``table[ia][:, ib]``,
-    where ia and ib map cells to unique coordinates.  An index off the
+    of the pair of unique axis coordinates.  The lam values are taken in
+    blocks of at most ``_LAM_BLOCK`` images of the largest row chunk (one
+    lam per block above it).  Per chunk and block, each axis gets one
+    table over (unique a coordinate, unique b coordinate, lam), one
+    broadcast of the base kernel (``_lam_rows``), holding the snapped
+    index times the row-major output stride; a cell pair's flat output
+    indices are the sum over axes of ``table[ia][:, ib]``, where ia and ib
+    map cells to unique coordinates, an array over (a cell, b cell, lam).
+    The vertical kernel is one broadcast over the same axes and one
+    ``np.maximum.at`` scatters the block.  For 0 < p < 1 lam i of a block
+    is offset to row i of a (block, output cells) array, and the block
+    also holds at most ``_LAM_BLOCK`` output cells.  An index off the
     output grid raises ResolutionError: no image is clamped to an edge.
     The injected per-pair maximizer gives every height pair its own
     (C, D), so that pass snaps every cell pair directly.  The unique
@@ -539,7 +614,9 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     over the grid of unique coordinates (``_range_max_table``).  The b
     cells are enumerated as their own grid of unique coordinates; grid
     cells off either support are dropped.  When the b side has fewer runs
-    the roles swap (``_run_plan``, ``_run_images``).
+    the roles swap (``_run_plan``, ``_run_images``).  The run path is
+    planned per lam of a block, on that lam's slice of the tables; the lam
+    it rejects take the pair path together.
 
     - Exactness: the result is bit for bit the pairwise one as long as
       the vertical kernel is nondecreasing in each height in floating
@@ -561,8 +638,9 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
     - Memory: a side's sparse table is built only if it holds no more
       elements than the chunk has pairs, nor than ``_PAIR_CHUNK``, and no
       array of the run path is larger; a call above ``_PAIR_CHUNK`` pairs
-      takes the path chunk by chunk.  The pair path's index buffers keep
-      their size.
+      takes the path chunk by chunk.  The pair path's index buffers hold
+      one block, at most the larger of ``_LAM_BLOCK`` and one chunk's
+      pairs.
     """
     n = xa.shape[1]
     alphas = spec.alphas.alphas
@@ -605,47 +683,69 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
             runs = fixed, _run_sides(_range_max_table(a_axes, ha[start:stop]), b_side,
                                      [len(u) for u, _ in a_axes], [len(u) for u, _ in b_axes])
         chunks.append((start, stop, a_axes, runs))
-    # row-major index buffers reused for every lam and chunk: fresh
+    # lam per block: at most _LAM_BLOCK images of the largest chunk, and for
+    # 0 < p < 1 at most _LAM_BLOCK cells of the per-lam output rows
+    pairs_max = min(chunk, ma) * mb
+    block = max(1, _LAM_BLOCK // max(pairs_max, flat.size if spec.p < 1.0 else 0))
+    # row-major index buffers reused for every block and chunk: fresh
     # pair-sized arrays per lam made the allocator return and refault pages,
     # and the row-major order keeps ravel() a view
-    idx_buf = np.empty(min(chunk, ma) * mb, dtype=np.int64)
+    idx_buf = np.empty(block * pairs_max, dtype=np.int64)
     part_buf = np.empty(idx_buf.size if n > 1 else 0, dtype=np.int64)
 
-    def images(target, c, d):
+    def images(target, cd, row):
+        """Every chunk's images at the lam of ``cd`` (see ``_lam_rows``); lam i
+        lands at offset i * row."""
+        cd_list, cd_arr = cd
         for start, stop, a_axes, runs in chunks:
             size = (stop - start) * mb
-            tables = [snap(base_kernel(ua[:, None], ub[None, :], c, d, alphas[ax]), ax)
+            tables = [snap(_lam_rows(base_kernel, ua[:, None], ub[None, :], cd, alphas[ax]), ax)
                       for ax, ((ua, _), (ub, _)) in enumerate(zip(a_axes, b_axes))]
-            plan = runs and _run_plan(tables, *runs, size)
-            if plan:
-                reduced, kept, steps, reduce_a = plan
-                _run_images(target, reduced, kept, steps, lambda m, k: vert_kernel(
-                    *((m, k) if reduce_a else (k, m)), c, d, a_last))
-                continue
-            flat_idx = idx_buf[:size].reshape(stop - start, mb)
-            part = part_buf[:size].reshape(stop - start, mb) if n > 1 else None
+            if row:
+                tables[0] += np.arange(len(cd_list)) * row
+            pending = list(range(len(cd_list)))
+            if runs:
+                pending = []
+                for i, (c, d) in enumerate(cd_list):
+                    plan = _run_plan([t[..., i] for t in tables], *runs, size)
+                    if not plan:
+                        pending.append(i)
+                        continue
+                    reduced, kept, steps, reduce_a = plan
+                    _run_images(target, reduced, kept, steps, lambda m, k: vert_kernel(
+                        *((m, k) if reduce_a else (k, m)), c, d, a_last))
+                if not pending:
+                    continue
+                if len(pending) < len(cd_list):
+                    tables = [t[..., pending] for t in tables]
+                    cd = [cd_list[i] for i in pending], cd_arr[pending]
+            shape3 = (stop - start, mb, len(pending))
+            flat_idx = idx_buf[: math.prod(shape3)].reshape(shape3)
+            part = part_buf[: flat_idx.size].reshape(shape3) if n > 1 else None
             for ax, table in enumerate(tables):
                 # ib is always in range; mode="clip" only skips an output copy
                 np.take(table[a_axes[ax][1]], b_axes[ax][1], axis=1,
                         out=flat_idx if ax == 0 else part, mode="clip")
                 if ax:
                     flat_idx += part
-            vert = vert_kernel(ha[start:stop, None], v, c, d, a_last)
+            vert = _lam_rows(vert_kernel, ha[start:stop, None], v, cd, a_last)
             np.maximum.at(target, flat_idx.ravel(), vert.ravel())
 
     cd_list = _coefficient_list(spec, lam_values)
+    cd_arr = np.asarray(cd_list)
+    blocks = [(cd_list[i : i + block], cd_arr[i : i + block])
+              for i in range(0, len(cd_list), block)]
     if spec.p < 1.0:
-        lam_slice = np.empty_like(flat)
-        for i, (c, d) in enumerate(cd_list):
-            lam_slice.fill(0.0)
-            images(lam_slice, c, d)
-            if i == 0:
-                flat[:] = lam_slice
-            else:
-                np.minimum(flat, lam_slice, out=flat)
+        rows = np.empty((block, flat.size))
+        flat.fill(_INF)
+        for cd in blocks:
+            own = rows[: len(cd[0])]
+            own.fill(0.0)
+            images(own.ravel(), cd, flat.size)
+            np.minimum(flat, own.min(axis=0), out=flat)
         return out
-    for c, d in cd_list:
-        images(flat, c, d)
+    for cd in blocks:
+        images(flat, cd, 0)
     if _injects(spec):
         for start, stop, *_ in chunks:
             xs = xa[start:stop]
@@ -681,6 +781,7 @@ def curvilinear_sum_grid(
         )
     xa, ha = _support(a)
     xb, hb = _support(b)
+    _check_images(len(ha), len(hb), spec, "cells", _GRID_IMAGES)
     if out_grid is None:
         out_grid = derive_out_grid(a, b, spec)
     else:
@@ -720,9 +821,7 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     if not ka or not la:
         raise DegenerateInputError("summand has empty support")
     m = len(ka) * len(la)
-    lam_count = 1
-    if spec.p != 1.0:
-        lam_count = spec.lambda_points + len(spec.extra_lambdas) + (1 + 2 * m) * _injects(spec)
+    lam_count = _lam_bound(spec, 2 * m)
     if m * lam_count > _INTERVAL_PIECES:
         raise BudgetError(
             f"{len(ka)} x {len(la)} intervals at up to {lam_count} lam values "
@@ -763,6 +862,7 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
         raise DomainError("box dimensions do not match the power vector")
     dim = a.dim
     alphas = spec.alphas.alphas
+    _check_images(len(a.boxes), len(b.boxes), spec, "boxes", _BOX_IMAGES)
     lam_arr = _lambda_values(spec, a, b)
     c, d = spec.coefficients(lam_arr)
     # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order
@@ -855,10 +955,8 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     gives every cell pair its own (C, D), so its ends and heights are
     computed per pair.
 
-    (C, D) is computed per lam as scalars.  Where C and D only scale
-    (``combine`` at alpha != 0) one broadcast covers every lam; a power of
-    C or D (``combine_quasi``, or ``combine`` at alpha = 0) stays one
-    scalar call per lam, because array powers can round differently.
+    (C, D) is computed per lam as scalars, and both kernels cover every lam
+    through ``_lam_rows``, which takes no power of C or D on an array.
 
     Only the lattice nodes that a kept rectangle uses, and the maximizer
     row's kept ends, go through the sort of ``_ranks``.  A grid rectangle
@@ -890,19 +988,7 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
             f"{len(ha)} x {len(hb)} cells need {need} bytes, budget {_REGION_BUDGET}"
         )
     cd_list = _coefficient_list(spec, lams)
-    c_row, d_row = np.asarray(cd_list).T
-
-    def rows(kernel, x, y, alpha):
-        shape = np.broadcast_shapes(x.shape, y.shape) + (len(cd_list),)
-        if kernel is combine and alpha != 0.0:
-            # at alpha = +-inf combine ignores (C, D) and drops the lam axis
-            return np.broadcast_to(combine(x[..., None], y[..., None], c_row, d_row, alpha),
-                                   shape)
-        out = np.empty(shape)
-        for i, (c, d) in enumerate(cd_list):
-            out[..., i] = kernel(x, y, c, d, alpha)
-        return out
-
+    cd = cd_list, np.asarray(cd_list)
     # (lo, hi) edges of every cell, the distinct edges, each cell's edge indices
     a_cells = np.stack([xa[:, 0], xa[:, 0] + a.grid.spacing])
     b_cells = np.stack([xb[:, 0], xb[:, 0] + b.grid.spacing])
@@ -910,8 +996,8 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     a_ends, b_ends = np.searchsorted(ea, a_cells), np.searchsorted(eb, b_cells)
     u = ha[:, None]
     w = hb[None, :]
-    z = rows(base_kernel, ea[:, None], eb[None, :], alpha0)
-    v = rows(vert_kernel, u, w, alpha1)
+    z = _lam_rows(base_kernel, ea[:, None], eb[None, :], cd, alpha0)
+    v = _lam_rows(vert_kernel, u, w, cd, alpha1)
     # each grid rectangle's lo and hi ends as (a-cell, b-cell, lam) picks;
     # a cell's lo (hi) edge is its own, so each pick is one to one
     lo_at = (a_ends[0][:, None], b_ends[0])

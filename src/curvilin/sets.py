@@ -46,6 +46,9 @@ _EDGE_DENOMINATOR_CAP = 1 << 20
 # compress: most base cells per grid, and most cell-box pairs per chunk
 _COMPRESS_CELL_BUDGET = 1 << 22
 _COMPRESS_CHUNK = 1 << 18
+# most cells of a refined grid, 128 MiB of float64 values; the largest
+# refinement of the tests and the default suite at --grid 2 has 784 cells
+_REFINED_CELLS = 1 << 24
 
 
 def _sorted_unique(x) -> np.ndarray:
@@ -106,6 +109,17 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def refined(self, factor: int) -> "Grid":
+        """The grid with every cell split by ``factor`` per axis.
+
+        Above ``_REFINED_CELLS`` cells BudgetError is raised, counted in
+        Python ints before any value array is split; a factor above the
+        budget is capped first, so a huge one costs no huge product.
+        """
+        capped = min(factor, _REFINED_CELLS + 1)
+        if math.prod(self.shape) * capped**self.ndim > _REFINED_CELLS:
+            shown = factor if capped == factor else f"over {_REFINED_CELLS}"
+            raise BudgetError(f"refining a {self.shape} grid by {shown} per axis "
+                              f"gives over {_REFINED_CELLS} cells")
         return Grid(self.origin, self.spacing / factor, tuple(s * factor for s in self.shape))
 
 

@@ -268,6 +268,48 @@ def test_conv_grid_refines_function_operands(tmp_path):
     assert payload["result"]["spacing"] == f.grid.spacing / 2
 
 
+def _write_3x3(tmp_path, key):
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps({"origin": [0.0, 0.0], "spacing": 0.25, "shape": [3, 3],
+                                key: np.linspace(0.5, 1.5, 9).tolist()}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, key, level", [
+    ("conv", "values", 30),  # the first split alone asks for 72 GiB
+    ("sum", "heights", 40),  # 72 TiB
+])
+def test_huge_grid_level_exits_2_before_splitting(tmp_path, capsys, command, key, level):
+    path = _write_3x3(tmp_path, key)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--a", path, "--b", path, "--p", "2",
+                     "--grid", str(level), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvilin: refining a (3, 3) grid")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("operands", ["heights", "boxes"])
+def test_huge_lambda_count_exits_2_before_the_lam_grid(tmp_path, capsys, operands):
+    if operands == "boxes":
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps({"dim": 2, "boxes": [
+            {"lo": [0.0, 0.0], "hi": [1.0, 0.5]}, {"lo": [0.5, 0.25], "hi": [1.5, 1.0]}]}))
+        path = str(path)
+    else:
+        path = _write_3x3(tmp_path, operands)
+    out = tmp_path / "out.json"
+    # 2e9 lam values: 14.9 GiB of lam grid alone
+    assert cli.main(["sum", "--a", path, "--b", path, "--p", "2",
+                     "--lambda-points", "2000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvilin: ")
+    assert "at up to 2000000001 lam values" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("sum", {"dim": 2, "boxes": 5}),
     ("compress", {"dim": 2, "boxes": 5}),

@@ -444,7 +444,10 @@ def _grid_sum_case(draw):
     # these operands are far below the run path's size rule; a zero rule
     # takes it wherever both sides' sparse tables fit the chunk
     runs = draw(st.booleans())
-    return spec, sets[0], sets[1], supplied, pair_chunk, runs
+    # images per lam block: small budgets split the lam set across blocks,
+    # for 0 < p < 1 too, where the output rows count against the budget
+    lam_block = draw(st.sampled_from([None, 1, 2, 7, 60, 400]))
+    return spec, sets[0], sets[1], supplied, pair_chunk, runs, lam_block
 
 
 def _force_runs():
@@ -456,7 +459,7 @@ def _force_runs():
 @given(_grid_sum_case())
 @settings(max_examples=250, deadline=None)
 def test_grid_kernel_equals_pairwise_oracle(case):
-    spec, a, b, supplied, pair_chunk, runs = case
+    spec, a, b, supplied, pair_chunk, runs, lam_block = case
     out_grid = None
     if supplied:
         # a finer grid reaching past the derived one
@@ -469,6 +472,8 @@ def test_grid_kernel_equals_pairwise_oracle(case):
     with contextlib.ExitStack() as stack:
         if pair_chunk is not None:
             stack.enter_context(mock.patch.object(curvsum, "_PAIR_CHUNK", pair_chunk))
+        if lam_block is not None:
+            stack.enter_context(mock.patch.object(curvsum, "_LAM_BLOCK", lam_block))
         for patch in _force_runs() if runs else ():
             stack.enter_context(patch)
         got = curvilinear_sum_grid(a, b, spec, out_grid)
@@ -563,6 +568,20 @@ def test_p1_evaluates_one_lambda():
     want_bps, want_vals = _envelope_heap(*every)
     assert np.array_equal(bps, want_bps)
     assert np.array_equal(curvsum._envelope(bps, parts), want_vals)
+
+
+@pytest.mark.parametrize("points, extras", [
+    (1, ()), (7, ()), (64, ()), (64, (0.001,)), (5, (0.5, 0.9)), (2_000_000_000, ()),
+])
+def test_p1_lambda_is_the_grids_first_without_the_grid(points, extras):
+    from curvilin.curvsum import _lambda_values
+
+    spec = SumSpec(p=1.0, alphas=vec(1, 1), t=0.3, lambda_points=points, extra_lambdas=extras)
+    got = _lambda_values(spec, None, None)
+    if points < 1000:
+        assert np.array_equal(got, spec.lambda_grid()[:1])
+    else:
+        assert got.tolist() == [1.0 / (points + 1)]
 
 
 @st.composite

@@ -328,6 +328,19 @@ def test_staircase_basics():
     assert b.volume == pytest.approx(s.volume)
 
 
+def test_refinement_past_the_cell_budget_is_refused():
+    grid = Grid((0.0, 0.0), 0.25, (3, 3))
+    budget = sets._REFINED_CELLS
+    # 9 * 1365^2 cells fit, 9 * 1366^2 do not
+    assert grid.refined(math.isqrt(budget // 9)).shape == (4095, 4095)
+    with pytest.raises(BudgetError, match=r"refining a \(3, 3\) grid by 1366 per axis"):
+        grid.refined(math.isqrt(budget // 9) + 1)
+    # a factor of 2^20000 has too many digits to print; it is refused as
+    # over the budget, and no 2^40000-sized product is formed
+    with pytest.raises(BudgetError, match=f"by over {budget} per axis"):
+        grid.refined(1 << 20_000)
+
+
 def test_staircase_support_stays_in_the_orthant():
     # as BoxUnion and IntervalUnion, a staircase refuses a cell below 0
     with pytest.raises(DomainError, match=r"cell at \(-1.0,\) leaves"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvilin import BudgetError, DomainError, PowerVector, RangeError
-from curvilin import verify
+from curvilin import measures, verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
 from curvilin.measures import SurfaceEstimate
@@ -162,6 +162,23 @@ def test_mixed_route_is_never_capped(monkeypatch):
     assert rep.params["route_id"] == "mixed_volume_variation"
     assert "gate" not in rep.params
     assert rep.verdict == FAIL
+
+
+def test_first_route_measures_each_operand_once(monkeypatch):
+    # the gate reuses the route's (mu A, mu B); the list keeps every
+    # measured object alive, so no two of them share an id
+    measured = []
+    measure_of = measures.measure_of
+
+    def counting(x, mu):
+        measured.append(x)
+        return measure_of(x, mu)
+
+    monkeypatch.setattr(verify, "measure_of", counting)
+    monkeypatch.setattr(measures, "measure_of", counting)
+    rep = verify.run_check("minkowski_first", 0, 4)
+    assert rep.params["route_id"] == "minkowski_first_sets"
+    assert len(measured) == len({id(x) for x in measured}) == 2
 
 
 # ---------------------------------------------------------------------------
