@@ -97,15 +97,16 @@ _REGION_BUDGET = 1 << 30
 # tracemalloc peak of staircase_sum_volume_exact is 85-89 B a rectangle;
 # the charge stays at 152 B so that the refusal threshold does not move
 _RECT_BYTES = 24 + 128
-# most (pair, lam) images of one grid sum and of one box sum, and most lam
-# values of either (``_check_images``).  A grid sum's images bound its time
-# (its buffers are chunked); a box sum keeps every image, 16 B per axis.
-# The largest call of the tests, CI, perfbench and the default suite at
-# --grid 2 is a bm_curvilinear grid sum of 448 x 672 cells at up to 69 lam
-# values, 20.8 M images
-_GRID_IMAGES = 1 << 28
-_BOX_IMAGES = 1 << 22
+# most lam values of a grid or box sum (``_check_lams``), and most (box
+# pair, lam) images of a box sum.  Both are checked before any lam is
+# built.  The lam grid and the (C, D) list hold 138 B a lam (170 B at
+# their tracemalloc peak).  A grid sum's other buffers are chunked by
+# ``_PAIR_CHUNK`` and ``_LAM_BLOCK``, so its pair count is not limited; a
+# box sum keeps every image, 16 B per axis.  The largest box sum of the
+# tests, CI, perfbench and the default suite at --grid 2 has 9 x 6 boxes
+# at up to 68 lam values
 _SUM_LAMS = 1 << 20
+_BOX_IMAGES = 1 << 22
 
 CURVILINEAR = "curvilinear"
 QUASI = "quasi"
@@ -369,15 +370,12 @@ def _lam_bound(spec: SumSpec, maximizers: int = 0) -> int:
     return spec.lambda_points + len(spec.extra_lambdas) + (1 + maximizers) * _injects(spec)
 
 
-def _check_images(m: int, n: int, spec: SumSpec, what: str, budget: int) -> None:
-    """BudgetError, before any lam is built, above ``budget`` (pair, lam)
-    images or ``_SUM_LAMS`` lam values."""
+def _check_lams(spec: SumSpec) -> int:
+    """``_lam_bound(spec)``; BudgetError above ``_SUM_LAMS``, before any lam is built."""
     lam_count = _lam_bound(spec)
-    if m * n * lam_count > budget or lam_count > _SUM_LAMS:
-        raise BudgetError(
-            f"{m} x {n} {what} at up to {lam_count} lam values give {m * n * lam_count} "
-            f"images, budget {budget} images and {_SUM_LAMS} lam values"
-        )
+    if lam_count > _SUM_LAMS:
+        raise BudgetError(f"up to {lam_count} lam values, budget {_SUM_LAMS}")
+    return lam_count
 
 
 def _coefficients(p: float, t: float | None, form: str, lam):
@@ -701,7 +699,7 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
             size = (stop - start) * mb
             tables = [snap(_lam_rows(base_kernel, ua[:, None], ub[None, :], cd, alphas[ax]), ax)
                       for ax, ((ua, _), (ub, _)) in enumerate(zip(a_axes, b_axes))]
-            if row:
+            if row and len(cd_list) > 1:
                 tables[0] += np.arange(len(cd_list)) * row
             pending = list(range(len(cd_list)))
             if runs:
@@ -742,7 +740,8 @@ def _accumulate(out, out_grid, spec, xa, ha, xb, hb, lam_values):
             own = rows[: len(cd[0])]
             own.fill(0.0)
             images(own.ravel(), cd, flat.size)
-            np.minimum(flat, own.min(axis=0), out=flat)
+            for r in own:
+                np.minimum(flat, r, out=flat)
         return out
     for cd in blocks:
         images(flat, cd, 0)
@@ -781,7 +780,7 @@ def curvilinear_sum_grid(
         )
     xa, ha = _support(a)
     xb, hb = _support(b)
-    _check_images(len(ha), len(hb), spec, "cells", _GRID_IMAGES)
+    _check_lams(spec)
     if out_grid is None:
         out_grid = derive_out_grid(a, b, spec)
     else:
@@ -862,7 +861,10 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
         raise DomainError("box dimensions do not match the power vector")
     dim = a.dim
     alphas = spec.alphas.alphas
-    _check_images(len(a.boxes), len(b.boxes), spec, "boxes", _BOX_IMAGES)
+    images = len(a.boxes) * len(b.boxes) * _check_lams(spec)
+    if images > _BOX_IMAGES:
+        raise BudgetError(f"{len(a.boxes)} x {len(b.boxes)} boxes give up to {images} "
+                          f"images, budget {_BOX_IMAGES}")
     lam_arr = _lambda_values(spec, a, b)
     c, d = spec.coefficients(lam_arr)
     # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order

@@ -430,18 +430,17 @@ def surface_area_sets(
 
 
 def f_concavity_gap(a: StaircaseSet, b: StaircaseSet, mu: DensityMeasure, F: FSpec,
-                    spec: SumSpec, t_samples: tuple,
-                    masses: tuple[float, float] | None = None) -> tuple[float, float, float]:
+                    spec: SumSpec, t_samples: tuple, mu_a: float,
+                    mu_b: float) -> tuple[float, float, float]:
     """(t, lhs, rhs) of the worst t sample of F-concavity of mu.
 
-    lhs is mu of the sum at t, rhs is F^{-1}((1-t) F(mu A) + t F(mu B));
-    the worst sample has the smallest lhs - rhs, the first one on a tie.
-    A function enters as its hypograph (``f.hypograph()``).  ``masses``
-    is (mu A, mu B) when the caller has measured them already.
+    lhs is mu of the sum at t, rhs is F^{-1}((1-t) F(mu A) + t F(mu B)),
+    with mu A and mu B given as ``mu_a`` and ``mu_b``; the worst sample
+    has the smallest lhs - rhs, the first one on a tie.  A function enters
+    as its hypograph (``f.hypograph()``).
     """
     if not t_samples:
         raise RangeError("need at least one t sample")
-    mu_a, mu_b = masses or (measure_of(a, mu), measure_of(b, mu))
     worst = None
     for t in t_samples:
         t = float(t)

@@ -682,7 +682,7 @@ def check_minkowski_first(instance, params):
     else:
         gate_spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=lp)
         _, gate_lhs, gate_rhs = f_concavity_gap(a, b, mu, fmap, gate_spec,
-                                                (0.25, t, 0.75), (mu_a, mu_b))
+                                                (0.25, t, 0.75), mu_a, mu_b)
         gate = verdict_for(gate_lhs - gate_rhs, _EXACT_TOL, False)
         s_aa = surface_area_sets(a, a, mu, p, alphas, lp)
         lhs = s_ab.estimate

@@ -305,7 +305,7 @@ def test_huge_lambda_count_exits_2_before_the_lam_grid(tmp_path, capsys, operand
                      "--lambda-points", "2000000000", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("curvilin: ")
-    assert "at up to 2000000001 lam values" in err
+    assert "up to 2000000001 lam values, budget" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -584,6 +584,30 @@ def test_p1_lambda_is_the_grids_first_without_the_grid(points, extras):
         assert got.tolist() == [1.0 / (points + 1)]
 
 
+def test_grid_sum_budget_counts_lams_not_images(monkeypatch):
+    # the grid sum's buffers are chunked, so only its lam count, at its
+    # upper bound, is limited, whatever the number of cell pairs
+    a = cube_staircase(1.0, 1.0, cells=12, base_dim=2)
+    spec = SumSpec(p=2.0, alphas=vec(1, 1, 1), t=0.5, lambda_points=30)
+    bound = curvsum._lam_bound(spec)
+    monkeypatch.setattr(curvsum, "_SUM_LAMS", bound)
+    assert curvilinear_sum_grid(a, a, spec).volume > 0
+    monkeypatch.setattr(curvsum, "_SUM_LAMS", bound - 1)
+    with pytest.raises(BudgetError, match=f"up to {bound} lam values, budget {bound - 1}"):
+        curvilinear_sum_grid(a, a, spec)
+
+
+def test_box_sum_budget_counts_images(monkeypatch):
+    sq = BoxUnion(2, (((0.0, 0.0), (1.0, 1.0)), ((0.5, 0.5), (2.0, 1.5))))
+    spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=8)
+    images = 4 * curvsum._lam_bound(spec)
+    monkeypatch.setattr(curvsum, "_BOX_IMAGES", images)
+    curvilinear_sum_boxes(sq, sq, spec)
+    monkeypatch.setattr(curvsum, "_BOX_IMAGES", images - 1)
+    with pytest.raises(BudgetError, match=f"up to {images} images, budget {images - 1}"):
+        curvilinear_sum_boxes(sq, sq, spec)
+
+
 @st.composite
 def _interval_union(draw):
     ends = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True)))

@@ -329,7 +329,8 @@ def first_sides(a, b, mu, F, p, alphas):
 def gate_gap(a, b, mu, F, p, alphas):
     """Worst lhs - rhs of F-concavity over t = 1/4, 1/2, 3/4 at 64 lam points."""
     spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=64)
-    _, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75))
+    _, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75),
+                                  measure_of(a, mu), measure_of(b, mu))
     return lhs - rhs
 
 
@@ -351,7 +352,8 @@ def test_f_concavity_sets_power_branch():
     mu = line_density(slope=0.0)  # constant 1 on [0, 2.5]
     gamma = 0.5
     F = FSpec("power", 1.5 * gamma)
-    t, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75))
+    t, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75),
+                                  measure_of(a, mu), measure_of(b, mu))
     assert t in (0.25, 0.5, 0.75)
     assert lhs - rhs >= -0.15
 
@@ -362,11 +364,13 @@ def test_f_concavity_gap_is_the_first_worst_sample(monkeypatch):
                         lambda a, b, spec: 2.0)
     a = cube()
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=8)
-    got = f_concavity_gap(a, a, lebesgue(a.grid), FSpec("power", 1.0), spec,
-                          (0.75, 0.25, 0.5))
+    mu = lebesgue(a.grid)
+    mass = measure_of(a, mu)
+    got = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.75, 0.25, 0.5),
+                          mass, mass)
     assert got == (0.75, 2.0, 1.0)
     with pytest.raises(RangeError):
-        f_concavity_gap(a, a, lebesgue(a.grid), FSpec("power", 1.0), spec, ())
+        f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (), mass, mass)
 
 
 def test_f_concavity_same_set_small_slack():
@@ -374,7 +378,8 @@ def test_f_concavity_same_set_small_slack():
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=32)
     mu = line_density(slope=0.0)
     F = FSpec("power", 1.0)
-    _, lhs, rhs = f_concavity_gap(a, a, mu, F, spec, (0.25, 0.5, 0.75))
+    _, lhs, rhs = f_concavity_gap(a, a, mu, F, spec, (0.25, 0.5, 0.75),
+                                  measure_of(a, mu), measure_of(a, mu))
     assert abs(lhs - rhs) <= 0.1
 
 
@@ -390,8 +395,9 @@ def test_f_concavity_keeps_the_callers_extra_lambdas(monkeypatch):
     a, b = rng_staircase(31), rng_staircase(32)
     spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=8,
                    extra_lambdas=(0.001,))
-    f_concavity_gap(a, b, line_density(slope=0.0), FSpec("power", 0.75), spec,
-                    (0.25, 0.5, 0.75))
+    mu = line_density(slope=0.0)
+    f_concavity_gap(a, b, mu, FSpec("power", 0.75), spec, (0.25, 0.5, 0.75),
+                    measure_of(a, mu), measure_of(b, mu))
     assert [s.t for s in seen] == [0.25, 0.5, 0.75]
     assert all(s.extra_lambdas == (0.001,) for s in seen)
 
@@ -489,7 +495,8 @@ def test_report_json_shape():
     a = cube()
     mu = lebesgue(a.grid)
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5)
-    _, lhs, rhs = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75))
+    _, lhs, rhs = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75),
+                                  measure_of(a, mu), measure_of(a, mu))
     payload = InequalityReport.from_values("f_concavity", 0, lhs, rhs, 0.1).to_json()
     assert set(payload) == {
         "check", "seed", "params", "lhs", "rhs", "slack",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from curvilin import BudgetError, DomainError, PowerVector, RangeError
-from curvilin import measures, verify
+from curvilin import curvsum, measures, verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
 from curvilin.measures import SurfaceEstimate
@@ -179,6 +179,23 @@ def test_first_route_measures_each_operand_once(monkeypatch):
     rep = verify.run_check("minkowski_first", 0, 4)
     assert rep.params["route_id"] == "minkowski_first_sets"
     assert len(measured) == len({id(x) for x in measured}) == 2
+
+
+def test_level_2_grid_sum_is_not_limited_by_its_images(monkeypatch):
+    # bm_curvilinear instance 11 at level 2 and 256 lam points sums 448 x 672
+    # cells at up to 1,029 lam values, over 2^28 (pair, lam) images
+    images = []
+    grid_sum = verify.curvilinear_sum_grid
+
+    def counting(a, b, spec, out_grid=None):
+        pairs = np.count_nonzero(a.heights) * np.count_nonzero(b.heights)
+        images.append(pairs * curvsum._lam_bound(spec))
+        return grid_sum(a, b, spec, out_grid)
+
+    monkeypatch.setattr(verify, "curvilinear_sum_grid", counting)
+    rep = verify.run_check("bm_curvilinear", 0, 11, level=2, lambda_points=256)
+    assert max(images) > 1 << 28
+    assert rep.verdict == PASS
 
 
 # ---------------------------------------------------------------------------
