@@ -97,9 +97,9 @@ _REGION_BUDGET = 1 << 30
 # tracemalloc peak of staircase_sum_volume_exact is 85-89 B a rectangle;
 # the charge stays at 152 B so that the refusal threshold does not move
 _RECT_BYTES = 24 + 128
-# most lam values of a grid or box sum (``_check_lams``), and most (box
-# pair, lam) images of a box sum.  Both are checked before any lam is
-# built.  The lam grid and the (C, D) list hold 138 B a lam (170 B at
+# most lam values of a grid, box or envelope sum (``_check_lams``), and
+# most (box pair, lam) images of a box sum.  Both are checked before any
+# lam is built.  The lam grid and the (C, D) list hold 138 B a lam (170 B at
 # their tracemalloc peak).  A grid sum's other buffers are chunked by
 # ``_PAIR_CHUNK`` and ``_LAM_BLOCK``, so its pair count is not limited; a
 # box sum keeps every image, 16 B per axis.  The largest box sum of the
@@ -187,7 +187,8 @@ class SumSpec:
             else:
                 r = (a / b) ** pa
             lam = 1.0 / (1.0 + r)
-        return np.clip(np.nan_to_num(lam, nan=0.5), 1e-300, 1.0 - 1e-16)
+        # NaN at 0/0 or inf/inf; 1/(1+r) is never infinite, so only NaN is mapped
+        return np.clip(np.where(np.isnan(lam), 0.5, lam), 1e-300, 1.0 - 1e-16)
 
     def quasi_crossing_lambda(self, a, b, alpha: float):
         """Crossing of C^(1/alpha) a = D^(1/alpha) b, the maximizer of their min."""
@@ -206,7 +207,7 @@ class SumSpec:
             e = np.exp(-x[pos])
             lam[pos] = e / (1.0 + e)
             lam[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
-        lam = np.clip(np.nan_to_num(lam, nan=0.5), 1e-300, 1.0 - 1e-16)
+        lam = np.clip(np.where(np.isnan(lam), 0.5, lam), 1e-300, 1.0 - 1e-16)
         return lam.reshape(np.broadcast(a, b).shape) if np.ndim(a) or np.ndim(b) else lam[0]
 
     def to_json(self) -> dict:
@@ -967,8 +968,9 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     height) gets zero width instead of being filtered out.  Returns the
     arguments of ``_envelope``, or None when no rectangle is kept.
 
-    Above ``_REGION_BUDGET`` bytes at ``_RECT_BYTES`` a rectangle,
-    BudgetError is raised before any coefficient is computed.
+    Above ``_SUM_LAMS`` lam values (``_check_lams``), BudgetError is
+    raised before the lam set is built; above ``_REGION_BUDGET`` bytes at
+    ``_RECT_BYTES`` a rectangle, before any coefficient is computed.
     """
     if a.base_dim != 1 or b.base_dim != 1:
         raise DomainError("region path needs one base axis")
@@ -981,6 +983,7 @@ def _lattice_ranks(a: StaircaseSet, b: StaircaseSet, spec: SumSpec):
     alpha0 = spec.alphas.alphas[0]
     alpha1 = spec.alphas.last
     base_kernel, vert_kernel = spec.kernels
+    _check_lams(spec)
     lams = _lambda_values(spec, a, b)
     injects = _injects(spec)
     need = (len(lams) + injects) * len(ha) * len(hb) * _RECT_BYTES

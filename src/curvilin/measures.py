@@ -217,9 +217,10 @@ def mu_section_quantities(a: StaircaseSet, mu: DensityMeasure, k: int) -> GridFu
     """Fiber masses over the first k base axes, on the remaining ones.
 
     The value at u is the mu-mass of the fiber through u, and ``.sup_norm``
-    the largest such mass; sets.superlevel(profile, r) gives the grid cells
-    where the fiber mass reaches r times it.  With a constant density the
-    profile is sets.section_profile of the same staircase.
+    the largest such mass; row j of sets.superlevel_masks(profile, rs)
+    flags the grid cells where the fiber mass reaches rs[j] times it.  With
+    a constant density the profile is sets.section_profile of the same
+    staircase.
     """
     profile = _integrate_leading(_column_masses(a, mu), a.grid, k)
     if profile.sup_norm <= 0.0:

@@ -613,8 +613,7 @@ def superlevel_masks(profile: GridFunction, rs) -> np.ndarray:
     """Flat masks of the cells where the profile reaches each fraction in rs.
 
     Row j of the (len(rs), cells) result flags the cells whose value is at
-    least rs[j] * sup less 1e-12 * sup: the one threshold rule, also the
-    rule of ``superlevel``.
+    least rs[j] * sup less 1e-12 * sup: the one threshold rule.
     """
     rs = np.asarray(rs, dtype=float)
     outside = ~((rs >= 0.0) & (rs <= 1.0))
@@ -626,12 +625,6 @@ def superlevel_masks(profile: GridFunction, rs) -> np.ndarray:
     if profile.ndim == 0:
         raise DomainError("superlevel needs a positive-dimension profile")
     return profile.values.ravel() >= (rs * sup)[:, None] - 1e-12 * sup
-
-
-def superlevel(profile: GridFunction, r: float) -> GridPointSet:
-    """Cells where the profile reaches the fraction r of its sup."""
-    corners = profile.grid.cell_lower_corners()[superlevel_masks(profile, (r,))[0]]
-    return GridPointSet(corners, profile.grid.spacing)
 
 
 def normalized_compression(a: StaircaseSet, k: int) -> StaircaseSet:

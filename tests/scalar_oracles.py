@@ -13,6 +13,9 @@ over lam, and the Hoelder product lower bound.  The conventions are those
 of :mod:`curvilin.means`: both means are 0 whenever a*b == 0, alpha = 0 is
 the geometric limit, alpha = +/-inf are max / min, and p = 1 gives
 q = inf, so C = 1-t and D = t independently of lam.
+
+``superlevel``, the cell set of one threshold of a profile, is a helper of
+the same kind: the library keeps only the batched ``superlevel_masks``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from curvilin.errors import DomainError, RangeError
 from curvilin.means import _INF, _inv, _weighted_mean, conjugate
+from curvilin.sets import GridFunction, GridPointSet, superlevel_masks
 
 SUM_NONNEG = "sum_nonneg"
 MIXED_SIGN = "mixed_sign"
@@ -188,3 +192,9 @@ def holder_product_bound(
         f"no product bound for alpha={alpha}, beta={beta}: "
         "alpha + beta < 0 requires opposite signs"
     )
+
+
+def superlevel(profile: GridFunction, r: float) -> GridPointSet:
+    """Cells where the profile reaches the fraction r of its sup."""
+    corners = profile.grid.cell_lower_corners()[superlevel_masks(profile, (r,))[0]]
+    return GridPointSet(corners, profile.grid.spacing)

@@ -290,22 +290,31 @@ def test_huge_grid_level_exits_2_before_splitting(tmp_path, capsys, command, key
     assert not out.exists()
 
 
-@pytest.mark.parametrize("operands", ["heights", "boxes"])
+@pytest.mark.parametrize("operands", ["heights", "boxes", "line"])
 def test_huge_lambda_count_exits_2_before_the_lam_grid(tmp_path, capsys, operands):
+    command = "sum"
     if operands == "boxes":
         path = tmp_path / "boxes.json"
         path.write_text(json.dumps({"dim": 2, "boxes": [
             {"lo": [0.0, 0.0], "hi": [1.0, 0.5]}, {"lo": [0.5, 0.25], "hi": [1.5, 1.0]}]}))
         path = str(path)
+    elif operands == "line":
+        # one base axis: the surface quotients' exact envelope
+        command, path = "surface", tmp_path / "line.json"
+        path.write_text(json.dumps(StaircaseSet(
+            Grid((0.0,), 0.25, (6,)), np.linspace(0.5, 1.5, 6)).to_json()))
+        path = str(path)
     else:
         path = _write_3x3(tmp_path, operands)
     out = tmp_path / "out.json"
     # 2e9 lam values: 14.9 GiB of lam grid alone
-    assert cli.main(["sum", "--a", path, "--b", path, "--p", "2",
+    assert cli.main([command, "--a", path, "--b", path, "--p", "2",
                      "--lambda-points", "2000000000", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("curvilin: ")
-    assert "up to 2000000001 lam values, budget" in err
+    # a surface quotient's bound also counts its reach lam values
+    lams = "up to 2000000" if command == "surface" else "up to 2000000001 lam values"
+    assert lams in err and "lam values, budget" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -37,8 +37,8 @@ from curvilin.sets import (
     GridPointSet,
     StaircaseSet,
     section_profile,
-    superlevel,
 )
+from scalar_oracles import superlevel
 
 
 def vec(*alphas):

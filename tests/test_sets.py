@@ -32,9 +32,9 @@ from curvilin.sets import (
     normalized_compression,
     section_profile,
     set_from_json,
-    superlevel,
     superlevel_masks,
 )
+from scalar_oracles import superlevel
 
 
 def staircase(heights, spacing=0.25, origin=None):

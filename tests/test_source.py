@@ -98,7 +98,6 @@ EXPORTS = [
     "sum_oracle",
     "sup_convolve",
     "sup_lambda_min_form",
-    "superlevel",
     "surface_area_sets",
     "tent_density",
     "verdict_for",

@@ -17,9 +17,9 @@ from curvilin.sets import (
     IntervalUnion,
     StaircaseSet,
     normalized_compression,
-    superlevel,
     superlevel_masks,
 )
+from scalar_oracles import superlevel
 
 
 # ---------------------------------------------------------------------------
