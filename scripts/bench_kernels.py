@@ -15,8 +15,9 @@ is made once untimed per side, so imports and lazy set-up are done, then
 side that goes first alternating too.  A drift of the host's speed, and
 whatever the earlier cases left behind (heap, caches), so falls on both
 sides alike.  The report gives the median and the quartiles of each
-side's calls in milliseconds.  Inputs come from fixed seeds, so the two
-sides see the same values.
+side's calls in milliseconds, and as ``peak_mib`` the peak allocation
+that ``tracemalloc`` traces in one more untimed call per side.  Inputs
+come from fixed seeds, so the two sides see the same values.
 
 The kernels: the grid sum (a union at p=2 and an intersection at
 p=0.75, on 2-D operands of 10x10 and 20x20 cells and, as
@@ -51,6 +52,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -200,12 +202,23 @@ def _timing(times: list) -> dict:
             "q1_ms": round(float(q1), 4), "q3_ms": round(float(q3), 4)}
 
 
+def _peak_mib(call) -> float:
+    """Peak allocation traced during one ``call()`` (MiB)."""
+    tracemalloc.start()
+    try:
+        call()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 4)
+    finally:
+        tracemalloc.stop()
+
+
 def measure(before: str | None = None) -> dict:
     """Timings of every case on this tree and, if given, on the tree at ``before``.
 
-    Each case: one untimed call per side, then ``CALLS`` rounds of one
-    timed call per side, the first side alternating round by round and
-    case by case.  Returns one side's report, or ``before`` and ``after``.
+    Each case: one untimed call per side, one traced for its peak
+    allocation per side, then ``CALLS`` rounds of one timed call per side,
+    the first side alternating round by round and case by case.  Returns
+    one side's report, or ``before`` and ``after``.
     """
     import curvilin
 
@@ -224,6 +237,7 @@ def measure(before: str | None = None) -> dict:
         times = {side: [] for side in sides}
         for _, call in calls:
             call()
+        peaks = {side: _peak_mib(call) for side, call in calls}
         for j in range(CALLS):
             for side, call in calls if (i + j) % 2 == 0 else calls[::-1]:
                 t0 = time.perf_counter()
@@ -231,7 +245,7 @@ def measure(before: str | None = None) -> dict:
                 times[side].append(1e3 * (time.perf_counter() - t0))
         for side in sides:
             report[side]["kernels"].setdefault(kernel, []).append(
-                {"size": size, **_timing(times[side])})
+                {"size": size, **_timing(times[side]), "peak_mib": peaks[side]})
     return report if before else report["after"]
 
 

@@ -46,6 +46,8 @@ _EDGE_DENOMINATOR_CAP = 1 << 20
 # compress: most base cells per grid, and most cell-box pairs per chunk
 _COMPRESS_CELL_BUDGET = 1 << 22
 _COMPRESS_CHUNK = 1 << 18
+# box_union_volume: cells of covered mask per block of leading-axis slices
+_MASK_BLOCK_CELLS = 1 << 16
 # most cells of a refined grid, 128 MiB of float64 values; the largest
 # refinement of the tests and the default suite at --grid 2 has 784 cells
 _REFINED_CELLS = 1 << 24
@@ -228,46 +230,60 @@ def box_union_volume(u: BoxUnion) -> float:
 
     Edge coordinates are compressed per axis and the axes are ordered by
     edge count, ties in input order, so the longest axis is innermost.
-    Each box marks its covered cell range in an int32 grid with a corner
+    Each box marks its covered cell range in an integer grid with a corner
     delta of alternating sign, and prefix sums run in place on that grid
     recover per-cell cover counts: on each outer axis as adds of
     neighbouring hyperplanes, which read whole contiguous rows, and on
-    the innermost axis as one ``cumsum``.  The volume is then summed in a
-    fixed order: the innermost widths over each row's covered cells (a
-    masked row sum), then the row sums contracted with each outer axis's
-    widths by ``@``, innermost outer axis first.
+    the innermost axis as one ``add.accumulate``.  The volume is then
+    summed in a fixed order: the innermost widths over each row's covered
+    cells (a masked row sum), then the row sums contracted with each outer
+    axis's widths by ``@``, innermost outer axis first.
 
-    Memory is 4 B a cell for the grid (one spare slot per axis takes the
-    hi deltas) and 1 B a cell for the covered mask; beyond that only
-    per-row floats.  The grid is the first and largest allocation, so an
-    input too large for memory fails there, before any work is done.
+    The grid is int8 for m <= 127 kept boxes, int16 for m <= 32,767, else
+    int32: each box adds -1, 0 or +1 to a value at every stage (corner
+    marks, each prefix sum), so all values lie in [-m, m].  Memory is 1, 2
+    or 4 B a cell for the grid (one spare slot per axis takes the hi
+    deltas) plus the covered mask of one block of leading-axis slices,
+    about 2^16 cells (one slice if that is larger).  The grid is the first
+    and largest allocation, so an input too large for memory fails there,
+    before any work is done.
     """
     boxes = u.boxes[(u.boxes[:, 1] > u.boxes[:, 0]).all(axis=1)]
-    if not len(boxes):
+    m, d = len(boxes), u.dim
+    if not m:
         return 0.0
-    d = u.dim
     edges = [_sorted_unique(boxes[:, :, ax]) for ax in range(d)]
     order = sorted(range(d), key=lambda ax: len(edges[ax]))
     edges = [edges[ax] for ax in order]
     # column 0 indexes the lo edge of each box, column 1 the hi edge
     ends = [np.searchsorted(e, boxes[:, :, ax]) for e, ax in zip(edges, order)]
-    delta = np.zeros(tuple(len(e) for e in edges), dtype=np.int32)
+    dt = np.int8 if m <= 127 else np.int16 if m <= 32767 else np.int32
+    delta = np.zeros(tuple(len(e) for e in edges), dtype=dt)
     # bit k of corner c picks the hi end on axis k; odd corners subtract
     bits = np.arange(1 << d)[:, None] >> np.arange(d) & 1
-    sign = np.where(bits.sum(axis=1) % 2, -1, 1).astype(np.int32)
+    sign = np.where(bits.sum(axis=1) % 2, -1, 1).astype(dt)
     # flat indices with one value each: numpy 2.4's add.at misreads values
     # broadcast against a 2-D index on a 1-D target
     idx = tuple(ends[k][:, bits[:, k]].ravel() for k in range(d))
-    np.add.at(delta, idx, np.tile(sign, len(boxes)))
+    np.add.at(delta, idx, np.tile(sign, m))
     for k in range(d - 1):
         planes = np.moveaxis(delta, k, 0)
         # the spare last slot is never read, so its sum is skipped
         for i in range(1, len(edges[k]) - 1):
             np.add(planes[i - 1], planes[i], out=planes[i])
-    np.cumsum(delta, axis=-1, out=delta)
-    covered = delta[tuple(slice(0, len(e) - 1) for e in edges)] > 0
+    # cumsum would upcast a small integer type to int64
+    np.add.accumulate(delta, axis=-1, dtype=dt, out=delta)
     widths = [np.diff(e) for e in edges]
-    vol = np.einsum("...i,i->...", covered, widths[-1])
+    # a view, never reshaped: that would copy the whole grid in 3-D
+    counts = delta[(slice(0, -1),) * d]
+    if d == 1:
+        return float(np.einsum("...i,i->...", counts > 0, widths[0]))
+    # each row's sum is the same in any block, so the volume does not
+    # depend on the block size
+    vol = np.empty(counts.shape[:-1])
+    step = max(1, _MASK_BLOCK_CELLS // math.prod(counts.shape[1:]))
+    for i in range(0, len(vol), step):
+        vol[i:i + step] = np.einsum("...i,i->...", counts[i:i + step] > 0, widths[-1])
     for w in reversed(widths[:-1]):
         vol = vol @ w
     return float(vol)

@@ -51,6 +51,8 @@ def test_a_a_comparison_times_two_packages_in_this_process(monkeypatch):
     for side in ("before", "after"):
         for timings in report[side]["kernels"].values():
             assert all(timing["calls"] == bench.CALLS for timing in timings)
+            # each case allocates its result at least
+            assert all(timing["peak_mib"] > 0 for timing in timings)
     before, after = built
     assert after is curvilin
     assert before.__name__ == bench.BEFORE

@@ -216,30 +216,75 @@ def test_box_union_volume_is_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_box_union_volume_prefix_sums_stay_in_place():
-    # 50 boxes in general position: 99^3, about 10^6 occupancy cells
-    rng = np.random.default_rng(5)
-    lo = rng.uniform(0.0, 1.0, size=(50, 3))
-    hi = lo + rng.uniform(0.05, 0.5, size=(50, 3))
-    u = BoxUnion(3, tuple((tuple(l), tuple(h)) for l, h in zip(lo, hi)))
-    edges = [np.unique(np.concatenate([lo[:, ax], hi[:, ax]])).size for ax in range(3)]
-    cells = math.prod(e - 1 for e in edges)
-    assert cells > 900_000
+def _traced_peak(u: BoxUnion) -> int:
+    """Peak bytes traced by one ``box_union_volume(u)`` call."""
     # a first call does any lazy set-up outside the measured peak
-    box_union_volume(BoxUnion(3, (((0.0,) * 3, (1.0,) * 3),)))
+    box_union_volume(BoxUnion(u.dim, (((0.0,) * u.dim, (1.0,) * u.dim),)))
     tracemalloc.start()
     try:
-        got = box_union_volume(u)
-        peak = tracemalloc.get_traced_memory()[1]
+        box_union_volume(u)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int32 delta grid (one spare slot per axis), one bool mask per
-    # cell, and per-row floats (the masked row sums and their contraction)
-    # plus a fixed allowance for numpy's cast buffers; any further array
-    # per cell, even a 1 B one, overshoots this
+
+
+def _grid_and_one_block(u: BoxUnion) -> tuple[int, int]:
+    """(cells, the bytes the kernel may hold at once) of a general-position union.
+
+    The count grid at its width (one spare slot per axis), one block of
+    covered mask, the per-row floats (the masked row sums and their
+    contraction), and a fixed allowance for numpy's cast buffers and the
+    per-box index arrays.  Any further array per cell, even a 1 B one,
+    overshoots this.
+    """
+    m = len(u.boxes)
+    itemsize = 1 if m <= 127 else 2 if m <= 32767 else 4
+    edges = [np.unique(u.boxes[:, :, ax]).size for ax in range(u.dim)]
+    cells = math.prod(e - 1 for e in edges)
     rows = cells // (max(edges) - 1)
-    assert peak < 4 * math.prod(edges) + cells + 16 * rows + (1 << 18)
-    assert got == _box_union_volume_loop(u)
+    return cells, itemsize * math.prod(edges) + sets._MASK_BLOCK_CELLS + 16 * rows + (1 << 18)
+
+
+def _general_position(m: int, dim: int, seed: int) -> BoxUnion:
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 1.0, size=(m, dim))
+    return BoxUnion(dim, np.stack([lo, lo + rng.uniform(0.05, 0.5, size=(m, dim))], axis=1))
+
+
+def test_box_union_volume_prefix_sums_stay_in_place():
+    # 50 boxes in general position: 99^3, about 10^6 occupancy cells in an
+    # int8 grid; the prefix sums make no copy of it
+    u = _general_position(50, 3, 5)
+    cells, bound = _grid_and_one_block(u)
+    assert cells > 900_000
+    assert _traced_peak(u) < bound
+    assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+def test_box_union_volume_holds_one_count_grid_and_one_mask_block():
+    # 300 boxes in general position: 599^2 cells in an int16 grid; the
+    # covered mask is built one row block at a time, never per cell
+    u = _general_position(300, 2, 6)
+    cells, bound = _grid_and_one_block(u)
+    # the int32 grid and whole-grid mask of 5 B a cell would not fit
+    assert bound < 5 * cells
+    assert _traced_peak(u) < bound
+    assert box_union_volume(u) == _box_union_volume_loop(u)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [127, 128, 32767, 32768])
+def test_box_union_volume_counts_to_m_at_every_grid_width(dim, m):
+    # m copies of one box cover its one cell m times, the most a count of m
+    # boxes reaches: the top of int8 (127), of int16 (32,767), and one past
+    # each, where the grid widens.  A count that wrapped would read the
+    # cell as uncovered.  The copies' union is the box itself, so the loop
+    # oracle runs on one copy: on 32,768 it would take seconds.
+    box = ((0.25,) * dim, tuple(0.5 + 0.25 * k for k in range(dim)))
+    u = BoxUnion(dim, np.broadcast_to(np.array(box), (m, 2, dim)))
+    want = _box_union_volume_loop(BoxUnion(dim, (box,)))
+    assert want == math.prod(0.25 * (k + 1) for k in range(dim))
+    assert box_union_volume(u) == want
 
 
 def test_box_union_validation():
