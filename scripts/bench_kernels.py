@@ -37,6 +37,15 @@ call, because each fresh ``curvilin verify`` process starts with it empty.
 The spot check is timed on the Lebesgue and the tent density of the
 suite's 48x48 density grid.
 
+Beside the warm in-process calls, the script times ``cli`` cases: one
+``curvilin`` command per fresh interpreter, as a user runs it, which shows
+what a process pays once (the allocator's state, first-use set-up) and an
+in-process call cannot.  The child imports the tree it is given, times its
+own ``cli.main`` call and reports the exact ``ru_minflt`` delta around it
+as ``minflt``; the two trees take turns process by process.  The cases:
+``surface`` at p=2 on 14- and 28-cell staircases, and ``sum`` at p=2 on
+10x10 and 20x20 staircases and on the two 8-box unions at 16 lam.
+
 Beside the kernels, a fixed numpy workload (sort then cumsum of seeded
 floats, at two lengths) is timed as ``reference``.  Host speed moves every
 timing between two reports; a kernel's time divided by the reference's
@@ -50,7 +59,9 @@ import importlib.util
 import json
 import os
 import platform
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -58,7 +69,82 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLS = 21
+CLI_CALLS = 11
 BEFORE = "curvilin_before"
+# a fresh-process case's child: import the tree at argv[1], then time one
+# cli.main call on argv[2:] and count the page faults it takes
+CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from curvilin import cli
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+t0 = time.perf_counter()
+status = cli.main(sys.argv[2:])
+ms = 1e3 * (time.perf_counter() - t0)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({"file": cli.__file__, "status": status, "ms": ms, "minflt": faults}))
+"""
+
+
+def _box_operands(box_union) -> list:
+    """The two seeded 8-box unions in 2-D of the box-sum cases."""
+    rng = np.random.default_rng(8)
+    operands = []
+    for _ in range(2):
+        lo = rng.uniform(0.0, 1.5, (8, 2))
+        hi = lo + rng.uniform(0.25, 1.0, (8, 2))
+        operands.append(box_union(2, np.stack([lo, hi], axis=1)))
+    return operands
+
+
+def _cli_cases(pkg, workdir: str) -> list:
+    """(command, size, argv) of every fresh-process case; operands go to ``workdir``."""
+    sets = pkg.sets
+
+    def write(name, obj):
+        path = os.path.join(workdir, name + ".json")
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(obj.to_json(), fh)
+        return path
+
+    def stairs(n, dim):
+        rng = np.random.default_rng(n)
+        grid = sets.Grid((0.0,) * dim, 0.25, (n,) * dim)
+        return [write(f"stair{n}_{dim}d_{tag}", sets.StaircaseSet(
+            grid, rng.uniform(0.2, 2.0, (n,) * dim))) for tag in "ab"]
+
+    out = os.path.join(workdir, "out.json")
+    cases = []
+    for n in (14, 28):
+        a, b = stairs(n, 1)
+        cases.append(("cli_surface", f"1-D staircases of {n} cells, p=2",
+                      ["surface", "--a", a, "--b", b, "--p", "2", "--out", out]))
+    for n in (10, 20):
+        a, b = stairs(n, 2)
+        cases.append(("cli_sum", f"2-D staircases {n}x{n}, p=2",
+                      ["sum", "--a", a, "--b", b, "--p", "2", "--out", out]))
+    a, b = (write(f"boxes8_{tag}", u) for tag, u in zip("ab", _box_operands(sets.BoxUnion)))
+    cases.append(("cli_sum", "two 8-box unions in 2-D, p=2, 16 lam",
+                  ["sum", "--a", a, "--b", b, "--p", "2", "--lambda-points", "16",
+                   "--out", out]))
+    return cases
+
+
+def _cli_call(src: str, argv: list) -> dict:
+    """One ``curvilin`` command in a fresh interpreter on the tree at ``src``.
+
+    Returns the child's ``ms`` and ``minflt`` around its ``cli.main`` call.
+    """
+    proc = subprocess.run([sys.executable, "-c", CHILD, src, *argv],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{argv[0]} on {src}: exit {proc.returncode}: {proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not os.path.realpath(result["file"]).startswith(os.path.realpath(src) + os.sep):
+        raise SystemExit(f"{argv[0]}: curvilin imported from {result['file']}, not {src}")
+    if result["status"] != 0:
+        raise SystemExit(f"{argv[0]} on {src}: status {result['status']}")
+    return result
 
 
 def _cases(pkg):
@@ -112,13 +198,7 @@ def _cases(pkg):
                       lambda a=a, eb=eb, s=s: curvsum.staircase_sum_volume_exact(a, eb, s)))
     # the image union of a 2-D box sum: two 8-box unions at p=2, 16 lam,
     # 1,088 boxes with distinct edges, about 4.7 M occupancy cells
-    rng = np.random.default_rng(8)
-    operands = []
-    for _ in range(2):
-        lo = rng.uniform(0.0, 1.5, (8, 2))
-        hi = lo + rng.uniform(0.25, 1.0, (8, 2))
-        operands.append(sets.BoxUnion(2, np.stack([lo, hi], axis=1)))
-    u = curvsum.curvilinear_sum_boxes(*operands, spec(2, 16))
+    u = curvsum.curvilinear_sum_boxes(*_box_operands(sets.BoxUnion), spec(2, 16))
     cases.append(("box_union_volume", f"{len(u.boxes)} boxes in 2-D, the image union "
                   "of two 8-box unions at p=2, 16 lam", lambda u=u: sets.box_union_volume(u)))
     for m in (50, 100):
@@ -202,6 +282,11 @@ def _timing(times: list) -> dict:
             "q1_ms": round(float(q1), 4), "q3_ms": round(float(q3), 4)}
 
 
+def _spread(counts: list) -> dict:
+    """Median, least and most of ``counts``."""
+    return {"median": int(np.median(counts)), "min": min(counts), "max": max(counts)}
+
+
 def _peak_mib(call) -> float:
     """Peak allocation traced during one ``call()`` (MiB)."""
     tracemalloc.start()
@@ -217,8 +302,10 @@ def measure(before: str | None = None) -> dict:
 
     Each case: one untimed call per side, one traced for its peak
     allocation per side, then ``CALLS`` rounds of one timed call per side,
-    the first side alternating round by round and case by case.  Returns
-    one side's report, or ``before`` and ``after``.
+    the first side alternating round by round and case by case.  Each
+    fresh-process case: ``CLI_CALLS`` rounds of one process per side,
+    alternating the same way.  Returns one side's report, or ``before``
+    and ``after``.
     """
     import curvilin
 
@@ -246,6 +333,20 @@ def measure(before: str | None = None) -> dict:
         for side in sides:
             report[side]["kernels"].setdefault(kernel, []).append(
                 {"size": size, **_timing(times[side]), "peak_mib": peaks[side]})
+    srcs = {"after": os.path.join(ROOT, "src")}
+    if before:
+        srcs = {"before": os.path.join(os.path.abspath(before), "src"), **srcs}
+    with tempfile.TemporaryDirectory() as workdir:
+        for i, (command, size, argv) in enumerate(_cli_cases(curvilin, workdir)):
+            runs = {side: [] for side in srcs}
+            order = list(srcs.items())
+            for j in range(CLI_CALLS):
+                for side, src in order if (i + j) % 2 == 0 else order[::-1]:
+                    runs[side].append(_cli_call(src, argv))
+            for side in srcs:
+                report[side].setdefault("cli", {}).setdefault(command, []).append(
+                    {"size": size, **_timing([r["ms"] for r in runs[side]]),
+                     "minflt": _spread([r["minflt"] for r in runs[side]])})
     return report if before else report["after"]
 
 

@@ -31,7 +31,7 @@ from .curvsum import (
     staircase_sum_volume_exact,
     sum_oracle,
 )
-from .errors import CurvilinError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .funcs import sup_convolve
 from .means import PowerVector, mean_alpha, sup_lambda_min_form
 from .measures import (
@@ -965,8 +965,8 @@ _CHECKS = {
                            _pairs(STAIRCASES, 1, 4, cells=5, zero_frac=0.0), 16),
 }
 CHECK_IDS = tuple(_CHECKS)
-# run_check and shrink call checks through this dict, so a wrapper
-# installed over one of its values sees every check run
+# run_check calls checks through this dict, so a wrapper installed over
+# one of its values sees every check run
 _CHECK_FNS = {cid: row[0] for cid, row in _CHECKS.items()}
 
 
@@ -1019,82 +1019,6 @@ def run_check_refined(check_id: str, seed: int, index: int,
         level += 1
         report = run_check(check_id, seed, index, level, lambda_points)
     return report
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-
-
-def _mutants(obj):
-    if isinstance(obj, (StaircaseSet, GridFunction)):
-        vals = obj.heights if isinstance(obj, StaircaseSet) else obj.values
-        idx = np.argwhere(vals > 0.0)
-        if idx.shape[0] > 1:
-            for cell in idx:
-                v2 = vals.copy()
-                v2[tuple(cell)] = 0.0
-                yield type(obj)(obj.grid, v2)
-        yield type(obj)(obj.grid, vals / 2.0)
-    elif isinstance(obj, BoxUnion):
-        if len(obj.boxes) > 1:
-            for i in range(len(obj.boxes)):
-                yield BoxUnion(obj.dim, np.delete(obj.boxes, i, axis=0))
-    elif isinstance(obj, IntervalUnion):
-        if len(obj.intervals) > 1:
-            for i in range(len(obj.intervals)):
-                yield IntervalUnion(obj.intervals[:i] + obj.intervals[i + 1:])
-
-
-def _instance_size(instance) -> int:
-    total = 0
-    for obj in instance:
-        if isinstance(obj, StaircaseSet):
-            total += int(np.count_nonzero(obj.heights))
-        elif isinstance(obj, GridFunction):
-            total += int(np.count_nonzero(obj.values))
-        elif isinstance(obj, BoxUnion):
-            total += len(obj.boxes)
-        elif isinstance(obj, IntervalUnion):
-            total += len(obj.intervals)
-    return total
-
-
-def shrink(report: InequalityReport) -> InequalityReport:
-    """Greedy reduction of a failing instance, preserving the failure.
-
-    Support cells, boxes, or intervals are dropped one at a time, then
-    values halved; a candidate is kept only while the check still fails.
-    Pass and refine reports come back unchanged.
-    """
-    if report.verdict != FAIL:
-        return report
-    check_id = report.check_id
-    instance, params = _setup(
-        check_id, int(report.params["seed"]), int(report.params["index"]),
-        report.params.get("level", 0), report.params.get("lambda_points"),
-    )
-    fn = _CHECK_FNS[check_id]
-    current = list(instance)
-    best = report
-    changed = True
-    while changed:
-        changed = False
-        for slot in range(len(current)):
-            for cand in _mutants(current[slot]):
-                trial = list(current)
-                trial[slot] = cand
-                try:
-                    rep = fn(tuple(trial), dict(params))
-                except CurvilinError:
-                    continue
-                if rep.verdict == FAIL:
-                    current, best, changed = trial, rep, True
-                    break
-            if changed:
-                break
-    final = dict(best.params)
-    final["shrunk_size"] = _instance_size(tuple(current))
-    return replace(best, params=final)
 
 
 # ---------------------------------------------------------------------------

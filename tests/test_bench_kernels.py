@@ -42,6 +42,10 @@ def test_a_a_comparison_times_two_packages_in_this_process(monkeypatch):
         return [case for case in all_cases(pkg) if case[0] in FEW]
 
     monkeypatch.setattr(bench, "_cases", few)
+    # one fresh-process case, the 14-cell surface command
+    monkeypatch.setattr(bench, "CLI_CALLS", 1)
+    all_cli_cases = bench._cli_cases
+    monkeypatch.setattr(bench, "_cli_cases", lambda pkg, workdir: all_cli_cases(pkg, workdir)[:1])
     modules = _loaded()
     report = bench.measure(before=bench.ROOT)
     listed = {side: [(kernel, timing["size"]) for kernel, timings in rep["kernels"].items()
@@ -53,6 +57,11 @@ def test_a_a_comparison_times_two_packages_in_this_process(monkeypatch):
             assert all(timing["calls"] == bench.CALLS for timing in timings)
             # each case allocates its result at least
             assert all(timing["peak_mib"] > 0 for timing in timings)
+        (surface,) = report[side]["cli"]["cli_surface"]
+        assert surface["size"] == "1-D staircases of 14 cells, p=2"
+        assert surface["calls"] == 1 and surface["median_ms"] > 0
+        # every process faults in at least the pages its command touches
+        assert surface["minflt"]["min"] > 0
     before, after = built
     assert after is curvilin
     assert before.__name__ == bench.BEFORE

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from argparse import Namespace
@@ -612,3 +613,25 @@ def test_surface_call_leaves_numpy_ma_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is glibc's mallopt")
+def test_surface_call_does_not_refault_its_arrays(tmp_path):
+    # at glibc's starting 128 KiB thresholds each short-lived array above
+    # that is mapped or trimmed, then faulted in afresh: about 6.8k-8.3k
+    # faults around this call, and about 0.9k-1.2k under cli.main's policy
+    code = ("import resource\n"
+            "from curvilin import cli\n"
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"assert cli.main({_surface_argv(tmp_path)!r}) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 3000

@@ -93,7 +93,6 @@ EXPORTS = [
     "scalar_dilate",
     "section_profile",
     "set_from_json",
-    "shrink",
     "staircase_sum_volume_exact",
     "sum_oracle",
     "sup_convolve",

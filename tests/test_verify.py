@@ -1,15 +1,16 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from curvilin import BudgetError, DomainError, PowerVector, RangeError
+from curvilin import BudgetError, CurvilinError, DomainError, PowerVector, RangeError
 from curvilin import curvsum, measures, verify
 from curvilin.curvsum import SumSpec, lp_minkowski_sum_base, staircase_sum_volume_exact
 from curvilin.means import mean_alpha
 from curvilin.measures import SurfaceEstimate
-from curvilin.reports import FAIL, PASS, REFINE
+from curvilin.reports import FAIL, PASS, REFINE, InequalityReport
 from curvilin.sets import (
     BoxUnion,
     Grid,
@@ -19,6 +20,7 @@ from curvilin.sets import (
     normalized_compression,
     superlevel_masks,
 )
+from curvilin.verify import _CHECK_FNS, _setup
 from scalar_oracles import superlevel
 
 
@@ -293,13 +295,86 @@ def test_negative_exponent_mean_sum_outgrows_scaled_volume():
 
 
 # ---------------------------------------------------------------------------
-# shrinking
+# shrinking: a greedy reducer of failing instances, kept with its tests
+# because no command runs it
+
+
+def _mutants(obj):
+    if isinstance(obj, (StaircaseSet, GridFunction)):
+        vals = obj.heights if isinstance(obj, StaircaseSet) else obj.values
+        idx = np.argwhere(vals > 0.0)
+        if idx.shape[0] > 1:
+            for cell in idx:
+                v2 = vals.copy()
+                v2[tuple(cell)] = 0.0
+                yield type(obj)(obj.grid, v2)
+        yield type(obj)(obj.grid, vals / 2.0)
+    elif isinstance(obj, BoxUnion):
+        if len(obj.boxes) > 1:
+            for i in range(len(obj.boxes)):
+                yield BoxUnion(obj.dim, np.delete(obj.boxes, i, axis=0))
+    elif isinstance(obj, IntervalUnion):
+        if len(obj.intervals) > 1:
+            for i in range(len(obj.intervals)):
+                yield IntervalUnion(obj.intervals[:i] + obj.intervals[i + 1:])
+
+
+def _instance_size(instance) -> int:
+    total = 0
+    for obj in instance:
+        if isinstance(obj, StaircaseSet):
+            total += int(np.count_nonzero(obj.heights))
+        elif isinstance(obj, GridFunction):
+            total += int(np.count_nonzero(obj.values))
+        elif isinstance(obj, BoxUnion):
+            total += len(obj.boxes)
+        elif isinstance(obj, IntervalUnion):
+            total += len(obj.intervals)
+    return total
+
+
+def shrink(report: InequalityReport) -> InequalityReport:
+    """Greedy reduction of a failing instance, preserving the failure.
+
+    Support cells, boxes, or intervals are dropped one at a time, then
+    values halved; a candidate is kept only while the check still fails.
+    Pass and refine reports come back unchanged.
+    """
+    if report.verdict != FAIL:
+        return report
+    check_id = report.check_id
+    instance, params = _setup(
+        check_id, int(report.params["seed"]), int(report.params["index"]),
+        report.params.get("level", 0), report.params.get("lambda_points"),
+    )
+    fn = _CHECK_FNS[check_id]
+    current = list(instance)
+    best = report
+    changed = True
+    while changed:
+        changed = False
+        for slot in range(len(current)):
+            for cand in _mutants(current[slot]):
+                trial = list(current)
+                trial[slot] = cand
+                try:
+                    rep = fn(tuple(trial), dict(params))
+                except CurvilinError:
+                    continue
+                if rep.verdict == FAIL:
+                    current, best, changed = trial, rep, True
+                    break
+            if changed:
+                break
+    final = dict(best.params)
+    final["shrunk_size"] = _instance_size(tuple(current))
+    return replace(best, params=final)
 
 
 def test_shrink_returns_passing_reports_unchanged():
     rep = verify.run_check("bm_curvilinear", seed=7, index=1)
     assert rep.verdict == PASS
-    assert verify.shrink(rep) is rep
+    assert shrink(rep) is rep
 
 
 def test_shrink_reduces_injected_failure_to_two_pieces(monkeypatch):
@@ -311,7 +386,7 @@ def test_shrink_reduces_injected_failure_to_two_pieces(monkeypatch):
     monkeypatch.setattr(verify, "mean_alpha", fat_mean)
     rep = verify.run_check_refined("lemma_1d", seed=7, index=0)
     assert rep.verdict == FAIL
-    small = verify.shrink(rep)
+    small = shrink(rep)
     assert small.verdict == FAIL
     assert small.params["shrunk_size"] <= 2
 
@@ -323,7 +398,7 @@ def test_shrink_preserves_failure_on_cell_instances(monkeypatch):
     monkeypatch.setattr(verify, "mean_alpha", fat_mean)
     rep = verify.run_check_refined("bm_curvilinear", seed=7, index=0)
     assert rep.verdict == FAIL
-    small = verify.shrink(rep)
+    small = shrink(rep)
     assert small.verdict == FAIL
     assert small.params["shrunk_size"] <= 6
 
@@ -331,7 +406,7 @@ def test_shrink_preserves_failure_on_cell_instances(monkeypatch):
 def test_box_union_mutants_drop_one_box_each():
     u = BoxUnion(2, [((0, 0), (1, 1)), ((1, 0), (2, 1)), ((0, 1), (1, 3))])
     rows = u.boxes.tolist()
-    assert [m.boxes.tolist() for m in verify._mutants(u)] == [
+    assert [m.boxes.tolist() for m in _mutants(u)] == [
         rows[:i] + rows[i + 1:] for i in range(len(rows))]
 
 
