@@ -554,6 +554,8 @@ _CSV_DIGESTS = {
     "sum_stair1": "cd84db55f5e63987a9bd108c6cb61eb03ccc23daa05555f8853bf211771be1d6",
     "sum_stair2": "e7f69e274473965470839516c3dfa900afd934b8b9bb8ac89215c8f02859fa0b",
     "sum_intervals": "0f3cc591867d3243e4b1678464c2d63a5d4aee1ff3bb58e72a20933ff0fb0cb5",
+    "sum_intervals6": "ce18479f49b3561694f3f42ba57cdb9dacf52ee25b958db413f07c18513ee9e1",
+    "sum_intervals6_p3": "308694b8b7c44c83ec7260199fe19a7b1b69acbc737577968cdd6d16fe131d02",
     "sum_boxes": "3873aaf1f3c1a0c5f394d1ab0aed9e8f7c1992d3da453bb9cfa0aa2e584ea6b8",
     "conv": "4f357571d2daedc0e875abfdfa3e69f7a1b6e8427c9c02f579236995acf0a3d4",
     "compress": "923905ad2d6633bf0566683f4c510f406f49ccca9019ec9ffe1703519bd70807",
@@ -565,11 +567,20 @@ def _csv_argv(tmp_path, case):
     paths = write_inputs(tmp_path)
     rng = np.random.default_rng(12)
     grid = Grid((0.0, 0.0), 0.25, (3, 3))
+
+    def short_intervals():
+        lo = np.sort(rng.uniform(0.0, 40.0, 6))
+        return IntervalUnion(np.stack([lo, lo + rng.uniform(0.01, 0.2, 6)], axis=1))
+
     for tag, obj in (
             ("iv_a", IntervalUnion(((0.0, 0.1), (3.0, 3.2)))),
             ("iv_b", IntervalUnion(((0.0, 0.1), (5.0, 5.1)))),
             ("sq_a", StaircaseSet(grid, rng.uniform(0.2, 2.0, (3, 3)))),
-            ("sq_b", StaircaseSet(grid, rng.uniform(0.2, 2.0, (3, 3))))):
+            ("sq_b", StaircaseSet(grid, rng.uniform(0.2, 2.0, (3, 3)))),
+            # 6 intervals each, as in the benchmark's operators, but short
+            # and spread out, so that the sum has some 30 separate pieces
+            ("iv6_a", short_intervals()),
+            ("iv6_b", short_intervals())):
         paths[tag] = str(tmp_path / f"{tag}.json")
         Path(paths[tag]).write_text(json.dumps(obj.to_json()))
     pair = {"sum_stair1": ("a", "b"), "sum_stair2": ("sq_a", "sq_b"),
@@ -578,6 +589,12 @@ def _csv_argv(tmp_path, case):
         a, b = pair[case]
         return ["sum", "--a", paths[a], "--b", paths[b], "--p", "2",
                 "--lambda-points", "16"]
+    if case == "sum_intervals6":
+        return ["sum", "--a", paths["iv6_a"], "--b", paths["iv6_b"], "--p", "2",
+                "--lambda-points", "64"]
+    if case == "sum_intervals6_p3":
+        return ["sum", "--a", paths["iv6_a"], "--b", paths["iv6_b"], "--p", "3",
+                "--alphas=-0.5", "--lambda-points", "64"]
     if case == "conv":
         return ["conv", "--a", paths["f"], "--b", paths["g"], "--p", "2"]
     if case == "compress":
