@@ -211,7 +211,7 @@ def _cases(pkg):
         u = stair(np.random.default_rng(n), n, 2).boxes()
         cases.append(("compress", f"{n * n} boxes of a {n}x{n} staircase",
                       lambda u=u: sets.compress(u, 0.25)))
-    for m in (6, 12):
+    for m in (6, 12, 24):
         rng = np.random.default_rng(m)
         k, l = (sets.IntervalUnion(np.sort(rng.uniform(0.0, 4.0, 2 * m)).reshape(m, 2))
                 for _ in range(2))

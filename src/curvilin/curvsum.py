@@ -62,6 +62,7 @@ from .sets import (
     GridPointSet,
     IntervalUnion,
     StaircaseSet,
+    _merged,
     _sorted_unique,
     normalize,
 )
@@ -88,9 +89,7 @@ _LAM_BLOCK = 1 << 16
 _RUN_ELEMENT = 0.75
 _RUN_TABLE_ENTRY = 1.0
 _RUN_FIXED = 9_000
-# most (interval pair, lam) pieces of a 1-D sum, and most bytes of the
-# exact envelope's working set
-_INTERVAL_PIECES = 1 << 20
+# most bytes of the exact envelope's working set
 _REGION_BUDGET = 1 << 30
 # envelope bytes charged per rectangle: a 24 B row of ends and height and
 # a 128 B working set, the peak of the former flat-row envelope.  The
@@ -98,13 +97,13 @@ _REGION_BUDGET = 1 << 30
 # the charge stays at 152 B so that the refusal threshold does not move
 _RECT_BYTES = 24 + 128
 # most lam values of a grid, box or envelope sum (``_check_lams``), and
-# most (box pair, lam) images of a box sum.  Both are checked before any
-# lam is built.  The lam grid and the (C, D) list hold 138 B a lam (170 B at
-# their tracemalloc peak).  A grid sum's other buffers are chunked by
-# ``_PAIR_CHUNK`` and ``_LAM_BLOCK``, so its pair count is not limited; a
-# box sum keeps every image, 16 B per axis.  The largest box sum of the
-# tests, CI, perfbench and the default suite at --grid 2 has 9 x 6 boxes
-# at up to 68 lam values
+# most (piece pair, lam) images of a box or interval sum (``_check_images``).
+# Both are checked before any lam is built.  The lam grid and the (C, D)
+# list hold 138 B a lam (170 B at their tracemalloc peak).  A grid sum's
+# other buffers are chunked by ``_PAIR_CHUNK`` and ``_LAM_BLOCK``, so its
+# pair count is not limited; a box or interval sum keeps every image, 16 B
+# per axis.  The largest box sum of the tests, CI, perfbench and the
+# default suite at --grid 2 has 9 x 6 boxes at up to 68 lam values
 _SUM_LAMS = 1 << 20
 _BOX_IMAGES = 1 << 22
 
@@ -371,12 +370,10 @@ def _lam_bound(spec: SumSpec, maximizers: int = 0) -> int:
     return spec.lambda_points + len(spec.extra_lambdas) + (1 + maximizers) * _injects(spec)
 
 
-def _check_lams(spec: SumSpec) -> int:
-    """``_lam_bound(spec)``; BudgetError above ``_SUM_LAMS``, before any lam is built."""
-    lam_count = _lam_bound(spec)
-    if lam_count > _SUM_LAMS:
+def _check_lams(spec: SumSpec) -> None:
+    """BudgetError above ``_SUM_LAMS`` lam values, before any lam is built."""
+    if (lam_count := _lam_bound(spec)) > _SUM_LAMS:
         raise BudgetError(f"up to {lam_count} lam values, budget {_SUM_LAMS}")
-    return lam_count
 
 
 def _coefficients(p: float, t: float | None, form: str, lam):
@@ -794,56 +791,28 @@ def curvilinear_sum_grid(
 
 
 # ---------------------------------------------------------------------------
-# exact one-dimensional path
+# exact box and interval paths
 
 
-def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> IntervalUnion:
-    """Exact curvilinear sum of interval unions on the half line.
-
-    Per (lam, interval pair) the image of [a,b] x [c,d] under the
-    combined mean is the interval [m(a,c), m(b,d)] (monotone continuous
-    map); the result is the normalized union over the lam evaluation set,
-    including the closed-form maximizers for the volume pair, each length
-    pair, and each right-endpoint pair.  At p = 1 one lam is evaluated.
-    Pairs times the largest lam count that set can have is bounded by
-    ``_INTERVAL_PIECES``; beyond it BudgetError is raised before the pair
-    list is built.
-    """
-    if spec.alphas.n != 0:
-        raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
-    if spec.mode != CURVILINEAR:
-        raise RegimeError("interval path supports curvilinear mode only")
-    if spec.p < 1.0:
-        raise RegimeError("interval path supports p >= 1 only")
-    alpha = spec.alphas.last
-    ka = normalize(k).intervals
-    la = normalize(l).intervals
-    if not ka or not la:
-        raise DegenerateInputError("summand has empty support")
-    m = len(ka) * len(la)
-    lam_count = _lam_bound(spec, 2 * m)
-    if m * lam_count > _INTERVAL_PIECES:
-        raise BudgetError(
-            f"{len(ka)} x {len(la)} intervals at up to {lam_count} lam values "
-            f"give {m * lam_count} pieces, budget {_INTERVAL_PIECES}"
-        )
-
-    pairs = [q for a, b in ka for c, d in la for q in ((b - a, d - c), (b, d))]
-    lam_arr = _lambda_values(spec, k, l, pairs)
-    c_arr, d_arr = spec.coefficients(lam_arr)
-
-    pieces = []
-    for a, b in ka:
-        for c, d in la:
-            # max/min powers ignore the lam coefficients; force lam shape
-            lo = np.broadcast_to(combine(a, c, c_arr, d_arr, alpha), lam_arr.shape)
-            hi = np.broadcast_to(combine(b, d, c_arr, d_arr, alpha), lam_arr.shape)
-            pieces.extend(zip(lo.tolist(), hi.tolist()))
-    return normalize(IntervalUnion(tuple(pieces)))
+def _check_images(kind: str, na: int, nb: int, spec: SumSpec, maximizers: int = 0) -> None:
+    """``_check_lams``, then BudgetError if na x nb pieces give over ``_BOX_IMAGES`` images."""
+    _check_lams(spec)
+    images = na * nb * _lam_bound(spec, maximizers)
+    if images > _BOX_IMAGES:
+        raise BudgetError(f"{na} x {nb} {kind} give up to {images} images, budget {_BOX_IMAGES}")
 
 
-# ---------------------------------------------------------------------------
-# exact box path
+def _images(a: np.ndarray, b: np.ndarray, spec: SumSpec, lam_arr: np.ndarray) -> np.ndarray:
+    """Image box of every (a box, b box, lam), in that row order; a, b are (m, 2, dim)."""
+    c, d = spec.coefficients(lam_arr)
+    dim = a.shape[2]
+    # axes (box_a, box_b, lam, lo/hi, coordinate)
+    ab, bb = a[:, None, None], b[None, :, None]
+    img = np.empty((len(a), len(b), lam_arr.size, 2, dim))
+    for ax in range(dim):
+        img[..., ax] = combine(ab[..., ax], bb[..., ax], c[:, None], d[:, None],
+                               spec.alphas.alphas[ax])
+    return img.reshape(-1, 2, dim)
 
 
 def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
@@ -860,22 +829,40 @@ def curvilinear_sum_boxes(a: BoxUnion, b: BoxUnion, spec: SumSpec) -> BoxUnion:
         raise RegimeError("box path supports p >= 1 only")
     if a.dim != b.dim or a.dim != spec.alphas.n + 1:
         raise DomainError("box dimensions do not match the power vector")
-    dim = a.dim
-    alphas = spec.alphas.alphas
-    images = len(a.boxes) * len(b.boxes) * _check_lams(spec)
-    if images > _BOX_IMAGES:
-        raise BudgetError(f"{len(a.boxes)} x {len(b.boxes)} boxes give up to {images} "
-                          f"images, budget {_BOX_IMAGES}")
-    lam_arr = _lambda_values(spec, a, b)
-    c, d = spec.coefficients(lam_arr)
-    # axes (box_a, box_b, lam, lo/hi, coordinate); rows come out in that order
-    ab = a.boxes[:, None, None]
-    bb = b.boxes[None, :, None]
-    img = np.empty((len(a.boxes), len(b.boxes), lam_arr.size, 2, dim))
-    for ax in range(dim):
-        img[..., ax] = combine(ab[..., ax], bb[..., ax], c[:, None], d[:, None], alphas[ax])
-    img = img.reshape(-1, 2, dim)
-    return BoxUnion(dim, img[(img[:, 1] > img[:, 0]).all(axis=1)])
+    _check_images("boxes", len(a.boxes), len(b.boxes), spec)
+    img = _images(a.boxes, b.boxes, spec, _lambda_values(spec, a, b))
+    return BoxUnion(a.dim, img[(img[:, 1] > img[:, 0]).all(axis=1)])
+
+
+def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> IntervalUnion:
+    """Exact curvilinear sum of interval unions on the half line.
+
+    Per (lam, interval pair) the image of [a,b] x [c,d] under the
+    combined mean is the interval [m(a,c), m(b,d)] (monotone continuous
+    map); the result is the normalized union over the lam evaluation set,
+    including the closed-form maximizers for the volume pair, each length
+    pair, and each right-endpoint pair.  At p = 1 one lam is evaluated.
+    The images are the box path's, counted before the pair list is built.
+    """
+    if spec.alphas.n != 0:
+        raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
+    if spec.mode != CURVILINEAR:
+        raise RegimeError("interval path supports curvilinear mode only")
+    if spec.p < 1.0:
+        raise RegimeError("interval path supports p >= 1 only")
+    ka, la = (np.array(normalize(u).intervals) for u in (k, l))
+    if not ka.size or not la.size:
+        raise DegenerateInputError("summand has empty support")
+    _check_images("intervals", len(ka), len(la), spec, 2 * len(ka) * len(la))
+    # per interval pair its (length, length) and (right end, right end)
+    qk, ql = (np.stack([u[:, 1] - u[:, 0], u[:, 1]], axis=1) for u in (ka, la))
+    pairs = np.stack(np.broadcast_arrays(qk[:, None], ql[None]), axis=-1).reshape(-1, 2)
+    lam_arr = _lambda_values(spec, k, l, pairs.tolist())
+    img = _images(ka[:, :, None], la[:, :, None], spec, lam_arr)
+    lo, hi = img[:, 0, 0], img[:, 1, 0]
+    if not ((0 <= lo) & (lo <= hi) & (hi < _INF)).all():
+        IntervalUnion(tuple(zip(lo.tolist(), hi.tolist())))  # refuses an overflowed image
+    return _merged(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -159,15 +159,24 @@ class IntervalUnion:
 
 def normalize(u: IntervalUnion) -> IntervalUnion:
     """Canonical form: sorted, disjoint, zero-length pieces dropped."""
-    ivs = sorted((a, b) for a, b in u.intervals if b > a)
-    merged: list[tuple[float, float]] = []
-    for a, b in ivs:
-        if merged and a <= merged[-1][1]:
-            prev_a, prev_b = merged[-1]
-            merged[-1] = (prev_a, max(prev_b, b))
-        else:
-            merged.append((a, b))
-    return IntervalUnion(tuple(merged))
+    return _merged(*np.array(u.intervals, dtype=float).reshape(-1, 2).T)
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
+    """``normalize`` of the intervals [lo, hi], given 0 <= lo <= hi < inf.
+
+    Sorted by (lo, hi), a piece opens where lo exceeds the running max of
+    the hi before it, the rule of ``_merged_length``, and ends at that max.
+    """
+    keep = hi > lo
+    order = np.lexsort((hi[keep], lo[keep]))
+    lo, hi = lo[keep][order], hi[keep][order]
+    reach = np.maximum.accumulate(hi)
+    opens = np.empty(lo.size, dtype=bool)
+    opens[:1] = True
+    np.greater(lo[1:], reach[:-1], out=opens[1:])
+    ends = np.concatenate([reach[:-1][opens[1:]], reach[-1:]])
+    return IntervalUnion(tuple(zip(lo[opens].tolist(), ends.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ q = inf, so C = 1-t and D = t independently of lam.
 
 ``superlevel``, the cell set of one threshold of a profile, is a helper of
 the same kind: the library keeps only the batched ``superlevel_masks``.
+
+``normalize_loop`` and ``curvilinear_sum_1d_loop`` are copies of
+``sets.normalize`` and ``curvsum.curvilinear_sum_1d`` that merge Python
+tuples and loop over interval pairs, where the library merges one sorted
+array and takes every image in one broadcast; the loop sum has no image
+budget.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curvilin.errors import DomainError, RangeError
+from curvilin.curvsum import CURVILINEAR, _lambda_values, combine
+from curvilin.errors import DegenerateInputError, DomainError, RangeError, RegimeError
 from curvilin.means import _INF, _inv, _weighted_mean, conjugate
-from curvilin.sets import GridFunction, GridPointSet, superlevel_masks
+from curvilin.sets import GridFunction, GridPointSet, IntervalUnion, superlevel_masks
 
 SUM_NONNEG = "sum_nonneg"
 MIXED_SIGN = "mixed_sign"
@@ -198,3 +205,50 @@ def superlevel(profile: GridFunction, r: float) -> GridPointSet:
     """Cells where the profile reaches the fraction r of its sup."""
     corners = profile.grid.cell_lower_corners()[superlevel_masks(profile, (r,))[0]]
     return GridPointSet(corners, profile.grid.spacing)
+
+
+def normalize_loop(u: IntervalUnion) -> IntervalUnion:
+    """Canonical form: sorted, disjoint, zero-length pieces dropped."""
+    ivs = sorted((a, b) for a, b in u.intervals if b > a)
+    merged: list[tuple[float, float]] = []
+    for a, b in ivs:
+        if merged and a <= merged[-1][1]:
+            prev_a, prev_b = merged[-1]
+            merged[-1] = (prev_a, max(prev_b, b))
+        else:
+            merged.append((a, b))
+    return IntervalUnion(tuple(merged))
+
+
+def curvilinear_sum_1d_loop(k: IntervalUnion, l: IntervalUnion, spec) -> IntervalUnion:
+    """Exact curvilinear sum of interval unions, one interval pair at a time.
+
+    Per (lam, interval pair) the image of [a,b] x [c,d] under the
+    combined mean is the interval [m(a,c), m(b,d)]; the result is the
+    normalized union over ``curvsum._lambda_values`` with the length and
+    right-endpoint pairs, so the lam set is the library's.
+    """
+    if spec.alphas.n != 0:
+        raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
+    if spec.mode != CURVILINEAR:
+        raise RegimeError("interval path supports curvilinear mode only")
+    if spec.p < 1.0:
+        raise RegimeError("interval path supports p >= 1 only")
+    alpha = spec.alphas.last
+    ka = normalize_loop(k).intervals
+    la = normalize_loop(l).intervals
+    if not ka or not la:
+        raise DegenerateInputError("summand has empty support")
+
+    pairs = [q for a, b in ka for c, d in la for q in ((b - a, d - c), (b, d))]
+    lam_arr = _lambda_values(spec, k, l, pairs)
+    c_arr, d_arr = spec.coefficients(lam_arr)
+
+    pieces = []
+    for a, b in ka:
+        for c, d in la:
+            # max/min powers ignore the lam coefficients; force lam shape
+            lo = np.broadcast_to(combine(a, c, c_arr, d_arr, alpha), lam_arr.shape)
+            hi = np.broadcast_to(combine(b, d, c_arr, d_arr, alpha), lam_arr.shape)
+            pieces.extend(zip(lo.tolist(), hi.tolist()))
+    return normalize_loop(IntervalUnion(tuple(pieces)))

@@ -28,6 +28,7 @@ def test_every_bench_case_runs_once():
     kernels = [kernel for kernel, _, _ in cases]
     assert all(kernels.count(k) >= 2 for k in kernels)
     assert kernels.count("box_union_volume") == 3
+    assert kernels.count("curvilinear_sum_1d") == 3
     for _, _, call in cases:
         call()
 

@@ -49,6 +49,7 @@ from curvilin.sets import (
     IntervalUnion,
     StaircaseSet,
 )
+from scalar_oracles import curvilinear_sum_1d_loop
 
 
 def vec(*alphas):
@@ -191,7 +192,7 @@ def test_interval_sum_rejects_degenerate():
 
 
 def test_interval_sum_refuses_beyond_piece_budget(tmp_path, capsys):
-    # 48 x 48 pairs at 64 + 1 + 2 * 48^2 lam values: 10.8M pieces
+    # 48 x 48 pairs at 64 + 1 + 2 * 48^2 lam values: 10.8M images
     rng = np.random.default_rng(48)
     k, l = (IntervalUnion(np.sort(rng.uniform(0.0, 4.0, 96)).reshape(48, 2))
             for _ in range(2))
@@ -204,7 +205,63 @@ def test_interval_sum_refuses_beyond_piece_budget(tmp_path, capsys):
     pl.write_text(json.dumps(l.to_json()))
     assert cli.main(["sum", "--a", str(pk), "--b", str(pl), "--p", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("curvilin: ") and "budget" in err
+    assert err.startswith("curvilin: ") and "images, budget" in err
+
+
+def test_interval_sum_budget_counts_images(monkeypatch):
+    # 2 x 2 interval pairs, each with a length and a right-end maximizer
+    k = IntervalUnion(((0.0, 1.0), (2.0, 3.0)))
+    spec = SumSpec(p=2.0, alphas=vec(1), t=0.5, lambda_points=8)
+    images = 4 * curvsum._lam_bound(spec, 8)
+    monkeypatch.setattr(curvsum, "_BOX_IMAGES", images)
+    curvilinear_sum_1d(k, k, spec)
+    monkeypatch.setattr(curvsum, "_BOX_IMAGES", images - 1)
+    with pytest.raises(BudgetError,
+                       match=f"2 x 2 intervals give up to {images} images, budget {images - 1}"):
+        curvilinear_sum_1d(k, k, spec)
+
+
+# intervals on a quarter grid: touching ends, nesting, zero lengths and
+# repeated pieces are common
+_QUARTER_INTERVALS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=6).map(
+    lambda ends: IntervalUnion(tuple((a / 4, (a + n) / 4) for a, n in ends)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DegenerateInputError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    k=_QUARTER_INTERVALS,
+    l=_QUARTER_INTERVALS,
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    alpha=st.one_of(st.sampled_from([0.0, math.inf, -math.inf, 1.0]),
+                    st.floats(-3.0, 3.0)),
+    t=st.floats(0.05, 0.95),
+    form=st.sampled_from([WITH_T, T_FREE]),
+    lambda_points=st.integers(1, 20),
+)
+@example(k=IntervalUnion(((0.0, 1.0), (1.0, 2.0))), l=IntervalUnion(((1.0, 1.0), (2.0, 3.0))),
+         p=1.0, alpha=0.0, t=0.5, form=WITH_T, lambda_points=8)
+@example(k=IntervalUnion(((0.0, 3.0), (1.0, 2.0))), l=IntervalUnion(((0.5, 1.0), (0.5, 1.0))),
+         p=2.0, alpha=math.inf, t=0.3, form=T_FREE, lambda_points=4)
+@example(k=IntervalUnion(((0.0, 1.0), (3.0, 3.0))), l=IntervalUnion(((0.0, 1.0), (1.0, 2.0))),
+         p=3.0, alpha=-math.inf, t=0.7, form=WITH_T, lambda_points=6)
+@example(k=IntervalUnion(((2.0, 2.0),)), l=IntervalUnion(((0.0, 1.0),)),
+         p=2.0, alpha=1.0, t=0.5, form=WITH_T, lambda_points=4)
+# the images overflow: both paths refuse the first, [inf, inf]
+@example(k=IntervalUnion(((1e200, 2e200),)), l=IntervalUnion(((1e200, 3e200),)),
+         p=1.0, alpha=3.0, t=0.5, form=WITH_T, lambda_points=4)
+@settings(max_examples=300, deadline=None)
+def test_interval_sum_equals_pair_loop(k, l, p, alpha, t, form, lambda_points):
+    # p = 1 evaluates one lam on both sides; repr tells -0.0 from 0.0
+    spec = SumSpec(p=p, alphas=vec(alpha), t=t, lambda_points=lambda_points,
+                   coefficient_form=form)
+    assert repr(_outcome(lambda: curvilinear_sum_1d(k, l, spec))) \
+        == repr(_outcome(lambda: curvilinear_sum_1d_loop(k, l, spec)))
 
 
 # ---------------------------------------------------------------------------

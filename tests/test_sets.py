@@ -34,7 +34,7 @@ from curvilin.sets import (
     set_from_json,
     superlevel_masks,
 )
-from scalar_oracles import superlevel
+from scalar_oracles import normalize_loop, superlevel
 
 
 def staircase(heights, spacing=0.25, origin=None):
@@ -72,6 +72,26 @@ def test_normalize():
     assert u.volume == pytest.approx(2.5)
     with pytest.raises(DomainError):
         IntervalUnion(((2.0, 1.0),))
+
+
+# intervals on a quarter grid: touching ends, nesting, zero lengths and
+# repeated pieces are common
+_QUARTER_INTERVALS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12).map(
+    lambda ends: IntervalUnion(tuple((a / 4, (a + n) / 4) for a, n in ends)))
+
+
+@given(u=_QUARTER_INTERVALS)
+@example(u=IntervalUnion(()))
+@example(u=IntervalUnion(((0.0, 1.0), (1.0, 2.0))))  # touching ends merge
+@example(u=IntervalUnion(((0.0, 3.0), (1.0, 2.0), (0.5, 2.5))))  # nested
+@example(u=IntervalUnion(((1.0, 1.0), (2.0, 3.0), (3.0, 3.0))))  # zero lengths
+@example(u=IntervalUnion(((0.0, 1.0), (0.0, 1.0), (0.0, 0.5))))  # repeats
+# the first of (lo, hi) order opens the piece: 0.0 here, not -0.0
+@example(u=IntervalUnion(((-0.0, 2.0), (0.0, 1.0))))
+@settings(max_examples=300, deadline=None)
+def test_normalize_equals_tuple_merge(u):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(normalize(u)) == repr(normalize_loop(u))
 
 
 def test_interval_volume_adds_left_to_right():
