@@ -62,9 +62,7 @@ from .sets import (
     GridPointSet,
     IntervalUnion,
     StaircaseSet,
-    _merged,
     _sorted_unique,
-    normalize,
 )
 
 _INF = math.inf
@@ -839,10 +837,11 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
 
     Per (lam, interval pair) the image of [a,b] x [c,d] under the
     combined mean is the interval [m(a,c), m(b,d)] (monotone continuous
-    map); the result is the normalized union over the lam evaluation set,
-    including the closed-form maximizers for the volume pair, each length
-    pair, and each right-endpoint pair.  At p = 1 one lam is evaluated.
-    The images are the box path's, counted before the pair list is built.
+    map); the result is the union over the lam evaluation set, including
+    the closed-form maximizers for the volume pair, each length pair, and
+    each right-endpoint pair, merged (an overflowed image refused) by
+    ``IntervalUnion``.  At p = 1 one lam is evaluated.  The images are the
+    box path's, counted before the pair list is built.
     """
     if spec.alphas.n != 0:
         raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
@@ -850,7 +849,7 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
         raise RegimeError("interval path supports curvilinear mode only")
     if spec.p < 1.0:
         raise RegimeError("interval path supports p >= 1 only")
-    ka, la = (np.array(normalize(u).intervals) for u in (k, l))
+    ka, la = (np.array(u.intervals) for u in (k, l))
     if not ka.size or not la.size:
         raise DegenerateInputError("summand has empty support")
     _check_images("intervals", len(ka), len(la), spec, 2 * len(ka) * len(la))
@@ -858,11 +857,7 @@ def curvilinear_sum_1d(k: IntervalUnion, l: IntervalUnion, spec: SumSpec) -> Int
     qk, ql = (np.stack([u[:, 1] - u[:, 0], u[:, 1]], axis=1) for u in (ka, la))
     pairs = np.stack(np.broadcast_arrays(qk[:, None], ql[None]), axis=-1).reshape(-1, 2)
     lam_arr = _lambda_values(spec, k, l, pairs.tolist())
-    img = _images(ka[:, :, None], la[:, :, None], spec, lam_arr)
-    lo, hi = img[:, 0, 0], img[:, 1, 0]
-    if not ((0 <= lo) & (lo <= hi) & (hi < _INF)).all():
-        IntervalUnion(tuple(zip(lo.tolist(), hi.tolist())))  # refuses an overflowed image
-    return _merged(lo, hi)
+    return IntervalUnion(_images(ka[:, :, None], la[:, :, None], spec, lam_arr)[:, :, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Three concrete carriers, each held in one form:
 
-* :class:`IntervalUnion` for subsets of the half line (a tuple of pairs),
+* :class:`IntervalUnion` for subsets of the half line (sorted disjoint pairs),
 * :class:`BoxUnion` for finite unions of axis-aligned boxes (one read-only
   (m, 2, dim) float64 array of (lo, hi) rows),
 * :class:`StaircaseSet` for vertically anchored cell stacks over a uniform
@@ -131,21 +131,43 @@ class Grid:
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Finite union of closed bounded intervals in [0, inf), stored as given."""
+    """Finite union of closed bounded intervals in [0, inf), held merged.
+
+    ``intervals`` may be given as any (m, 2) nested sequence or array of
+    (lo, hi) rows; it is stored as a tuple of disjoint pieces sorted by
+    lo, zero-length ones dropped, so ``==`` compares the sets.  Sorted by
+    (lo, hi), a piece opens where lo exceeds the running max of the hi
+    before it, the rule of ``_merged_length``, and ends at that max.
+    """
 
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
-        for a, b in ivs:
-            if not 0 <= a <= b < math.inf:  # NaN fails every comparison
-                raise DomainError(f"bad interval [{a}, {b}]")
-        object.__setattr__(self, "intervals", ivs)
+        try:
+            arr = np.asarray(self.intervals, dtype=float)
+        except ValueError:  # ragged rows or a non-number
+            raise DomainError("intervals must be (lo, hi) pairs of numbers") from None
+        if arr.shape[1:] != (2,) and arr.shape != (0,):
+            raise DomainError(f"intervals must be (lo, hi) pairs, got shape {arr.shape}")
+        lo, hi = arr.reshape(-1, 2).T
+        # NaN fails every comparison, so a NaN end is bad too
+        bad = np.flatnonzero(~((lo >= 0) & (lo <= hi) & (hi < np.inf)))
+        if bad.size:
+            raise DomainError(f"bad interval [{lo[bad[0]].item()}, {hi[bad[0]].item()}]")
+        keep = hi > lo
+        order = np.lexsort((hi[keep], lo[keep]))
+        lo, hi = lo[keep][order], hi[keep][order]
+        reach = np.maximum.accumulate(hi)
+        opens = np.empty(lo.size, dtype=bool)
+        opens[:1] = True
+        np.greater(lo[1:], reach[:-1], out=opens[1:])
+        ends = np.concatenate([reach[:-1][opens[1:]], reach[-1:]])
+        object.__setattr__(self, "intervals", tuple(zip(lo[opens].tolist(), ends.tolist())))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         total = 0.0  # left to right, as compress adds; builtin sum compensates from 3.12
-        for a, b in normalize(self).intervals:
+        for a, b in self.intervals:
             total += b - a
         return total
 
@@ -154,29 +176,7 @@ class IntervalUnion:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntervalUnion":
-        return cls(tuple((a, b) for a, b in data["intervals"]))
-
-
-def normalize(u: IntervalUnion) -> IntervalUnion:
-    """Canonical form: sorted, disjoint, zero-length pieces dropped."""
-    return _merged(*np.array(u.intervals, dtype=float).reshape(-1, 2).T)
-
-
-def _merged(lo: np.ndarray, hi: np.ndarray) -> IntervalUnion:
-    """``normalize`` of the intervals [lo, hi], given 0 <= lo <= hi < inf.
-
-    Sorted by (lo, hi), a piece opens where lo exceeds the running max of
-    the hi before it, the rule of ``_merged_length``, and ends at that max.
-    """
-    keep = hi > lo
-    order = np.lexsort((hi[keep], lo[keep]))
-    lo, hi = lo[keep][order], hi[keep][order]
-    reach = np.maximum.accumulate(hi)
-    opens = np.empty(lo.size, dtype=bool)
-    opens[:1] = True
-    np.greater(lo[1:], reach[:-1], out=opens[1:])
-    ends = np.concatenate([reach[:-1][opens[1:]], reach[-1:]])
-    return IntervalUnion(tuple(zip(lo[opens].tolist(), ends.tolist())))
+        return cls(data["intervals"])
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +533,7 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
 
     A box's vertical extent lies in the fiber over a cell when the cell
     midpoint lies in the box's closed base.  The solid boxes are sorted
-    once by vertical (lo, hi), the order ``normalize`` sorts intervals in,
+    once by vertical (lo, hi), the order ``IntervalUnion`` merges in,
     and each cell's fibers are merged in one pass over that order: a
     fiber opens a new piece when its lo exceeds the running max of the hi
     before it.  The pieces' lengths are summed left to right, as
@@ -583,7 +583,8 @@ def compress(a: BoxUnion, spacing: float | None = None) -> StaircaseSet:
 def _merged_length(inside: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per row, the length of the union of the intervals [lo, hi] it selects.
 
-    ``inside`` is a (rows, m) mask over m intervals sorted by (lo, hi).
+    ``inside`` is a (rows, m) mask over m intervals sorted by (lo, hi); per
+    row this is the merge ``IntervalUnion`` runs at construction.
     Unselected entries read as -inf; only their comparisons are computed.
     """
     reach = np.maximum.accumulate(np.where(inside, hi, -np.inf), axis=1)

@@ -17,24 +17,26 @@ q = inf, so C = 1-t and D = t independently of lam.
 ``superlevel``, the cell set of one threshold of a profile, is a helper of
 the same kind: the library keeps only the batched ``superlevel_masks``.
 
-``normalize_loop`` and ``curvilinear_sum_1d_loop`` are copies of
-``sets.normalize`` and ``curvsum.curvilinear_sum_1d`` that merge Python
-tuples and loop over interval pairs, where the library merges one sorted
-array and takes every image in one broadcast; the loop sum has no image
-budget.
+``normalize_loop`` and ``curvilinear_sum_1d_loop`` are copies of the
+``IntervalUnion`` constructor's merge and of ``curvsum.curvilinear_sum_1d``
+that take raw (lo, hi) pairs, merge Python tuples and loop over interval
+pairs, where the library merges one sorted array and takes every image in
+one broadcast.  They return plain tuples and never build an
+``IntervalUnion``; the loop sum has no image budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from curvilin.curvsum import CURVILINEAR, _lambda_values, combine
 from curvilin.errors import DegenerateInputError, DomainError, RangeError, RegimeError
 from curvilin.means import _INF, _inv, _weighted_mean, conjugate
-from curvilin.sets import GridFunction, GridPointSet, IntervalUnion, superlevel_masks
+from curvilin.sets import GridFunction, GridPointSet, superlevel_masks
 
 SUM_NONNEG = "sum_nonneg"
 MIXED_SIGN = "mixed_sign"
@@ -207,26 +209,42 @@ def superlevel(profile: GridFunction, r: float) -> GridPointSet:
     return GridPointSet(corners, profile.grid.spacing)
 
 
-def normalize_loop(u: IntervalUnion) -> IntervalUnion:
-    """Canonical form: sorted, disjoint, zero-length pieces dropped."""
-    ivs = sorted((a, b) for a, b in u.intervals if b > a)
-    merged: list[tuple[float, float]] = []
+def normalize_loop(pairs) -> tuple[tuple[float, float], ...]:
+    """Canonical form of raw (lo, hi) pairs: sorted, disjoint, zero lengths dropped.
+
+    The first pair outside 0 <= lo <= hi < inf, in input order, is refused
+    with the message ``IntervalUnion`` gives.
+    """
+    ivs = [(float(a), float(b)) for a, b in pairs]
     for a, b in ivs:
+        if not 0 <= a <= b < math.inf:  # NaN fails every comparison
+            raise DomainError(f"bad interval [{a}, {b}]")
+    merged: list[tuple[float, float]] = []
+    for a, b in sorted(iv for iv in ivs if iv[1] > iv[0]):
         if merged and a <= merged[-1][1]:
             prev_a, prev_b = merged[-1]
             merged[-1] = (prev_a, max(prev_b, b))
         else:
             merged.append((a, b))
-    return IntervalUnion(tuple(merged))
+    return tuple(merged)
 
 
-def curvilinear_sum_1d_loop(k: IntervalUnion, l: IntervalUnion, spec) -> IntervalUnion:
-    """Exact curvilinear sum of interval unions, one interval pair at a time.
+def _length(pieces) -> float:
+    total = 0.0  # left to right, as IntervalUnion.volume adds
+    for a, b in pieces:
+        total += b - a
+    return total
+
+
+def curvilinear_sum_1d_loop(k, l, spec) -> tuple[tuple[float, float], ...]:
+    """Exact curvilinear sum of raw (lo, hi) pairs, one interval pair at a time.
 
     Per (lam, interval pair) the image of [a,b] x [c,d] under the
     combined mean is the interval [m(a,c), m(b,d)]; the result is the
-    normalized union over ``curvsum._lambda_values`` with the length and
-    right-endpoint pairs, so the lam set is the library's.
+    merged union over ``curvsum._lambda_values`` with the length and
+    right-endpoint pairs, so the lam set is the library's.  Both operands
+    and the result are merged by ``normalize_loop``, never by
+    ``IntervalUnion``.
     """
     if spec.alphas.n != 0:
         raise DomainError("curvilinear_sum_1d needs a single-entry power vector")
@@ -235,13 +253,15 @@ def curvilinear_sum_1d_loop(k: IntervalUnion, l: IntervalUnion, spec) -> Interva
     if spec.p < 1.0:
         raise RegimeError("interval path supports p >= 1 only")
     alpha = spec.alphas.last
-    ka = normalize_loop(k).intervals
-    la = normalize_loop(l).intervals
+    ka = normalize_loop(k)
+    la = normalize_loop(l)
     if not ka or not la:
         raise DegenerateInputError("summand has empty support")
 
     pairs = [q for a, b in ka for c, d in la for q in ((b - a, d - c), (b, d))]
-    lam_arr = _lambda_values(spec, k, l, pairs)
+    # _lambda_values reads only each operand's volume
+    lam_arr = _lambda_values(spec, SimpleNamespace(volume=_length(ka)),
+                             SimpleNamespace(volume=_length(la)), pairs)
     c_arr, d_arr = spec.coefficients(lam_arr)
 
     pieces = []
@@ -251,4 +271,4 @@ def curvilinear_sum_1d_loop(k: IntervalUnion, l: IntervalUnion, spec) -> Interva
             lo = np.broadcast_to(combine(a, c, c_arr, d_arr, alpha), lam_arr.shape)
             hi = np.broadcast_to(combine(b, d, c_arr, d_arr, alpha), lam_arr.shape)
             pieces.extend(zip(lo.tolist(), hi.tolist()))
-    return normalize_loop(IntervalUnion(tuple(pieces)))
+    return normalize_loop(pieces)

@@ -28,7 +28,6 @@ from curvilin.sets import (
     box_union_volume_ie,
     compress,
     load_set,
-    normalize,
     normalized_compression,
     section_profile,
     set_from_json,
@@ -65,33 +64,53 @@ def test_sorted_unique_equals_np_unique(values):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_normalize():
+def test_interval_union_is_held_merged():
     u = IntervalUnion(((1.0, 2.0), (1.5, 3.0), (5.0, 5.0), (4.0, 4.5)))
-    n = normalize(u)
-    assert n.intervals == ((1.0, 3.0), (4.0, 4.5))
-    assert u.volume == pytest.approx(2.5)
-    with pytest.raises(DomainError):
-        IntervalUnion(((2.0, 1.0),))
+    assert u.intervals == ((1.0, 3.0), (4.0, 4.5))
+    assert u.volume == 2.5
+    assert u == IntervalUnion([[4.0, 4.5], [1.0, 3.0]])
+    assert u.to_json() == {"intervals": [[1.0, 3.0], [4.0, 4.5]]}
+    assert IntervalUnion.from_json(u.to_json()) == u
+    with pytest.raises(DomainError, match=r"^bad interval \[2\.0, 1\.0\]$"):
+        IntervalUnion(((0.0, 1.0), (2.0, 1.0), (-1.0, 0.0)))
 
 
-# intervals on a quarter grid: touching ends, nesting, zero lengths and
-# repeated pieces are common
+def test_interval_union_refuses_malformed_shapes():
+    # reshaping would pair up the ends of a flat list or a long row silently
+    for bad in ([[0.0, 1.0, 2.0, 3.0]], [0.0, 1.0], 1.0, [[0.0], [1.0]]):
+        with pytest.raises(DomainError, match=r"^intervals must be \(lo, hi\) pairs, got shape"):
+            IntervalUnion(bad)
+    with pytest.raises(DomainError, match=r"^intervals must be \(lo, hi\) pairs of numbers$"):
+        IntervalUnion([[0.0, 1.0], [2.0]])
+    assert IntervalUnion(()).intervals == IntervalUnion(np.empty((0, 2))).intervals == ()
+
+
+def test_interval_volume_reads_run_no_merge():
+    u = IntervalUnion(((0.0, 1.0), (0.5, 2.0), (3.0, 4.0)))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert u.volume == 3.0
+        assert u.volume == 3.0
+    assert lexsort.call_count == 0
+
+
+# raw (lo, hi) pairs on a quarter grid: touching ends, nesting, zero
+# lengths and repeated pieces are common
 _QUARTER_INTERVALS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12).map(
-    lambda ends: IntervalUnion(tuple((a / 4, (a + n) / 4) for a, n in ends)))
+    lambda ends: tuple((a / 4, (a + n) / 4) for a, n in ends))
 
 
-@given(u=_QUARTER_INTERVALS)
-@example(u=IntervalUnion(()))
-@example(u=IntervalUnion(((0.0, 1.0), (1.0, 2.0))))  # touching ends merge
-@example(u=IntervalUnion(((0.0, 3.0), (1.0, 2.0), (0.5, 2.5))))  # nested
-@example(u=IntervalUnion(((1.0, 1.0), (2.0, 3.0), (3.0, 3.0))))  # zero lengths
-@example(u=IntervalUnion(((0.0, 1.0), (0.0, 1.0), (0.0, 0.5))))  # repeats
+@given(raw=_QUARTER_INTERVALS)
+@example(raw=())
+@example(raw=((0.0, 1.0), (1.0, 2.0)))  # touching ends merge
+@example(raw=((0.0, 3.0), (1.0, 2.0), (0.5, 2.5)))  # nested
+@example(raw=((1.0, 1.0), (2.0, 3.0), (3.0, 3.0)))  # zero lengths
+@example(raw=((0.0, 1.0), (0.0, 1.0), (0.0, 0.5)))  # repeats
 # the first of (lo, hi) order opens the piece: 0.0 here, not -0.0
-@example(u=IntervalUnion(((-0.0, 2.0), (0.0, 1.0))))
+@example(raw=((-0.0, 2.0), (0.0, 1.0)))
 @settings(max_examples=300, deadline=None)
-def test_normalize_equals_tuple_merge(u):
+def test_interval_union_merge_equals_tuple_merge(raw):
     # repr tells -0.0 from 0.0, which == does not
-    assert repr(normalize(u)) == repr(normalize_loop(u))
+    assert repr(IntervalUnion(raw).intervals) == repr(normalize_loop(raw))
 
 
 def test_interval_volume_adds_left_to_right():

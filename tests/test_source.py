@@ -85,7 +85,6 @@ EXPORTS = [
     "mean_alpha",
     "measure_of",
     "mu_section_quantities",
-    "normalize",
     "normalized_compression",
     "run_check",
     "run_check_refined",
