@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -223,13 +224,15 @@ def _cases(pkg):
         f, g = (GridFunction(grid, rng.uniform(0.2, 2.0, (n, n))) for _ in range(2))
         cases.append(("sup_convolve", f"2-D functions {n}x{n}, p=2, 16 lam",
                       lambda f=f, g=g: pkg.funcs.sup_convolve(f, g, spec(3, 16))))
+    # trees older than the one-route surface quotient take a density third
+    takes_mu = "mu" in inspect.signature(measures.surface_area_sets).parameters
     for n in (7, 14):
         rng = np.random.default_rng(n)
         a, b = stair(rng, n, 1), stair(rng, n, 1)
-        mu = measures.lebesgue(Grid((0.0,), 0.25, (2 * n + 2,)))
+        density = (measures.lebesgue(Grid((0.0,), 0.25, (2 * n + 2,))),) if takes_mu else ()
         cases.append(("surface_area_sets", f"1-D staircases of {n} cells, p=2, 64 lam",
-                      lambda a=a, b=b, mu=mu: measures.surface_area_sets(
-                          a, b, mu, 2.0, PowerVector((1.0, 1.0)))))
+                      lambda a=a, b=b, density=density: measures.surface_area_sets(
+                          a, b, *density, 2.0, PowerVector((1.0, 1.0)))))
     for seed in (1, 2):
         cases.append(("calibrate_grid_constant", f"recipe at seed {seed}",
                       lambda seed=seed: pkg.verify._calibrate(seed)))

@@ -14,17 +14,18 @@ the flags it reads:
 Any other flag is a usage error.  ``sum``, ``conv`` and ``surface`` read
 --a and --b through one loader: both files must hold one carrier type the
 command takes (``sum`` interval unions, box unions or staircases, ``conv``
-grid functions, ``surface`` staircases), and --grid refines staircase and
-function operands only.  Defaults: ``--suite default``, ``--seed 0``,
-``--workers`` from ``CURVILIN_WORKERS`` else the CPU count, ``--grid``
-and ``--lambda-points`` the manifest's values for ``verify`` and 0 (no
-refinement) and 64 for the operators, ``--p 1``, ``--t 0.5``,
-``--alphas`` all 1, ``--out`` stdout, ``--format`` csv for ``verify`` and
-json otherwise.  An operator's CSV is read off its result carrier, one row
-per cell, box or interval (``surface``: one per quotient); its JSON holds
-the carrier's payload.  Outputs are deterministic for a fixed command
-line: JSON is dumped with sorted keys, suites order their reports by check
-id and seed, and nothing here stamps times or hostnames into artifacts.
+grid functions, ``surface`` staircases over one base axis), and
+--grid refines staircase and function operands only.  Defaults:
+``--suite default``, ``--seed 0``, ``--workers`` from ``CURVILIN_WORKERS``
+else the CPU count, ``--grid`` and ``--lambda-points`` the manifest's
+values for ``verify`` and 0 (no refinement) and 64 for the operators,
+``--p 1``, ``--t 0.5``, ``--alphas`` all 1, ``--out`` stdout, ``--format``
+csv for ``verify`` and json otherwise.  An operator's CSV is read off its
+result carrier, one row per cell, box or interval (``surface``: one per
+quotient); its JSON holds the carrier's payload.  Outputs are
+deterministic for a fixed command line: JSON is dumped with sorted keys,
+suites order their reports by check id and seed, and nothing here stamps
+times or hostnames into artifacts.
 
 Exit codes: 0 when no check failed (refine verdicts allowed), 1 when any
 suite check reports a fail verdict, 2 on malformed input files or flags.
@@ -38,7 +39,6 @@ import csv
 import ctypes
 import functools
 import json
-import math
 import os
 import sys
 
@@ -53,10 +53,9 @@ from .curvsum import (
 from .errors import CurvilinError, DomainError, RangeError
 from .funcs import sup_convolve
 from .means import PowerVector
-from .measures import lebesgue, surface_area_sets
+from .measures import surface_area_sets
 from .sets import (
     BoxUnion,
-    Grid,
     GridFunction,
     IntervalUnion,
     StaircaseSet,
@@ -229,25 +228,12 @@ def _run_compress(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cover_for(a: StaircaseSet, b: StaircaseSet) -> Grid:
-    spacing = min(a.grid.spacing, b.grid.spacing)
-    shape = []
-    for ax in range(a.base_dim):
-        hi = (a.grid.origin[ax] + a.grid.shape[ax] * a.grid.spacing
-              + b.grid.origin[ax] + b.grid.shape[ax] * b.grid.spacing)
-        shape.append(int(math.ceil(hi / spacing)) + 2)
-    return Grid((0.0,) * a.base_dim, spacing, tuple(shape))
-
-
 def _run_surface(args: argparse.Namespace) -> int:
     a, b = _operands(args, (StaircaseSet,))
-    # _cover_for reads every base axis of both grids before any library check
-    if a.base_dim != b.base_dim:
-        raise DomainError("staircases live in different dimensions")
     alphas = _powers(args, a.base_dim + 1)
-    # the t-free sum: surface_area_sets checks p and the lam grid size
-    est = surface_area_sets(a, b, lebesgue(_cover_for(a, b)), args.p, alphas,
-                            lambda_points=_lambda_points(args))
+    # the t-free sum: surface_area_sets checks the base axes, p and the lam
+    # grid size
+    est = surface_area_sets(a, b, args.p, alphas, lambda_points=_lambda_points(args))
     payload = {
         "kind": "surface",
         "p": args.p,

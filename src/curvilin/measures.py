@@ -11,10 +11,14 @@ column: the base contribution is the midpoint value times the cell area,
 the vertical contribution is exact overlap against the density's vertical
 cells, so constant densities reproduce Lebesgue volume to rounding.
 
-The surface-area quantities are one-sided difference quotients on a
-geometric epsilon schedule; the liminf is operationalized as the minimum
-of the last three quotients, which lower-bounds the true liminf because
-the inner approximation only ever loses mass.
+The surface quotients are one-sided difference quotients of
+eps -> V(A + eps x B) on a geometric epsilon schedule, for staircases over
+one base axis; the liminf is operationalized as the minimum of the last
+three quotients.  Each V(A + eps x B) is the exact volume of the sum over
+a finite lam set, which lies inside the sum over all lam, so each
+quotient is at most the true one at its eps.  No grid sum stands in for
+more base axes: it takes the dilated operand's spacing, h eps^(1/(p alpha)),
+keeps almost none of A, and every quotient would read about -V(A)/eps.
 """
 
 from __future__ import annotations
@@ -398,31 +402,31 @@ def _reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> tuple:
 def surface_area_sets(
     a: StaircaseSet,
     b: StaircaseSet,
-    mu: DensityMeasure,
     p: float,
     alphas: PowerVector,
     lambda_points: int = 64,
 ) -> SurfaceEstimate:
-    """Difference quotients of eps -> mu(A + eps x B) at eps -> 0.
+    """Difference quotients of eps -> V(A + eps x B) at eps -> 0.
 
-    The sum is the t-free one; eps x B is realized by scalar dilation.
-    One-base-axis staircases under a constant density use the exact
-    envelope volume, everything else goes through the grid sum.
+    The sum is the t-free one; eps x B is realized by scalar dilation, and
+    every sum's volume is the exact envelope's, so both staircases must
+    have one base axis (RegimeError otherwise).
     """
+    if a.base_dim != 1 or b.base_dim != 1:
+        raise RegimeError(
+            "surface quotients take staircases over one base axis, got base "
+            f"dimensions {a.base_dim} and {b.base_dim}")
     spec = _t_free_spec(p, alphas, lambda_points)
     if b.volume == 0.0:
         qs = [(float(e), 0.0) for e in EPS_SCHEDULE]
         return SurfaceEstimate.build(qs)
-    if _exact_sum_path(a, mu):
-        mu_a = a.volume
-    else:
-        mu_a = measure_of(a, mu)
+    vol_a = a.volume
     qs = []
     for eps in EPS_SCHEDULE:
         eb = scalar_dilate(float(eps), b, spec)
         spec_e = spec.with_extra_lambdas(_reach_extras(a, eb, spec))
-        val = _mu_of_sum(a, eb, spec_e, mu)
-        qs.append((float(eps), (val - mu_a) / float(eps)))
+        val = staircase_sum_volume_exact(a, eb, spec_e)
+        qs.append((float(eps), (val - vol_a) / float(eps)))
     return SurfaceEstimate.build(qs)
 
 

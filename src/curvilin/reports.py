@@ -51,29 +51,3 @@ class InequalityReport:
             "lambda_points": self.lambda_points,
             "verdict": self.verdict,
         }
-
-    @classmethod
-    def from_values(
-        cls,
-        check_id: str,
-        seed: int,
-        lhs: float,
-        rhs: float,
-        tol: float,
-        grid_h: float | None = None,
-        lambda_points: int | None = None,
-        can_refine: bool = True,
-        params: dict | None = None,
-    ) -> "InequalityReport":
-        slack = lhs - rhs
-        return cls(
-            check_id=check_id,
-            instance_seed=seed,
-            lhs=lhs,
-            rhs=rhs,
-            slack=slack,
-            grid_h=grid_h,
-            lambda_points=lambda_points,
-            verdict=verdict_for(slack, tol, can_refine),
-            params=dict(params or {}),
-        )

@@ -234,14 +234,13 @@ def _clean(value):
 
 def _report(check_id, params, lhs, rhs, tol, *, slack=None, grid_h=None,
             lambda_points=None, can_refine=True, extra=None):
-    report = InequalityReport.from_values(
-        check_id, int(params["run_seed"]), float(lhs), float(rhs), tol, grid_h,
-        lambda_points, can_refine, _clean({**params, "tol": tol, **(extra or {})}),
+    lhs, rhs = float(lhs), float(rhs)
+    slack = lhs - rhs if slack is None else float(slack)
+    return InequalityReport(
+        check_id, int(params["run_seed"]), lhs, rhs, slack, grid_h, lambda_points,
+        verdict_for(slack, tol, can_refine),
+        _clean({**params, "tol": tol, **(extra or {})}),
     )
-    if slack is None:
-        return report
-    slack = float(slack)
-    return replace(report, slack=slack, verdict=verdict_for(slack, tol, can_refine))
 
 
 def _delta_exponent(alpha: float, beta: float, k: int) -> float:
@@ -669,7 +668,7 @@ def check_minkowski_first(instance, params):
     fmap = FSpec(F_LOG) if params["fkind"] == F_LOG else FSpec(F_POWER, params["fparam"])
     mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
     shift = fmap.value(mu_b) - fmap.value(mu_a)
-    s_ab = surface_area_sets(a, b, mu, p, alphas, lp)
+    s_ab = surface_area_sets(a, b, p, alphas, lp)
     gate = PASS
     if params["route"] == "mixed":
         d1 = fmap.derivative_at_one
@@ -684,22 +683,22 @@ def check_minkowski_first(instance, params):
         _, gate_lhs, gate_rhs = f_concavity_gap(a, b, mu, fmap, gate_spec,
                                                 (0.25, t, 0.75), mu_a, mu_b)
         gate = verdict_for(gate_lhs - gate_rhs, _EXACT_TOL, False)
-        s_aa = surface_area_sets(a, a, mu, p, alphas, lp)
+        s_aa = surface_area_sets(a, a, p, alphas, lp)
         lhs = s_ab.estimate
         rhs = s_aa.estimate + shift / fmap.derivative(mu_a)
         info = {"route_id": "minkowski_first_sets", "gate": gate,
                 "trend_ab": s_ab.trend, "trend_aa": s_aa.trend,
                 "unsettled": bool(s_ab.unsettled or s_aa.unsettled)}
-    # unlike _report, tol is not written into params
-    report = InequalityReport.from_values(
-        "minkowski_first", params["run_seed"], lhs, rhs, _EXACT_TOL,
-        lambda_points=lp, can_refine=can_refine,
-        params=_clean({**params, **info, "F": fmap.describe()}),
+    slack = lhs - rhs
+    # a gate that does not pass leaves the hypothesis unverified: the
+    # instance is inconclusive either way
+    verdict = verdict_for(slack, _EXACT_TOL, can_refine) if gate == PASS else REFINE
+    # unlike _report, tol is not written into params, so these reports keep
+    # the bytes that the default-suite digests pin
+    return InequalityReport(
+        "minkowski_first", params["run_seed"], lhs, rhs, slack, None, lp, verdict,
+        _clean({**params, **info, "F": fmap.describe()}),
     )
-    if gate != PASS:
-        # hypothesis unverified: the instance is inconclusive either way
-        return replace(report, verdict=REFINE)
-    return report
 
 
 def check_power_monotonicity(instance, params):

@@ -320,6 +320,22 @@ def test_huge_lambda_count_exits_2_before_the_lam_grid(tmp_path, capsys, operand
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (1, 2)])
+def test_surface_on_two_base_axes_exits_2(tmp_path, capsys, dims):
+    # a grid sum at the dilate's spacing keeps almost none of A: on the 3x3
+    # pair it read about -V(A)/eps, -538 at eps = 2^-10, with status 0
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(StaircaseSet(
+        Grid((0.0,), 0.25, (6,)), np.linspace(0.5, 1.5, 6)).to_json()))
+    a, b = (str(line) if d == 1 else _write_3x3(tmp_path, "heights") for d in dims)
+    out = tmp_path / "out.json"
+    assert cli.main(["surface", "--a", a, "--b", b, "--p", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "curvilin: surface quotients take staircases over one base axis, got "
+        f"base dimensions {dims[0]} and {dims[1]}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("sum", {"dim": 2, "boxes": 5}),
     ("compress", {"dim": 2, "boxes": 5}),

@@ -12,6 +12,7 @@ from curvilin import (
     InequalityReport,
     PowerVector,
     RangeError,
+    RegimeError,
 )
 from curvilin import measures
 from curvilin.curvsum import SumSpec
@@ -32,6 +33,7 @@ from curvilin.measures import (
     surface_area_sets,
     tent_density,
 )
+from curvilin.reports import verdict_for
 from curvilin.sets import (
     Grid,
     GridPointSet,
@@ -292,25 +294,32 @@ def test_surface_estimate_build():
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_surface_unit_square_two_over_p(p):
     a = cube()
-    mu = lebesgue(Grid((0.0,), 0.125, (8,)))
-    est = surface_area_sets(a, a, mu, p, vec(1, 1))
+    est = surface_area_sets(a, a, p, vec(1, 1))
     assert est.estimate == pytest.approx(2.0 / p, rel=0.02)
 
 
 def test_surface_zero_summand():
     a = cube()
     b = StaircaseSet(a.grid, np.zeros(8))
-    mu = lebesgue(a.grid)
-    est = surface_area_sets(a, b, mu, 2.0, vec(1, 1))
+    est = surface_area_sets(a, b, 2.0, vec(1, 1))
     assert est.estimate == 0.0
     assert all(q == 0.0 for _, q in est.quotients)
 
 
 def test_surface_quotient_nonnegative_random():
     a = rng_staircase(4)
-    mu = lebesgue(Grid((0.0,), 1 / 16, (16,)))
-    est = surface_area_sets(a, a, mu, 2.0, vec(1, 1))
+    est = surface_area_sets(a, a, 2.0, vec(1, 1))
     assert est.estimate >= 0.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (1, 2), (2, 1)])
+def test_surface_refuses_more_than_one_base_axis(dims):
+    # a grid sum at the dilate's spacing would keep almost none of A: every
+    # quotient read about -V(A)/eps, -538 at eps = 2^-10 on the 3x3 pair
+    a, b = (StaircaseSet(Grid((0.0,) * d, 0.25, (3,) * d),
+                         np.linspace(0.5, 1.5, 3**d).reshape((3,) * d)) for d in dims)
+    with pytest.raises(RegimeError, match="over one base axis, got base dimensions"):
+        surface_area_sets(a, b, 2.0, vec(*(1,) * (dims[0] + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +329,8 @@ def test_surface_quotient_nonnegative_random():
 def first_sides(a, b, mu, F, p, alphas):
     """Both sides of S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A)."""
     mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    lhs = surface_area_sets(a, b, mu, p, alphas).estimate
-    rhs = surface_area_sets(a, a, mu, p, alphas).estimate \
+    lhs = surface_area_sets(a, b, p, alphas).estimate
+    rhs = surface_area_sets(a, a, p, alphas).estimate \
         + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
     return lhs, rhs
 
@@ -337,7 +346,7 @@ def gate_gap(a, b, mu, F, p, alphas):
 def mixed_quantities(a, b, mu, F, p, alphas):
     """(V, M, lhs, rhs) of V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)."""
     d1 = F.derivative_at_one
-    v = d1 * surface_area_sets(a, b, mu, p, alphas).estimate
+    v = d1 * surface_area_sets(a, b, p, alphas).estimate
     vol_a, rate = dilation_rate(a, mu, p, alphas)
     m = vol_a / d1 - rate
     mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
@@ -497,7 +506,8 @@ def test_report_json_shape():
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5)
     _, lhs, rhs = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75),
                                   measure_of(a, mu), measure_of(a, mu))
-    payload = InequalityReport.from_values("f_concavity", 0, lhs, rhs, 0.1).to_json()
+    payload = InequalityReport("f_concavity", 0, lhs, rhs, lhs - rhs, None, None,
+                               verdict_for(lhs - rhs, 0.1, True)).to_json()
     assert set(payload) == {
         "check", "seed", "params", "lhs", "rhs", "slack",
         "grid", "lambda_points", "verdict",
