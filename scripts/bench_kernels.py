@@ -34,8 +34,11 @@ so it is timed at two seeds instead of two sizes; seed 0 reads a committed
 constant and runs nothing.  The layered base integral is timed on a 1-D and
 a 2-D profile pair, with the base-sum coefficient cache cleared inside every
 call, because each fresh ``curvilin verify`` process starts with it empty.
-The spot check is timed on the Lebesgue and the tent density of the
-suite's 48x48 density grid.
+The density-tag spot check is timed on the Lebesgue, the tent and the
+Gaussian density (its alpha = 0 branch) on 24x24 grids and on 48x48 grids,
+the suite's size, each warm and cold: a cold call clears the cache of the
+check's seeded draws first, as each fresh ``curvilin verify`` process
+meets each of its support sizes once with that cache empty.
 
 Beside the warm in-process calls, the script times ``cli`` cases: one
 ``curvilin`` command per fresh interpreter, as a user runs it, which shows
@@ -249,11 +252,23 @@ def _cases(pkg):
         fa, fb = (GridFunction(grid, rng.uniform(0.2, 2.0, (n,) * dim)) for _ in range(2))
         cases.append(("layered_base_integral", f"{dim}-D profiles of {n ** dim} cells, "
                       "p=2, 16 lam", lambda fa=fa, fb=fb: layered(fa, fb)))
-    grid = Grid((0.0, 0.0), 0.25, (48, 48))
-    for name, mu in (("lebesgue", measures.lebesgue(grid)),
-                     ("tent_density", measures.tent_density(grid, (2.0, 2.0), 6.0))):
-        cases.append(("density_spot_check", f"{name} on a 48x48 grid",
-                      lambda mu=mu: measures.DensityMeasure(mu.density, mu.alpha_concavity)))
+    # the draw cache is absent from trees older than it
+    clear_draws = getattr(getattr(measures, "_spot_draws", None), "cache_clear", lambda: None)
+
+    def spot_check(mu, cold):
+        if cold:
+            clear_draws()
+        return measures.DensityMeasure(mu.density, mu.alpha_concavity)
+
+    for n in (24, 48):
+        grid = Grid((0.0, 0.0), 0.25, (n, n))
+        for name, mu in (("lebesgue", measures.lebesgue(grid)),
+                         ("tent_density", measures.tent_density(grid, (2.0, 2.0), 6.0)),
+                         ("gaussian_density", measures.gaussian_density(grid, (2.0, 2.0), 1.5))):
+            for cold in (False, True):
+                cases.append(("density_spot_check", f"{name} on a {n}x{n} grid, "
+                              + ("cold (draw cache cleared)" if cold else "warm"),
+                              lambda mu=mu, cold=cold: spot_check(mu, cold)))
     return cases
 
 

@@ -23,6 +23,7 @@ keeps almost none of A, and every quotient would read about -V(A)/eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,7 +74,11 @@ class DensityMeasure:
     seed, drawn one after another (a support cell x, then a step to y), and
     are tested in draw order at s = 1/4, 1/2, 3/4; the draws and their order
     are part of the check, since they pick the triples tested and the first
-    failing one named in the error.
+    failing one named in the error.  The draws depend only on the support's
+    cell count and dimension, so they are made once per (count, dimension)
+    and cached for the process.  One array pass over all triples screens:
+    it keeps those whose density lies near or below the mean, and
+    ``mean_alpha`` judges only these.
     """
 
     density: GridFunction
@@ -98,11 +103,8 @@ class DensityMeasure:
         support = np.argwhere(vals > 0)
         if support.shape[0] < 2:
             return
-        rng = np.random.default_rng(_SPOT_SEED)
-        # one support cell, then one step, per triple
-        i, w = map(np.array, zip(*[(support[rng.integers(support.shape[0])],
-                                    rng.integers(-3, 4, size=len(shape)))
-                                   for _ in range(_SPOT_TRIPLES)]))
+        pick, w = _spot_draws(support.shape[0], len(shape))
+        i = support[pick]
         # steps of 4 keep all three interior combination points on cells
         j = i + 4 * w
         top = np.asarray(shape) - 1
@@ -114,15 +116,56 @@ class DensityMeasure:
         # have[k, m]: the density at i + (m + 1) w, the cell at s = (m + 1) / 4
         mids = i[:, None, :] + np.arange(1, 4)[None, :, None] * w[:, None, :]
         have = vals[tuple(np.clip(mids, 0, top).T)].T
-        for k in np.flatnonzero(inside & (fj > 0.0)):
+        tested = np.flatnonzero(inside & (fj > 0.0))
+        a, b = fi[tested, None], fj[tested, None]
+        svals = np.array([0.25, 0.5, 0.75])
+        # the three s-means of every tested triple, by the branches of
+        # means._weighted_mean; array and scalar powers may differ in the
+        # last bits, and a finite alpha's 1/alpha root scales that by up to
+        # 1/|alpha|, so the screen's margin lies far above both
+        rel = 1e-12
+        if alpha == 0.0:
+            means = a ** (1.0 - svals) * b**svals
+        elif alpha == math.inf:
+            means = np.maximum(a, b)
+        elif alpha == -math.inf:
+            means = np.minimum(a, b)
+        else:
+            m = np.maximum(a, b) if alpha > 0 else np.minimum(a, b)
+            # an infinite ratio or root keeps its triple, and mean_alpha
+            # then meets it as the scalar form does
+            with np.errstate(over="ignore"):
+                inner = (1.0 - svals) * (a / m) ** alpha + svals * (b / m) ** alpha
+                means = m * inner ** (1.0 / alpha)
+            rel *= max(1.0, 1.0 / abs(alpha))
+        near = np.any(have[tested] < means * (1.0 + rel) - 1e-9, axis=1)
+        for k in tested[near]:
             for num in (1, 2, 3):
                 s = num / 4.0
                 want = mean_alpha(float(fi[k]), float(fj[k]), s, alpha)
                 if have[k, num - 1] < want - 1e-9:
                     raise DomainError(
-                        f"declared {alpha}-concavity fails at cells {tuple(i[k])}, "
-                        f"{tuple(j[k])}, s={s}: {float(have[k, num - 1])} < {want}"
+                        f"declared {alpha}-concavity fails at cells {tuple(i[k].tolist())}, "
+                        f"{tuple(j[k].tolist())}, s={s}: {float(have[k, num - 1])} < {want}"
                     )
+
+
+@functools.lru_cache(maxsize=32)
+def _spot_draws(n: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spot check's support indices (60,) and steps (60, ndim), read-only.
+
+    One support index in [0, n), then one step in [-3, 3]^ndim, per
+    triple, from the fixed seed: the draws see nothing of a density but
+    its support count and dimension.
+    """
+    rng = np.random.default_rng(_SPOT_SEED)
+    pick = np.empty(_SPOT_TRIPLES, dtype=np.int64)
+    step = np.empty((_SPOT_TRIPLES, ndim), dtype=np.int64)
+    for k in range(_SPOT_TRIPLES):
+        pick[k] = rng.integers(n)
+        step[k] = rng.integers(-3, 4, size=ndim)
+    pick.flags.writeable = step.flags.writeable = False
+    return pick, step
 
 
 def _midpoints(grid: Grid) -> np.ndarray:

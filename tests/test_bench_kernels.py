@@ -7,7 +7,7 @@ from pathlib import Path
 import curvilin
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
-# six cases of about a millisecond or less, enough to exercise the timing loop
+# sixteen cases of about a millisecond or less, enough to exercise the timing loop
 FEW = ("grid_sum_suite_intersection", "density_spot_check")
 
 
@@ -51,7 +51,7 @@ def test_a_a_comparison_times_two_packages_in_this_process(monkeypatch):
     report = bench.measure(before=bench.ROOT)
     listed = {side: [(kernel, timing["size"]) for kernel, timings in rep["kernels"].items()
                      for timing in timings] for side, rep in report.items()}
-    assert len(listed["after"]) == 6
+    assert len(listed["after"]) == 16
     assert listed["before"] == listed["after"]
     for side in ("before", "after"):
         for timings in report[side]["kernels"].values():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,14 +78,27 @@ def test_density_constructors_pass_spot_check():
     assert gaussian_density(g2, (2.0, 2.0), 1.0).alpha_concavity == 0.0
 
 
-def test_density_spot_check_rejects_dip():
-    grid = Grid((0.0,), 0.125, (17,))
+def _dipped_line(depth=0.01):
     vals = np.ones(17)
-    vals[6:11] = 0.01
-    with pytest.raises(DomainError):
-        DensityMeasure(GridFunction(grid, vals), 1.0)
+    vals[6:11] = depth
+    return GridFunction(Grid((0.0,), 0.125, (17,)), vals)
+
+
+def test_density_spot_check_rejects_dip():
+    density = _dipped_line()
+    with pytest.raises(DomainError, match=r"at cells \(12,\), \(4,\), s=0\.25: 0\.01 < 1\.0$"):
+        DensityMeasure(density, 1.0)
     # untagged construction accepts anything nonnegative
-    DensityMeasure(GridFunction(grid, vals), None)
+    DensityMeasure(density, None)
+
+
+# the endpoints of the first failing triple are both 1, so each branch of
+# the mean (min, finite, geometric, max) names the same triple; a shallow
+# dip holds the array screen to keeping a near miss
+@pytest.mark.parametrize("alpha", [-math.inf, -1.0, 0.0, math.inf])
+def test_density_spot_check_rejects_shallow_dip_on_every_branch(alpha):
+    with pytest.raises(DomainError, match=r"at cells \(12,\), \(4,\), s=0\.25: 0\.999999 < 1\.0$"):
+        DensityMeasure(_dipped_line(1.0 - 1e-6), alpha)
 
 
 def _spot_verify_loop(vals, alpha):
@@ -111,8 +125,8 @@ def _spot_verify_loop(vals, alpha):
             want = mean_alpha(fi, fj, s, alpha)
             if have < want - 1e-9:
                 raise DomainError(
-                    f"declared {alpha}-concavity fails at cells {tuple(i)}, "
-                    f"{tuple(j)}, s={s}: {have} < {want}"
+                    f"declared {alpha}-concavity fails at cells {tuple(i.tolist())}, "
+                    f"{tuple(j.tolist())}, s={s}: {have} < {want}"
                 )
 
 
@@ -127,7 +141,7 @@ def _spot_outcome(check):
 @settings(max_examples=80, deadline=None)
 @given(
     shape=st.sampled_from([(6,), (17,), (40,), (9, 9), (13, 6), (20, 20)]),
-    alpha=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, math.inf]),
+    alpha=st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf]),
     seed=st.integers(0, 2**16),
     dips=st.integers(0, 6),
     depth=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0 - 1e-12]),
@@ -144,6 +158,24 @@ def test_spot_verify_equals_loop_oracle(shape, alpha, seed, dips, depth):
     vals = vals.reshape(shape)
     got = _spot_outcome(lambda: DensityMeasure(GridFunction(grid, vals), alpha))
     assert got == _spot_outcome(lambda: _spot_verify_loop(vals, float(alpha)))
+
+
+def test_spot_draws_are_made_once_per_support_count_and_dimension():
+    measures._spot_draws.cache_clear()
+    with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+        lebesgue(Grid((0.0,), 0.25, (24,)))
+        tent_density(Grid((0.0,), 0.5, (24,)), (6.0,), 20.0)
+        assert rng.call_count == 1  # same count and dimension: one draw
+        lebesgue(Grid((0.0,), 0.25, (25,)))
+        assert rng.call_count == 2  # another count
+        lebesgue(Grid((0.0, 0.0), 0.25, (4, 6)))
+        assert rng.call_count == 3  # 24 cells again, in two dimensions
+    pick, step = measures._spot_draws(24, 2)
+    assert pick.shape == (_SPOT_TRIPLES,) and step.shape == (_SPOT_TRIPLES, 2)
+    for drawn in (pick, step):
+        assert not drawn.flags.writeable
+        with pytest.raises(ValueError):
+            drawn[0] = 0
 
 
 # ---------------------------------------------------------------------------
