@@ -5,11 +5,13 @@ quotients, the worst F-concavity gap and the dilation rate.  The
 inequality checks that compare them, and their reports, live in
 ``verify``.  A grid function enters as its hypograph.
 
-A measure here is always d(mu) = phi dx with phi sampled per cell of a
-uniform grid (midpoint rule).  Staircase sets are integrated column by
-column: the base contribution is the midpoint value times the cell area,
-the vertical contribution is exact overlap against the density's vertical
-cells, so constant densities reproduce Lebesgue volume to rounding.
+A density enters only ``measure_of`` and ``mu_section_quantities``; the
+surface quotients, the concavity gap and the dilation rate are volumes.
+A density is always d(mu) = phi dx with phi sampled per cell of a uniform
+grid (midpoint rule).  Staircase sets are integrated column by column: the
+base contribution is the midpoint value times the cell area, the vertical
+contribution is exact overlap against the density's vertical cells, so
+constant densities reproduce Lebesgue volume to rounding.
 
 The surface quotients are one-sided difference quotients of
 eps -> V(A + eps x B) on a geometric epsilon schedule, for staircases over
@@ -33,7 +35,6 @@ from .curvsum import (
     T_FREE,
     WITH_T,
     SumSpec,
-    curvilinear_sum_grid,
     scalar_dilate,
     staircase_sum_volume_exact,
 )
@@ -406,17 +407,6 @@ def _t_free_spec(p: float, alphas: PowerVector, lambda_points: int) -> SumSpec:
     )
 
 
-def _exact_sum_path(a: StaircaseSet, mu: DensityMeasure) -> bool:
-    return a.base_dim == 1 and mu.is_lebesgue
-
-
-def _mu_of_sum(a, b, spec: SumSpec, mu: DensityMeasure) -> float:
-    """mu of the sum: the exact envelope volume, or the grid sum measured."""
-    if _exact_sum_path(a, mu):
-        return staircase_sum_volume_exact(a, b, spec)
-    return measure_of(curvilinear_sum_grid(a, b, spec), mu)
-
-
 def _reach_extras(a: StaircaseSet, b: StaircaseSet, spec: SumSpec) -> tuple:
     """Per-axis base-reach maximizers over support-cell edge pairs.
 
@@ -477,42 +467,38 @@ def surface_area_sets(
 # concavity gap and dilation rate
 
 
-def f_concavity_gap(a: StaircaseSet, b: StaircaseSet, mu: DensityMeasure, F: FSpec,
-                    spec: SumSpec, t_samples: tuple, mu_a: float,
-                    mu_b: float) -> tuple[float, float, float]:
-    """(t, lhs, rhs) of the worst t sample of F-concavity of mu.
+def f_concavity_gap(a: StaircaseSet, b: StaircaseSet, F: FSpec, spec: SumSpec,
+                    t_samples: tuple, vol_a: float, vol_b: float) -> tuple[float, float, float]:
+    """(t, lhs, rhs) of the worst t sample of F-concavity of volume.
 
-    lhs is mu of the sum at t, rhs is F^{-1}((1-t) F(mu A) + t F(mu B)),
-    with mu A and mu B given as ``mu_a`` and ``mu_b``; the worst sample
-    has the smallest lhs - rhs, the first one on a tie.  A function enters
-    as its hypograph (``f.hypograph()``).
+    lhs is the exact envelope volume of the sum at t (one base axis), rhs
+    is F^{-1}((1-t) F(V A) + t F(V B)) with V A = ``vol_a``, V B = ``vol_b``;
+    the worst sample has the smallest lhs - rhs, the first one on a tie.
+    A function enters as its hypograph (``f.hypograph()``).
     """
     if not t_samples:
         raise RangeError("need at least one t sample")
     worst = None
     for t in t_samples:
         t = float(t)
-        lhs = _mu_of_sum(a, b, replace(spec, t=t, coefficient_form=WITH_T), mu)
-        rhs = F.inverse((1.0 - t) * F.value(mu_a) + t * F.value(mu_b))
+        lhs = staircase_sum_volume_exact(a, b, replace(spec, t=t, coefficient_form=WITH_T))
+        rhs = F.inverse((1.0 - t) * F.value(vol_a) + t * F.value(vol_b))
         if worst is None or (lhs - rhs) < (worst[1] - worst[2]):
             worst = (t, lhs, rhs)
     return worst
 
 
-def dilation_rate(a: StaircaseSet, mu: DensityMeasure, p: float, alphas: PowerVector,
-                  lambda_points: int = 64) -> tuple[float, float]:
-    """(mu(A), one-sided derivative of eps -> mu(eps x A) at eps = 1).
+def dilation_rate(a: StaircaseSet, p: float, alphas: PowerVector) -> float:
+    """One-sided derivative of eps -> V(eps x A) at eps = 1.
 
-    The derivative is the estimate of the quotients (mu(A) - mu((1-e) x A))
-    / e on the epsilon schedule, from below one.  Under a constant density
-    both measures are staircase volumes.
+    The estimate of the quotients (V(A) - V((1-e) x A)) / e on the
+    epsilon schedule, from below one.
     """
-    spec = _t_free_spec(p, alphas, lambda_points)
-    exact = mu.is_lebesgue
-    mu_a = a.volume if exact else measure_of(a, mu)
+    # scalar_dilate reads only p and the powers, never the lam count
+    spec = _t_free_spec(p, alphas, 1)
+    vol_a = a.volume
     qs = []
     for eps in EPS_SCHEDULE:
         ca = scalar_dilate(1.0 - float(eps), a, spec)
-        val = ca.volume if exact else measure_of(ca, mu)
-        qs.append((float(eps), (mu_a - val) / float(eps)))
-    return mu_a, SurfaceEstimate.build(qs).estimate
+        qs.append((float(eps), (vol_a - ca.volume) / float(eps)))
+    return SurfaceEstimate.build(qs).estimate

@@ -188,9 +188,7 @@ def _minkowski_instance(seed: int, index: int):
     # rough first operands gain first-order corner bulk in the
     # self-quotient and push the right side above the true variation
     box = StaircaseSet(raw.grid, np.full(raw.grid.shape, raw.sup_height))
-    # surface checks run against volume: tagged densities have no
-    # provable concavity here and would only ever reach refine
-    return box, b, lebesgue(Grid((0.0, 0.0), 0.25, (48, 48)))
+    return box, b
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +401,13 @@ def _calibrate(seed: int) -> float:
 def check_lemma_1d(instance, params):
     """Interval-union sum volume against the pooled mean of the volumes.
 
-    Exact path: interval arithmetic with closed-form lam injection, so
-    there is nothing to refine and the verdict is decided at 1e-9.
+    V(K + L) >= M_{p alpha}(V K, V L; t) for interval unions on the half
+    line, p >= 1, with the with-t (p, alpha)-sum.  Exact path: the sum is
+    exact at the evaluated lam set, the grid plus, for p > 1 and a finite
+    nonzero alpha, the closed-form maximizers of the volume, length and
+    right-end pairs (alpha = 0 injects none).  Nothing is left to refine,
+    and the verdict is decided at 1e-9.  The sum over all lam holds the
+    evaluated one, so it can only be larger.
     """
     k, l = instance
     p, t, alpha = params["p"], params["t"], params["alpha"]
@@ -653,39 +656,44 @@ def check_measure_bm(instance, params):
 
 
 def check_minkowski_first(instance, params):
-    """Surface-quotient inequalities of the first variation of mu.
+    """Surface-quotient inequalities of the first variation of volume V.
 
-    Route "first": S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A), after
-    an F-concavity gate on the same pair; a gate that does not pass caps
-    the verdict at refine (the hypothesis is unverified, not falsified).
-    Route "mixed": V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)
-    with V = F'(1) S(A,B) and M = mu(A) / F'(1) - the dilation rate.
+    Hypotheses: A and B are staircases over one base axis, A an anchored
+    box (``_minkowski_instance``); p >= 1; V is F-concave along the with-t
+    sum, sampled at t = 1/4, the run's t and 3/4.  S(A,B) is the liminf of
+    (V(A + eps x B) - V(A)) / eps under the t-free sum, taken as the least
+    of the last three quotients on ``EPS_SCHEDULE``.
+    Route "first": S(A,B) >= S(A,A) + (F(V B) - F(V A)) / F'(V A); a gate
+    that does not pass caps the verdict at refine (the hypothesis is
+    unverified, not falsified).
+    Route "mixed": V' + F'(1) M >= F'(1) (F(V B) - F(V A)) / F'(V A) + V(A)
+    with V' = F'(1) S(A,B) (the report's "V") and M = V(A) / F'(1) - the
+    dilation rate, d/de V(e x A) at e = 1 from below.
     """
-    a, b, mu = instance
+    a, b = instance
     p, t = params["p"], params["t"]
     lp, can_refine = _levels(params)
     alphas = PowerVector(tuple(params["alphas"]))
     fmap = FSpec(F_LOG) if params["fkind"] == F_LOG else FSpec(F_POWER, params["fparam"])
-    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    shift = fmap.value(mu_b) - fmap.value(mu_a)
+    vol_a, vol_b = a.volume, b.volume
+    shift = fmap.value(vol_b) - fmap.value(vol_a)
     s_ab = surface_area_sets(a, b, p, alphas, lp)
     gate = PASS
     if params["route"] == "mixed":
         d1 = fmap.derivative_at_one
         v = d1 * s_ab.estimate
-        vol_a, rate = dilation_rate(a, mu, p, alphas, lp)
-        m = vol_a / d1 - rate
+        m = vol_a / d1 - dilation_rate(a, p, alphas)
         lhs = v + d1 * m
-        rhs = d1 * shift / fmap.derivative(mu_a) + mu_a
+        rhs = d1 * shift / fmap.derivative(vol_a) + vol_a
         info = {"route_id": "mixed_volume_variation", "V": v, "M": m}
     else:
         gate_spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=lp)
-        _, gate_lhs, gate_rhs = f_concavity_gap(a, b, mu, fmap, gate_spec,
-                                                (0.25, t, 0.75), mu_a, mu_b)
+        _, gate_lhs, gate_rhs = f_concavity_gap(a, b, fmap, gate_spec,
+                                                (0.25, t, 0.75), vol_a, vol_b)
         gate = verdict_for(gate_lhs - gate_rhs, _EXACT_TOL, False)
         s_aa = surface_area_sets(a, a, p, alphas, lp)
         lhs = s_ab.estimate
-        rhs = s_aa.estimate + shift / fmap.derivative(mu_a)
+        rhs = s_aa.estimate + shift / fmap.derivative(vol_a)
         info = {"route_id": "minkowski_first_sets", "gate": gate,
                 "trend_ab": s_ab.trend, "trend_aa": s_aa.trend,
                 "unsettled": bool(s_ab.unsettled or s_aa.unsettled)}

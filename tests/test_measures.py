@@ -59,13 +59,6 @@ def rng_staircase(seed, cells=16, spacing=1 / 16, hi=1.5):
     return StaircaseSet(Grid((0.0,), spacing, (cells,)), heights)
 
 
-def line_density(extent=2.5, cells=40, slope=0.125):
-    h = extent / cells
-    grid = Grid((0.0,), h, (cells,))
-    mids = grid.cell_lower_corners()[:, 0] + h / 2
-    return DensityMeasure(GridFunction(grid, 1.0 + slope * mids), None)
-
-
 # ---------------------------------------------------------------------------
 # densities
 
@@ -358,31 +351,29 @@ def test_surface_refuses_more_than_one_base_axis(dims):
 # concavity gap, dilation rate and the first-variation inequalities
 
 
-def first_sides(a, b, mu, F, p, alphas):
-    """Both sides of S(A,B) >= S(A,A) + (F(mu B) - F(mu A)) / F'(mu A)."""
-    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
+def first_sides(a, b, F, p, alphas):
+    """Both sides of S(A,B) >= S(A,A) + (F(V B) - F(V A)) / F'(V A)."""
+    vol_a, vol_b = a.volume, b.volume
     lhs = surface_area_sets(a, b, p, alphas).estimate
     rhs = surface_area_sets(a, a, p, alphas).estimate \
-        + (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a)
+        + (F.value(vol_b) - F.value(vol_a)) / F.derivative(vol_a)
     return lhs, rhs
 
 
-def gate_gap(a, b, mu, F, p, alphas):
+def gate_gap(a, b, F, p, alphas):
     """Worst lhs - rhs of F-concavity over t = 1/4, 1/2, 3/4 at 64 lam points."""
     spec = SumSpec(p=p, alphas=alphas, t=0.5, lambda_points=64)
-    _, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75),
-                                  measure_of(a, mu), measure_of(b, mu))
+    _, lhs, rhs = f_concavity_gap(a, b, F, spec, (0.25, 0.5, 0.75), a.volume, b.volume)
     return lhs - rhs
 
 
-def mixed_quantities(a, b, mu, F, p, alphas):
-    """(V, M, lhs, rhs) of V + F'(1) M >= F'(1) (F(mu B) - F(mu A)) / F'(mu A) + mu(A)."""
+def mixed_quantities(a, b, F, p, alphas):
+    """(V, M, lhs, rhs) of V + F'(1) M >= F'(1) (F(V B) - F(V A)) / F'(V A) + V(A)."""
     d1 = F.derivative_at_one
     v = d1 * surface_area_sets(a, b, p, alphas).estimate
-    vol_a, rate = dilation_rate(a, mu, p, alphas)
-    m = vol_a / d1 - rate
-    mu_a, mu_b = measure_of(a, mu), measure_of(b, mu)
-    rhs = d1 * (F.value(mu_b) - F.value(mu_a)) / F.derivative(mu_a) + mu_a
+    vol_a, vol_b = a.volume, b.volume
+    m = vol_a / d1 - dilation_rate(a, p, alphas)
+    rhs = d1 * (F.value(vol_b) - F.value(vol_a)) / F.derivative(vol_a) + vol_a
     return v, m, v + d1 * m, rhs
 
 
@@ -390,11 +381,9 @@ def test_f_concavity_sets_power_branch():
     a = rng_staircase(31)
     b = rng_staircase(32)
     spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=24)
-    mu = line_density(slope=0.0)  # constant 1 on [0, 2.5]
     gamma = 0.5
     F = FSpec("power", 1.5 * gamma)
-    t, lhs, rhs = f_concavity_gap(a, b, mu, F, spec, (0.25, 0.5, 0.75),
-                                  measure_of(a, mu), measure_of(b, mu))
+    t, lhs, rhs = f_concavity_gap(a, b, F, spec, (0.25, 0.5, 0.75), a.volume, b.volume)
     assert t in (0.25, 0.5, 0.75)
     assert lhs - rhs >= -0.15
 
@@ -405,22 +394,18 @@ def test_f_concavity_gap_is_the_first_worst_sample(monkeypatch):
                         lambda a, b, spec: 2.0)
     a = cube()
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=8)
-    mu = lebesgue(a.grid)
-    mass = measure_of(a, mu)
-    got = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.75, 0.25, 0.5),
-                          mass, mass)
+    vol = a.volume
+    got = f_concavity_gap(a, a, FSpec("power", 1.0), spec, (0.75, 0.25, 0.5), vol, vol)
     assert got == (0.75, 2.0, 1.0)
     with pytest.raises(RangeError):
-        f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (), mass, mass)
+        f_concavity_gap(a, a, FSpec("power", 1.0), spec, (), vol, vol)
 
 
 def test_f_concavity_same_set_small_slack():
     a = cube()
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5, lambda_points=32)
-    mu = line_density(slope=0.0)
     F = FSpec("power", 1.0)
-    _, lhs, rhs = f_concavity_gap(a, a, mu, F, spec, (0.25, 0.5, 0.75),
-                                  measure_of(a, mu), measure_of(a, mu))
+    _, lhs, rhs = f_concavity_gap(a, a, F, spec, (0.25, 0.5, 0.75), a.volume, a.volume)
     assert abs(lhs - rhs) <= 0.1
 
 
@@ -436,81 +421,53 @@ def test_f_concavity_keeps_the_callers_extra_lambdas(monkeypatch):
     a, b = rng_staircase(31), rng_staircase(32)
     spec = SumSpec(p=1.5, alphas=vec(1, 1), t=0.5, lambda_points=8,
                    extra_lambdas=(0.001,))
-    mu = line_density(slope=0.0)
-    f_concavity_gap(a, b, mu, FSpec("power", 0.75), spec, (0.25, 0.5, 0.75),
-                    measure_of(a, mu), measure_of(b, mu))
+    f_concavity_gap(a, b, FSpec("power", 0.75), spec, (0.25, 0.5, 0.75), a.volume, b.volume)
     assert [s.t for s in seen] == [0.25, 0.5, 0.75]
     assert all(s.extra_lambdas == (0.001,) for s in seen)
-
-
-def test_dilation_rate_under_a_tagged_density_measures_the_dilates(monkeypatch):
-    # a 2-D hypograph under a tent density: mu(A) is measure_of, not the
-    # volume, and every dilate on the schedule is measured too
-    grid = Grid((0.0, 0.0), 0.25, (4, 4))
-    f = GridFunction(grid, np.random.default_rng(42).uniform(0.2, 1.0, grid.shape))
-    a = f.hypograph()
-    mu = tent_density(Grid((0.0, 0.0), 0.25, (16, 16)), (2.0, 2.0), 4.5)
-    measured = []
-
-    def recording(s, density):
-        measured.append(s)
-        return exact(s, density)
-
-    exact = measures.measure_of
-    monkeypatch.setattr(measures, "measure_of", recording)
-    mu_a, rate = dilation_rate(a, mu, 2.0, vec(1, 1, 1), lambda_points=12)
-    assert mu_a == exact(a, mu) != a.volume
-    assert len(measured) == 1 + len(EPS_SCHEDULE)
-    assert math.isfinite(rate) and rate > 0.0
 
 
 def test_minkowski_first_equality_on_cubes():
     a = cube(1.0)
     b = cube(1.25, cells=10)
-    mu = lebesgue(Grid((0.0,), 0.125, (32,)))
     # p = 2 makes the per-axis sup linear in eps: quotients are exact
     F = FSpec("power", 2.0 * 0.5)
-    assert gate_gap(a, b, mu, F, 2.0, vec(1, 1)) >= -0.1
-    lhs, rhs = first_sides(a, b, mu, F, 2.0, vec(1, 1))
+    assert gate_gap(a, b, F, 2.0, vec(1, 1)) >= -0.1
+    lhs, rhs = first_sides(a, b, F, 2.0, vec(1, 1))
     assert abs(lhs - rhs) <= 1e-9
     # p = 1 quotients carry curvature error of order the last eps
     F1 = FSpec("power", 1.0 * 0.5)
-    assert gate_gap(a, b, mu, F1, 1.0, vec(1, 1)) >= -0.1
-    lhs1, rhs1 = first_sides(a, b, mu, F1, 1.0, vec(1, 1))
+    assert gate_gap(a, b, F1, 1.0, vec(1, 1)) >= -0.1
+    lhs1, rhs1 = first_sides(a, b, F1, 1.0, vec(1, 1))
     assert lhs1 - rhs1 >= -0.02
 
 
 def test_minkowski_first_isoperimetric_same_set():
     a = cube()
-    mu = lebesgue(a.grid)
     F = FSpec("power", 1.0)
-    assert gate_gap(a, a, mu, F, 2.0, vec(1, 1)) >= -0.1
-    lhs, rhs = first_sides(a, a, mu, F, 2.0, vec(1, 1))
+    assert gate_gap(a, a, F, 2.0, vec(1, 1)) >= -0.1
+    lhs, rhs = first_sides(a, a, F, 2.0, vec(1, 1))
     assert abs(lhs - rhs) <= 1e-9
 
 
 def test_mixed_volume_cube_closed_forms():
     a = cube()
-    mu = lebesgue(a.grid)
     # F = x: V = S(A,A) = 2/p = 1 at p = 2 and the dilation derivative is 1
-    v, m, _, _ = mixed_quantities(a, a, mu, FSpec("power", 1.0), 2.0, vec(1, 1))
+    v, m, _, _ = mixed_quantities(a, a, FSpec("power", 1.0), 2.0, vec(1, 1))
     assert v == pytest.approx(1.0, abs=1e-9)
     assert m == pytest.approx(0.0, abs=1e-9)
     # F = x^2 reweights both slots
-    v2, m2, _, _ = mixed_quantities(a, a, mu, FSpec("power", 2.0), 2.0, vec(1, 1))
+    v2, m2, _, _ = mixed_quantities(a, a, FSpec("power", 2.0), 2.0, vec(1, 1))
     assert v2 == pytest.approx(2.0, abs=1e-9)
     assert m2 == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_mixed_volume_variation_equality_cases():
     a = cube()
-    mu = lebesgue(a.grid)
     for F in (FSpec("power", 1.0), FSpec("power", 2.0)):
-        _, _, lhs, rhs = mixed_quantities(a, a, mu, F, 2.0, vec(1, 1))
+        _, _, lhs, rhs = mixed_quantities(a, a, F, 2.0, vec(1, 1))
         assert abs(lhs - rhs) <= 1e-9
     b = cube(2.0, cells=16)
-    mub = lebesgue(Grid((0.0,), 0.125, (16,)))
-    _, _, lhs, rhs = mixed_quantities(a, b, mub, FSpec("power", 1.0), 2.0, vec(1, 1))
+    _, _, lhs, rhs = mixed_quantities(a, b, FSpec("power", 1.0), 2.0, vec(1, 1))
     assert abs(lhs - rhs) <= 1e-9
 
 
@@ -534,10 +491,9 @@ def test_dilation_map_concavity_samples():
 
 def test_report_json_shape():
     a = cube()
-    mu = lebesgue(a.grid)
     spec = SumSpec(p=2.0, alphas=vec(1, 1), t=0.5)
-    _, lhs, rhs = f_concavity_gap(a, a, mu, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75),
-                                  measure_of(a, mu), measure_of(a, mu))
+    _, lhs, rhs = f_concavity_gap(a, a, FSpec("power", 1.0), spec, (0.25, 0.5, 0.75),
+                                  a.volume, a.volume)
     payload = InequalityReport("f_concavity", 0, lhs, rhs, lhs - rhs, None, None,
                                verdict_for(lhs - rhs, 0.1, True)).to_json()
     assert set(payload) == {

@@ -166,21 +166,19 @@ def test_mixed_route_is_never_capped(monkeypatch):
     assert rep.verdict == FAIL
 
 
-def test_first_route_measures_each_operand_once(monkeypatch):
-    # the gate reuses the route's (mu A, mu B); the list keeps every
-    # measured object alive, so no two of them share an id
-    measured = []
-    measure_of = measures.measure_of
+@pytest.mark.parametrize("index, route_id", [(4, "minkowski_first_sets"),
+                                             (0, "mixed_volume_variation")])
+def test_minkowski_first_takes_no_density(monkeypatch, index, route_id):
+    # both routes are statements about volume: no density is built, and
+    # nothing is integrated against one
+    def refused(*args, **kwargs):
+        pytest.fail("density used")
 
-    def counting(x, mu):
-        measured.append(x)
-        return measure_of(x, mu)
-
-    monkeypatch.setattr(verify, "measure_of", counting)
-    monkeypatch.setattr(measures, "measure_of", counting)
-    rep = verify.run_check("minkowski_first", 0, 4)
-    assert rep.params["route_id"] == "minkowski_first_sets"
-    assert len(measured) == len({id(x) for x in measured}) == 2
+    monkeypatch.setattr(measures.DensityMeasure, "__post_init__", refused)
+    monkeypatch.setattr(verify, "measure_of", refused)
+    monkeypatch.setattr(measures, "measure_of", refused)
+    rep = verify.run_check("minkowski_first", 0, index)
+    assert rep.params["route_id"] == route_id
 
 
 def test_level_2_grid_sum_is_not_limited_by_its_images(monkeypatch):
